@@ -10,18 +10,18 @@ diff      compare two exported symbol files
 plotdata  like ``map`` but emits gnuplot-ready text
 
 Exit codes: 0 success, 1 verification/comparison failure, 2 bad
-configuration.  ``DPSMAP_THREADS`` sets the worker count for dense kernel
-construction; a JSON file mirroring RunConfig can seed any run via
-``--config`` (explicit flags win).
+configuration or input file.  A JSON file mirroring RunConfig can seed any
+run via ``--config`` (explicit flags win).  ``--mode`` is only a size rule:
+dense allows n <= 4, lazy allows n <= 5 at s = 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -65,27 +65,30 @@ class RunConfig:
     suite: str = "all"
     scheme: str = "p1"
     seed: int = 0
-    threads: int = 1
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                stored = json.load(fh)
-            known = {f.name for f in fields(cls)}
-            bad = set(stored) - known
+            stored = _read_json(args.config, "config file")
+            if not isinstance(stored, dict):
+                raise ConfigurationError(f"config file {args.config!r} must hold an object")
+            bad = set(stored) - {f.name for f in fields(cls)}
             if bad:
                 raise ConfigurationError(f"unknown config keys: {sorted(bad)}")
+            types = get_type_hints(cls)
             for key, value in stored.items():
+                want = (int, float) if types[key] is float else types[key]
+                if (isinstance(value, bool) != (types[key] is bool)
+                        or not isinstance(value, want)):
+                    raise ConfigurationError(
+                        f"config key {key!r} must be {cls.__annotations__[key]}, "
+                        f"got {value!r}")
                 setattr(cfg, key, value)
         for f in fields(cls):
             value = getattr(args, f.name, None)
             if value is not None:
                 setattr(cfg, f.name, value)
-        env_threads = os.environ.get("DPSMAP_THREADS")
-        if env_threads and getattr(args, "threads", None) is None:
-            cfg.threads = int(env_threads)
         cfg.validate()
         return cfg
 
@@ -105,8 +108,15 @@ class RunConfig:
         if self.scheme not in MUB_SCHEMES:
             raise ConfigurationError(f"scheme must be one of {MUB_SCHEMES}")
         pauli.convention_from_name(self.conv)
-        if self.threads < 1:
-            raise ConfigurationError("threads must be positive")
+
+
+def _read_json(path: str, what: str):
+    """Parse a JSON input file; malformed text is a configuration error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 
 def build_state(ctx: gf2n.FieldContext, spec: str, zeta: complex) -> np.ndarray:
@@ -123,10 +133,13 @@ def build_state(ctx: gf2n.FieldContext, spec: str, zeta: complex) -> np.ndarray:
                 f"logical state needs {ctx.n} bits, got {bits!r}")
         return pauli.logical_state(ctx, ctx.from_coords([int(b) for b in bits]))
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            record = json.load(fh)
-        amps = record["amplitudes"] if isinstance(record, dict) else record
-        vec = np.array([complex(re, im) for re, im in amps])
+        record = _read_json(spec[1:], "amplitude file")
+        try:
+            amps = record["amplitudes"] if isinstance(record, dict) else record
+            vec = np.array([complex(re, im) for re, im in amps])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"amplitude file {spec[1:]!r} must hold [re, im] pairs: {exc!r}") from exc
         if vec.shape != (ctx.order,):
             raise ConfigurationError(
                 f"amplitude file must hold {ctx.order} entries for n={ctx.n}")
@@ -173,8 +186,6 @@ def _map_pipeline(cfg: RunConfig):
     if cfg.n > 5:
         raise ConfigurationError("map is capped at n <= 5")
     mode = cfg.mode or ("dense" if cfg.n <= kernels.MAX_DENSE_N else "lazy")
-    if cfg.n == 5 and mode == "dense":
-        raise ConfigurationError("n = 5 maps require lazy mode")
     if mode == "lazy" and cfg.s != 0:
         raise ConfigurationError("lazy maps support s = 0 only")
     ctx = gf2n.field_context(cfg.n)
@@ -182,31 +193,26 @@ def _map_pipeline(cfg: RunConfig):
     fid_zeta = (pauli.DEFAULT_FIDUCIAL_ZETA if cfg.fiducial is None
                 else parse_complex(cfg.fiducial))
     fiducial = pauli.spin_coherent(ctx, fid_zeta) if cfg.s != 0 else None
-    kernel = kernels.build_kernel(ctx, cfg.s, conv, fiducial, mode=mode,
-                                  threads=cfg.threads)
+    kernel = kernels.build_kernel(ctx, cfg.s, conv, fiducial, mode=mode)
     zeta = parse_complex(cfg.zeta)
     state = build_state(ctx, cfg.state, zeta)
     rho = np.outer(state, state.conj())
     provenance = f"state={cfg.state}" + (
         f" zeta={cfg.zeta}" if cfg.state == "coherent" else "")
     psf = kernels.forward_map(kernel, rho, provenance=provenance)
-    constants = None
-    if mode == "dense":
-        try:
-            dual = (kernel if cfg.s == 0 else
-                    kernels.build_kernel(ctx, -cfg.s, conv, fiducial, mode=mode,
-                                         threads=cfg.threads))
-        except FiducialError:
-            # the s = -1 grid can be legal while its s = +1 dual is not;
-            # there is then no overlap relation to fit constants from
-            dual = None
-        if dual is not None:
-            pref, report = kernels.convolution_prefactor(kernel, dual)
-            constants = {
-                "overlap_constant": [report.constant.real, report.constant.imag],
-                "overlap_max_offdiag": report.max_offdiag,
-                "convolution_prefactor": [pref.real, pref.imag],
-            }
+    try:
+        dual = (kernel if cfg.s == 0 else
+                kernels.build_kernel(ctx, -cfg.s, conv, fiducial, mode=mode))
+    except FiducialError:
+        # the s = -1 grid can be legal while its s = +1 dual is not;
+        # there is then no overlap relation to fit constants from
+        return ctx, psf, None
+    pref, report = kernels.convolution_prefactor(kernel, dual)
+    constants = {
+        "overlap_constant": [report.constant.real, report.constant.imag],
+        "overlap_max_offdiag": report.max_offdiag,
+        "convolution_prefactor": [pref.real, pref.imag],
+    }
     return ctx, psf, constants
 
 
@@ -326,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fiducial zeta (re,im or mag@deg); default 0.5@45")
         p.add_argument("--project", action="store_true", default=None,
                        help="also export the (m,n,k) projection")
-        p.add_argument("--mode", default=None, choices=("dense", "lazy"))
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--mode", default=None, choices=("dense", "lazy"),
+                       help="size rule: dense for n <= 4, lazy for n <= 5 at s = 0")
         if name == "map":
             p.add_argument("--format", default=None, choices=FORMATS)
         p.set_defaults(func=func)

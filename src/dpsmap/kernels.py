@@ -16,7 +16,6 @@ materializing displacement operators.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .mubrot import VERTICAL, LineSpec, MubFamily
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, check_fiducial,
                     displacement_overlaps, require_operator_n, spin_coherent)
 
-#: dense kernel tables hold 16^n complex entries; cap per mode
+#: size caps behind ``mode``; both modes evaluate kernels the same way
 MAX_DENSE_N = 4
 MAX_LAZY_N = 6
 
@@ -54,44 +53,41 @@ class PhaseSpaceFunction:
 class KernelSet:
     """All 4^n kernels for one (s, convention, fiducial) choice.
 
-    Either backed by a phase convention (character-sum evaluation, with an
-    optional dense table) or directly by a table of operators (used for
+    Either backed by a phase convention (character-sum evaluation from the
+    q x q table ``w * phi``) or directly by a table of operators (used for
     the line-projector construction).
     """
 
     def __init__(self, ctx: FieldContext, s: float, conv: PhaseConvention | None,
-                 fiducial: np.ndarray | None, mode: str, label: str,
-                 hermitian: bool, threads: int = 1):
+                 fiducial: np.ndarray | None, label: str, hermitian: bool):
         require_operator_n(ctx)
         self.ctx = ctx
         self.s = s
         self.conv = conv
         self.fiducial = fiducial
-        self.mode = mode
         self.label = label
         self.hermitian = hermitian
         self.fiducial_report = None
         self._table = None
-        self._phi = None
-        self._weights = None
+        self._wphi = None
         self._stable = None
         if conv is not None:
             self._prepare_character_data()
-            if mode == "dense":
-                self._materialize(threads)
 
     # -- construction ---------------------------------------------------
 
     def _prepare_character_data(self):
         ctx = self.ctx
-        self._phi = self.conv.value_table(ctx)
+        phi = self.conv.value_table(ctx)
         if self.s == 0:
-            self._weights = np.ones((ctx.order, ctx.order), dtype=complex)
+            weights = np.ones((ctx.order, ctx.order), dtype=complex)
         else:
             overlaps = displacement_overlaps(ctx, self.conv, self.fiducial)
-            self._weights = overlaps ** (-self.s)
+            weights = overlaps ** (-self.s)
+        # wphi[gamma, delta]: the coefficient of Z_gamma X_delta in every kernel
+        self._wphi = weights * phi
         # stable[delta, t] = sum_gamma chi(gamma t) w[gamma, delta] phi[gamma, delta]
-        self._stable = (ctx.char_matrix_c @ (self._weights * self._phi)).T
+        self._stable = (ctx.char_matrix_c @ self._wphi).T
 
     def _point(self, alpha: int, beta: int) -> np.ndarray:
         ctx = self.ctx
@@ -104,27 +100,11 @@ class KernelSet:
         out[ctx.index_table[:, None], ctx.index_table[None, :]] = vals
         return out
 
-    def _materialize(self, threads: int = 1):
-        q = self.ctx.order
-        table = np.empty((q, q, q, q), dtype=complex)
-
-        def fill_row(a):
-            for b in range(q):
-                table[a, b] = self._point(a, b)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill_row, range(q)))
-        else:
-            for a in range(q):
-                fill_row(a)
-        self._table = table
-
     @classmethod
     def from_table(cls, ctx: FieldContext, s: float, table: np.ndarray,
                    label: str, fiducial: np.ndarray | None = None,
                    hermitian: bool = True) -> "KernelSet":
-        self = cls(ctx, s, None, fiducial, "dense", label, hermitian)
+        self = cls(ctx, s, None, fiducial, label, hermitian)
         self._table = np.asarray(table, dtype=complex)
         return self
 
@@ -144,11 +124,11 @@ class KernelSet:
         return self.conv.permutation_invariant if self.conv is not None else False
 
     def normalization_residual(self) -> float:
-        """Max-norm of sum_(alpha,beta) Delta - 2^n I."""
+        """Max-norm of sum_(alpha,beta) Delta - 2^n I; that sum is q wphi(0,0) I."""
         q = self.ctx.order
-        acc = np.zeros((q, q), dtype=complex)
-        for a, b in self.points():
-            acc += self.at(a, b)
+        if self._table is None:
+            return float(abs(q * self._wphi[0, 0] - q))
+        acc = self._table.sum(axis=(0, 1))
         return float(np.max(np.abs(acc - q * np.eye(q))))
 
     def _psf(self, grid, provenance):
@@ -159,9 +139,12 @@ class KernelSet:
 
 
 def build_kernel(ctx: FieldContext, s: float, conv: PhaseConvention,
-                 fiducial: np.ndarray | None = None, mode: str | None = None,
-                 threads: int = 1) -> KernelSet:
+                 fiducial: np.ndarray | None = None,
+                 mode: str | None = None) -> KernelSet:
     """Construct the kernel set, checking the fiducial when s != 0.
+
+    ``mode`` ("dense" or "lazy") only selects which size cap applies; the
+    kernels are evaluated the same way in both.
 
     Vanishing displacement overlaps are fatal only when the kernel has to
     invert them (s > 0): the s = -1 family of coherent-state projectors is
@@ -170,14 +153,12 @@ def build_kernel(ctx: FieldContext, s: float, conv: PhaseConvention,
     way.
     """
     require_operator_n(ctx)
-    if mode is None:
-        mode = "dense" if ctx.n <= MAX_DENSE_N else "lazy"
-    if mode == "dense" and ctx.n > MAX_DENSE_N:
-        raise ConfigurationError(f"dense kernel tables are capped at n <= {MAX_DENSE_N}")
-    if mode == "lazy" and ctx.n > MAX_LAZY_N:
-        raise ConfigurationError(f"lazy kernels are capped at n <= {MAX_LAZY_N}")
-    if mode not in ("dense", "lazy"):
+    caps = {"dense": MAX_DENSE_N, "lazy": MAX_LAZY_N}
+    mode = mode or ("dense" if ctx.n <= MAX_DENSE_N else "lazy")
+    if mode not in caps:
         raise ConfigurationError(f"unknown kernel mode {mode!r}")
+    if ctx.n > caps[mode]:
+        raise ConfigurationError(f"{mode} kernels are capped at n <= {caps[mode]}")
     report = None
     if s != 0:
         if fiducial is None:
@@ -188,8 +169,7 @@ def build_kernel(ctx: FieldContext, s: float, conv: PhaseConvention,
                 f"fiducial has vanishing displacement overlaps (min {report.min_abs:.2e}) "
                 f"at points {report.violations[:4]}; cannot raise them to a "
                 f"negative power")
-    kernel = KernelSet(ctx, s, conv, fiducial, mode, conv.name, conv.hermitian,
-                       threads=threads)
+    kernel = KernelSet(ctx, s, conv, fiducial, conv.name, conv.hermitian)
     kernel.fiducial_report = report
     return kernel
 
@@ -211,7 +191,7 @@ def forward_map(kernel: KernelSet, op: np.ndarray,
         # monomial traces Tr[f D(gamma, delta)] via one character transform
         v = op[a_idx[ctx.xor_grid], a_idx[None, :]]          # v[delta, mu]
         t = v @ ctx.char_matrix_c                            # t[delta, gamma]
-        f_tab = kernel._weights * kernel._phi * t.T
+        f_tab = kernel._wphi * t.T
         grid = (ctx.char_matrix_c @ f_tab @ ctx.char_matrix_c).T / q
     else:
         grid = np.einsum("abij,ji->ab", kernel._table, op)
@@ -241,7 +221,7 @@ def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
     if kernel.conv is not None:
         c = ctx.char_matrix_c
         bracket = ((c @ w @ c).T) / (q * q)                  # [gamma, delta]
-        g = bracket * kernel._weights * kernel._phi
+        g = bracket * kernel._wphi
         coef = c @ g                                         # coef[mu, delta]
         out = np.zeros((q, q), dtype=complex)
         out[ctx.index_table[:, None], ctx.index_table[ctx.xor_grid]] = coef
@@ -263,33 +243,37 @@ class OverlapReport:
     max_offdiag: float
 
 
-def _flat_tables(kernel: KernelSet):
+def _operators(kernel: KernelSet) -> np.ndarray:
     q = kernel.ctx.order
-    flat = np.empty((q * q, q * q), dtype=complex)
-    flat_t = np.empty((q * q, q * q), dtype=complex)
-    for i, (a, b) in enumerate(kernel.points()):
-        op = kernel.at(a, b)
-        flat[i] = op.reshape(-1)
-        flat_t[i] = op.T.reshape(-1)
-    return flat, flat_t
+    if kernel._table is not None:
+        return kernel._table.reshape(q * q, q, q)
+    return np.stack([kernel.at(a, b) for a, b in kernel.points()])
 
 
 def overlap_check(kernel_a: KernelSet, kernel_b: KernelSet) -> OverlapReport:
-    """Pairwise traces of a dual kernel pair; fits the diagonal constant."""
-    if kernel_a.ctx is not kernel_b.ctx:
+    """Pairwise traces of a dual kernel pair; fits the diagonal constant.
+
+    Tr[D(gamma, delta) D(gamma', delta')] is q chi(gamma delta) when the
+    displacements coincide and 0 otherwise (Gibbons, Hoffman and Wootters,
+    PRA 70, 062101 (2004)), so convention-backed pairs have the closed form
+    Tr[Delta_a(a, b) Delta_b(a', b')] = t[b + b', a + a'] with t = C g C / q,
+    C = chi(xy) and g = w_a phi_a w_b phi_b chi(gamma delta): the diagonal
+    is t[0, 0] exactly.  Table-backed kernels take the explicit sum.
+    """
+    ctx = kernel_a.ctx
+    if ctx is not kernel_b.ctx:
         raise ConfigurationError("kernels live on different fields")
-    flat_a, _ = _flat_tables(kernel_a)
-    _, flat_bt = _flat_tables(kernel_b)
-    gram = flat_a @ flat_bt.T
+    if kernel_a.conv is not None and kernel_b.conv is not None:
+        c = ctx.char_matrix_c
+        t = c @ (kernel_a._wphi * kernel_b._wphi * ctx.char_matrix) @ c / ctx.order
+        constant = complex(t[0, 0])
+        t[0, 0] = 0
+        return OverlapReport(ctx.n, constant, 0.0, float(np.max(np.abs(t))))
+    gram = np.einsum("iab,jba->ij", _operators(kernel_a), _operators(kernel_b))
     diag = np.diag(gram)
     constant = complex(diag.mean())
-    off = gram - np.diag(diag)
-    return OverlapReport(
-        n=kernel_a.ctx.n,
-        constant=constant,
-        max_diag_dev=float(np.max(np.abs(diag - constant))),
-        max_offdiag=float(np.max(np.abs(off))),
-    )
+    return OverlapReport(ctx.n, constant, float(np.max(np.abs(diag - constant))),
+                         float(np.max(np.abs(gram - np.diag(diag)))))
 
 
 def convolution_prefactor(kernel_a: KernelSet, kernel_b: KernelSet):

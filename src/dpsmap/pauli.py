@@ -120,13 +120,14 @@ class PhaseConvention:
     permutation_invariant = False
 
     def __init__(self):
-        self._table_cache: dict[int, np.ndarray] = {}
+        self._table_cache: dict[tuple, np.ndarray] = {}
 
     def _exponent_table(self, ctx: FieldContext) -> np.ndarray:
         raise NotImplementedError
 
     def exponent_table(self, ctx: FieldContext) -> np.ndarray:
-        key = id(ctx)
+        # keyed on what the table depends on: ids of collected contexts get reused
+        key = (ctx.n, ctx.poly, ctx.selfdual_basis)
         if key not in self._table_cache:
             tab = self._exponent_table(ctx) % 4
             if (tab[0, :] % 4).any() or (tab[:, 0] % 4).any():

@@ -197,11 +197,13 @@ def diff_projected(a: ProjectedFunction, b: ProjectedFunction) -> DiffReport:
 
 def load_symbol(text: str):
     """Load either kind of symbol record from JSON text."""
-    kind = json.loads(text).get("kind")
-    if kind == "grid":
-        return psf_from_json(text)
-    if kind == "projected":
-        return proj_from_json(text)
+    try:
+        record = json.loads(text)
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if kind in ("grid", "projected"):
+            return (psf_from_json if kind == "grid" else proj_from_json)(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed symbol record: {exc!r}") from exc
     raise ConfigurationError(f"unrecognized symbol record kind {kind!r}")
 
 

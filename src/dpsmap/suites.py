@@ -199,8 +199,8 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
         k0 = kernels.build_kernel(ctx, 0, conv)
         checks.append(_check(f"{name}: sum of kernels = 2^n I",
                              k0.normalization_residual() < TOL, "s=0"))
-        herm = all(np.allclose(k0.at(a, b), k0.at(a, b).conj().T, atol=TOL)
-                   for a, b in k0.points())
+        herm = all(np.allclose(k, k.conj().T, atol=TOL)
+                   for k in (k0.at(a, b) for a, b in k0.points()))
         checks.append(_check(f"{name}: kernels hermitian", herm, "s=0, all points"))
 
         cov_ok = True

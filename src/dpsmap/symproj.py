@@ -31,7 +31,7 @@ from .errors import ConfigurationError
 from .gf2n import FieldContext
 from .kernels import KernelSet, PhaseSpaceFunction
 from .mubrot import RotationCoefficients
-from .pauli import I4, TomographicPhase, permutation_op
+from .pauli import I4, TomographicPhase
 
 
 # ----------------------------------------------------------------------
@@ -176,26 +176,26 @@ def check_kernel_invariance(kernel: KernelSet, tol: float = 1e-12) -> Invariance
 
     (a', b') carries the transposed self-dual coordinates; a convention is
     usable for symmetric projection exactly when every kernel maps onto the
-    kernel at the permuted point.
+    kernel at the permuted point.  P_ij Z_g X_d P_ij = Z_(Tg) X_(Td) and the
+    trace form is T-invariant, so the largest entry of the difference over
+    all points is max |C (wphi[T, T] - wphi)| / q, attained at (0, 0).
     """
+    if kernel.conv is None:
+        raise ConfigurationError("invariance is checked on convention-backed kernels")
     ctx = kernel.ctx
-    q = ctx.order
+    wphi = kernel._wphi
     worst = 0.0
     witness = None
     count = 0
     for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
         count += 1
-        pmat = permutation_op(ctx, i, j)
-        swapped = np.array([ctx.transpose_coords(x, i, j) for x in range(q)])
-        for a in range(q):
-            for b in range(q):
-                lhs = pmat @ kernel.at(a, b) @ pmat
-                rhs = kernel.at(int(swapped[a]), int(swapped[b]))
-                dev = float(np.max(np.abs(lhs - rhs)))
-                if dev > worst:
-                    worst = dev
-                    if dev > tol:
-                        witness = (i, j, a, b)
+        swapped = np.array([ctx.transpose_coords(x, i, j) for x in range(ctx.order)])
+        diff = wphi[np.ix_(swapped, swapped)] - wphi
+        dev = float(np.max(np.abs(ctx.char_matrix_c @ diff))) / ctx.order
+        if dev > worst:
+            worst = dev
+            if dev > tol:
+                witness = (i, j, 0, 0)
     return InvarianceReport(kernel.label, ctx.n, count, worst, witness)
 
 

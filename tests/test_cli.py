@@ -2,8 +2,11 @@
 """End-to-end checks of the command-line front end, driven through main()
 with a couple of subprocess smoke tests for the installed entry point."""
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +44,6 @@ def test_runconfig_validation():
         RunConfig(s=0.5).validate()
     with pytest.raises(ConfigurationError):
         RunConfig(conv="wigner").validate()
-    with pytest.raises(ConfigurationError):
-        RunConfig(threads=0).validate()
     RunConfig().validate()  # defaults are fine
 
 
@@ -147,6 +148,16 @@ def test_map_state_file(tmp_path, monkeypatch):
     assert run("map", "--state", "@missing.json") == 2
 
 
+@pytest.mark.parametrize("text", ["{not json", '{"amps": [[1, 0]]}', "[[1]]",
+                                  '[["a", "b"]]', "7"])
+def test_map_malformed_state_file(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(text)
+    assert run("map", "--state", "@bad.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_map_size_and_mode_rules(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     # n = 5 falls back to the lazy path automatically for s = 0
@@ -205,13 +216,46 @@ def test_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_threads_env_and_override(tmp_path, monkeypatch):
+def test_threads_env_and_override(tmp_path, monkeypatch, capsys):
+    """The worker-count knob is gone: no flag, no config key, no env var."""
     monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run("map", "--threads", "2", "--out", "flag")
+    assert exc.value.code == 2
+    (tmp_path / "cfg.json").write_text(json.dumps({"threads": 2}))
+    assert run("map", "--config", "cfg.json") == 2
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
     monkeypatch.setenv("DPSMAP_THREADS", "3")
     assert run("map", "--out", "env") == 0
-    assert json.loads((tmp_path / "env.grid.json").read_text())["config"]["threads"] == 3
-    assert run("map", "--threads", "2", "--out", "flag") == 0
-    assert json.loads((tmp_path / "flag.grid.json").read_text())["config"]["threads"] == 2
+    assert "threads" not in json.loads((tmp_path / "env.grid.json").read_text())["config"]
+
+
+def test_config_invalid_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"n": 3,')
+    assert run("map", "--config", "cfg.json") == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_text("[3]")
+    assert run("map", "--config", "cfg.json") == 2
+
+
+@pytest.mark.parametrize("stored", [{"n": "x"}, {"n": [3]}, {"n": True}, {"s": "0"},
+                                    {"state": 5}, {"zeta": 1}, {"seed": "x"},
+                                    {"project": 1}, {"out": 3}])
+def test_config_rejects_wrong_types(tmp_path, monkeypatch, capsys, stored):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(stored))
+    assert run("map", "--config", "cfg.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and err.count("\n") == 1
+
+
+def test_config_accepts_json_numbers_and_nulls(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"n": 2, "s": -1, "out": None, "fiducial": None, "project": True}))
+    assert run("map", "--config", "cfg.json", "--out", "c") == 0
+    assert json.loads((tmp_path / "c.grid.json").read_text())["config"]["s"] == -1.0
 
 
 # ---------------------------------------------------------
@@ -264,6 +308,18 @@ def test_diff_exit_codes(tmp_path, monkeypatch, capsys):
     assert run("diff", "x.grid.json", "missing.json") == 2
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"kind": "grid"}'])
+def test_diff_malformed_inputs(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--out", "x") == 0
+    (tmp_path / "bad.json").write_text(text)
+    capsys.readouterr()
+    for pair in (("bad.json", "x.grid.json"), ("x.grid.json", "bad.json")):
+        assert run("diff", *pair) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_diff_rejects_kind_mismatch(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("map", "--conv", "perminv-f0", "--project", "--out", "m") == 0
@@ -283,15 +339,31 @@ def test_diff_projected_files(tmp_path, monkeypatch):
 # installed entry point
 # ---------------------------------------------------------
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_console(*argv):
+    """The ``dpsmap`` script when installed, else ``python -m dpsmap`` from src/.
+
+    Either way the script must be declared as ``dpsmap.cli:main``.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"]["dpsmap"] == "dpsmap.cli:main"
+    if shutil.which("dpsmap"):
+        return subprocess.run(["dpsmap", *argv], capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dpsmap", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_console_script_runs():
-    res = subprocess.run(["dpsmap", "--version"], capture_output=True, text=True)
+    res = run_console("--version")
     assert res.returncode == 0
     assert res.stdout.strip() == __version__
 
 
 def test_console_script_verify():
-    res = subprocess.run(
-        ["dpsmap", "verify", "--n", "1", "--suite", "mub"],
-        capture_output=True, text=True)
+    res = run_console("verify", "--n", "1", "--suite", "mub")
     assert res.returncode == 0
     assert json.loads(res.stdout)["passed"] is True

@@ -19,6 +19,8 @@ SZ = np.diag([1.0 + 0j, -1.0])
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
+ALL_CONVENTIONS = ("tomographic-p1", "perminv-sqrt", "perminv-f0",
+                   "perminv-f1", "graph-plus", "graph-minus", "plain")
 
 
 def naive_kernel_point(ctx, s, conv, fiducial, alpha, beta):
@@ -67,15 +69,6 @@ def test_frozen_single_qubit_wigner_kernel():
     assert np.allclose(k_tomo.at(0, 0), 0.5 * (np.eye(2) + SX + SY + SZ))
     k_perm = build_kernel(ctx, 0.0, PERMINV)
     assert np.allclose(k_perm.at(0, 0), 0.5 * (np.eye(2) + SX - SY + SZ))
-
-
-def test_lazy_matches_dense():
-    for n in (2, 3):
-        ctx = field_context(n)
-        dense = build_kernel(ctx, 0.0, TOMO, mode="dense")
-        lazy = build_kernel(ctx, 0.0, TOMO, mode="lazy")
-        for a, b in [(0, 0), (1, 2), (ctx.order - 1, 3 % ctx.order)]:
-            assert np.allclose(dense.at(a, b), lazy.at(a, b))
 
 
 # ---------------------------------------------------------
@@ -206,17 +199,63 @@ def test_forward_rejects_wrong_shape():
         forward_map(kern, np.eye(3, dtype=complex))
 
 
-def test_threads_do_not_change_results():
-    ctx = field_context(2)
-    k1 = build_kernel(ctx, 0.0, TOMO, threads=1)
-    k4 = build_kernel(ctx, 0.0, TOMO, threads=4)
-    for a, b in k1.points():
-        assert np.array_equal(k1.at(a, b), k4.at(a, b))
-
-
 # ---------------------------------------------------------
 # overlap relation and trace convolution
 # ---------------------------------------------------------
+
+def _flat_tables(kernel):
+    """Operator-level oracle: every kernel flattened, plain and transposed."""
+    q = kernel.ctx.order
+    flat = np.empty((q * q, q * q), dtype=complex)
+    flat_t = np.empty((q * q, q * q), dtype=complex)
+    for i, (a, b) in enumerate(kernel.points()):
+        op = kernel.at(a, b)
+        flat[i] = op.reshape(-1)
+        flat_t[i] = op.T.reshape(-1)
+    return flat, flat_t
+
+
+def operator_gram(kernel_a, kernel_b):
+    """Tr[Delta_a(i) Delta_b(j)] for every pair of grid points."""
+    flat_a, _ = _flat_tables(kernel_a)
+    _, flat_bt = _flat_tables(kernel_b)
+    return flat_a @ flat_bt.T
+
+
+@pytest.mark.parametrize("s", (-1.0, 0.0, 1.0))
+@pytest.mark.parametrize("name", ALL_CONVENTIONS)
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_table_checks_match_operator_oracle(n, name, s):
+    """Closed-form Gram and table-form normalization against explicit sums."""
+    ctx = field_context(n)
+    q = ctx.order
+    conv = convention_from_name(name)
+    fid = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+    ka = build_kernel(ctx, s, conv, fiducial=fid)
+    kb = build_kernel(ctx, -s, conv, fiducial=fid)
+    gram = operator_gram(ka, kb)
+    diag = np.diag(gram)
+    constant = diag.mean()
+    rep = overlap_check(ka, kb)
+    assert abs(rep.constant - constant) < 1e-12
+    assert abs(rep.max_diag_dev - np.max(np.abs(diag - constant))) < 1e-12
+    assert abs(rep.max_offdiag - np.max(np.abs(gram - np.diag(diag)))) < 1e-12
+    total = sum(ka.at(a, b) for a, b in ka.points())
+    assert abs(ka.normalization_residual()
+               - np.max(np.abs(total - q * np.eye(q)))) < 1e-12
+
+
+def test_table_backed_overlap_takes_explicit_sum():
+    """Line-projector kernels, alone or paired with a convention kernel."""
+    ctx = field_context(2)
+    k0 = build_kernel(ctx, 0.0, TOMO)
+    woot = wootters_kernel(ctx, mub_family(ctx))
+    assert woot.normalization_residual() < 1e-12
+    for pair in ((woot, woot), (woot, k0), (k0, woot)):
+        rep = overlap_check(*pair)
+        assert abs(rep.constant - ctx.order) < 1e-12
+        assert rep.max_diag_dev < 1e-12 and rep.max_offdiag < 1e-12
+
 
 def test_overlap_constant_and_diagonality():
     for n in (1, 2):

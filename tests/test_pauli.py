@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FactorizedPhase,
-                    GraphPhase, PlainPhase, SqrtPhase, TomographicPhase,
+                    FieldContext, GraphPhase, PlainPhase, SqrtPhase, TomographicPhase,
                     build_X, build_Z, check_fiducial, collective_spin,
                     convention_from_name, displacement, displacement_overlaps,
                     field_context, ghz_state, logical_state, permutation_matrix,
@@ -129,6 +129,18 @@ def test_boundary_phases_are_one():
             for x in ctx.elements():
                 assert c.value(ctx, x, 0) == 1
                 assert c.value(ctx, 0, x) == 1
+
+
+def test_exponent_cache_follows_the_field_not_its_id():
+    """Uncached contexts are collected and their ids reused; the cached
+    table must still belong to the field it is asked for."""
+    polys = (0b1011, 0b1101)
+    expect = {p: GraphPhase(1).exponent_table(FieldContext(3, p)).copy() for p in polys}
+    assert not np.array_equal(*expect.values())
+    c = GraphPhase(1)
+    for i in range(400):
+        poly = polys[i % 2]
+        assert np.array_equal(c.exponent_table(FieldContext(3, poly)), expect[poly])
 
 
 def test_phase_values_are_fourth_roots():

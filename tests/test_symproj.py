@@ -1,20 +1,25 @@
 # tests/test_symproj.py
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dpsmap import (ConfigurationError, build_kernel, check_kernel_invariance,
-                    convention_from_name, convolution_prefactor, field_context,
+from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
+                    check_kernel_invariance, convention_from_name,
+                    convolution_prefactor, displacement, field_context,
                     find_theorem_witness, fit_constant, forward_map, ghz_state,
-                    pair_counts, project, r_factor, reference_symbol,
-                    search_invariant_phases, spin_coherent,
+                    mub_family, pair_counts, permutation_op, project, r_factor,
+                    reference_symbol, search_invariant_phases, spin_coherent,
                     symbol_depends_only_on_h, symmetric_average, symmetrize,
-                    theorem_witness, trace_convolution, valid_triples, w_state)
+                    theorem_witness, trace_convolution, valid_triples, w_state,
+                    wootters_kernel)
 from dpsmap import REFERENCE_IDS
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
+ALL_CONVENTIONS = ("tomographic-p1", "perminv-sqrt", "perminv-f0",
+                   "perminv-f1", "graph-plus", "graph-minus", "plain")
 
 
 def brute_orbit_sizes(ctx):
@@ -194,6 +199,56 @@ def test_tomographic_kernel_not_invariant():
     assert not rep.invariant
     assert rep.witness is not None
     assert rep.max_deviation > 0.1
+
+
+def point_deviation(kernel, i, j, a, b):
+    """Max entry of P_ij Delta(a, b) P_ij - Delta(a', b')."""
+    ctx = kernel.ctx
+    pmat = permutation_op(ctx, i, j)
+    lhs = pmat @ kernel.at(a, b) @ pmat
+    rhs = kernel.at(ctx.transpose_coords(a, i, j), ctx.transpose_coords(b, i, j))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+@pytest.mark.parametrize("s", (-1.0, 0.0, 1.0))
+@pytest.mark.parametrize("name", ALL_CONVENTIONS)
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_table_invariance_matches_operator_oracle(n, name, s):
+    """The table form against the operator-level loop over every point."""
+    ctx = field_context(n)
+    fid = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+    kern = build_kernel(ctx, s, convention_from_name(name), fiducial=fid)
+    worst = max((point_deviation(kern, i, j, a, b)
+                 for i, j in itertools.combinations(range(1, n + 1), 2)
+                 for a, b in kern.points()), default=0.0)
+    rep = check_kernel_invariance(kern)
+    assert abs(rep.max_deviation - worst) < 1e-12
+    assert rep.invariant == (worst <= 1e-12)
+    if rep.witness is not None:
+        assert abs(point_deviation(kern, *rep.witness) - worst) < 1e-12
+
+
+@pytest.mark.parametrize("name", ALL_CONVENTIONS)
+def test_transposition_maps_displacements(name):
+    """P_ij D(gamma, delta) P_ij = phi(g, d) / phi(Tg, Td) D(Tg, Td): the
+    lemma that reduces the invariance check to the w*phi table."""
+    conv = convention_from_name(name)
+    for n in (2, 3):
+        ctx = field_context(n)
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            pmat = permutation_op(ctx, i, j)
+            for g in ctx.elements():
+                for d in ctx.elements():
+                    tg, td = ctx.transpose_coords(g, i, j), ctx.transpose_coords(d, i, j)
+                    ratio = conv.value(ctx, g, d) / conv.value(ctx, tg, td)
+                    moved = pmat @ displacement(ctx, conv, g, d) @ pmat
+                    assert np.max(np.abs(moved - ratio * displacement(ctx, conv, tg, td))) < 1e-12
+
+
+def test_invariance_needs_convention_kernel():
+    ctx = field_context(2)
+    with pytest.raises(ConfigurationError):
+        check_kernel_invariance(wootters_kernel(ctx, mub_family(ctx)))
 
 
 def test_symbol_h_dependence():
