@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -70,7 +71,8 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            stored = _read_json(args.config, "config file")
+            stored = serialize.parse_json(Path(args.config).read_text(),
+                                          f"config file {args.config!r}")
             if not isinstance(stored, dict):
                 raise ConfigurationError(f"config file {args.config!r} must hold an object")
             bad = set(stored) - {f.name for f in fields(cls)}
@@ -110,15 +112,6 @@ class RunConfig:
         pauli.convention_from_name(self.conv)
 
 
-def _read_json(path: str, what: str):
-    """Parse a JSON input file; malformed text is a configuration error."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ConfigurationError(f"{what} {path!r} is not valid JSON: {exc}") from exc
-
-
 def build_state(ctx: gf2n.FieldContext, spec: str, zeta: complex) -> np.ndarray:
     if spec == "ghz":
         return pauli.ghz_state(ctx)
@@ -133,7 +126,8 @@ def build_state(ctx: gf2n.FieldContext, spec: str, zeta: complex) -> np.ndarray:
                 f"logical state needs {ctx.n} bits, got {bits!r}")
         return pauli.logical_state(ctx, ctx.from_coords([int(b) for b in bits]))
     if spec.startswith("@"):
-        record = _read_json(spec[1:], "amplitude file")
+        record = serialize.parse_json(Path(spec[1:]).read_text(),
+                                      f"amplitude file {spec[1:]!r}")
         try:
             amps = record["amplitudes"] if isinstance(record, dict) else record
             vec = np.array([complex(re, im) for re, im in amps])
@@ -280,10 +274,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    with open(args.a) as fh:
-        sym_a = serialize.load_symbol(fh.read())
-    with open(args.b) as fh:
-        sym_b = serialize.load_symbol(fh.read())
+    sym_a, sym_b = (serialize.load_symbol(Path(path).read_text())
+                    for path in (args.a, args.b))
     if type(sym_a) is not type(sym_b):
         raise ConfigurationError("cannot compare a grid with a projection")
     if isinstance(sym_a, kernels.PhaseSpaceFunction):

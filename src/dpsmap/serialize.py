@@ -195,16 +195,24 @@ def diff_projected(a: ProjectedFunction, b: ProjectedFunction) -> DiffReport:
                       list(worst) if worst else None)
 
 
+def parse_json(text: str, what: str):
+    """Parse JSON input text; malformed text is a configuration error."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_symbol(text: str):
     """Load either kind of symbol record from JSON text."""
+    record = parse_json(text, "symbol record")
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if kind not in ("grid", "projected"):
+        raise ConfigurationError(f"unrecognized symbol record kind {kind!r}")
     try:
-        record = json.loads(text)
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if kind in ("grid", "projected"):
-            return (psf_from_json if kind == "grid" else proj_from_json)(text)
+        return (psf_from_json if kind == "grid" else proj_from_json)(text)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed symbol record: {exc!r}") from exc
-    raise ConfigurationError(f"unrecognized symbol record kind {kind!r}")
 
 
 def mub_to_json(family, config=None) -> str:

@@ -31,7 +31,7 @@ from .errors import ConfigurationError
 from .gf2n import FieldContext
 from .kernels import KernelSet, PhaseSpaceFunction
 from .mubrot import RotationCoefficients
-from .pauli import I4, TomographicPhase
+from .pauli import I4, TomographicPhase, permutation_op
 
 
 # ----------------------------------------------------------------------
@@ -69,13 +69,7 @@ def r_factor(n: int, m: int, nn: int, k: int) -> int:
 
 def valid_triples(n: int) -> list[tuple[int, int, int]]:
     """All (m, n, k) with nonzero orbit size, in lexicographic order."""
-    out = []
-    for m in range(n + 1):
-        for nn in range(n + 1):
-            for k in range(n + 1):
-                if r_factor(n, m, nn, k):
-                    out.append((m, nn, k))
-    return out
+    return [t for t in itertools.product(range(n + 1), repeat=3) if r_factor(n, *t)]
 
 
 @dataclass(eq=False)
@@ -177,26 +171,29 @@ def check_kernel_invariance(kernel: KernelSet, tol: float = 1e-12) -> Invariance
     (a', b') carries the transposed self-dual coordinates; a convention is
     usable for symmetric projection exactly when every kernel maps onto the
     kernel at the permuted point.  P_ij Z_g X_d P_ij = Z_(Tg) X_(Td) and the
-    trace form is T-invariant, so the largest entry of the difference over
-    all points is max |C (wphi[T, T] - wphi)| / q, attained at (0, 0).
+    trace form is T-invariant, so for convention-backed kernels the largest
+    entry of the difference over all points is max |C (wphi[T, T] - wphi)| / q,
+    attained at (0, 0).  Table-backed kernels are compared point by point.
     """
-    if kernel.conv is None:
-        raise ConfigurationError("invariance is checked on convention-backed kernels")
     ctx = kernel.ctx
-    wphi = kernel._wphi
-    worst = 0.0
-    witness = None
-    count = 0
-    for i, j in itertools.combinations(range(1, ctx.n + 1), 2):
-        count += 1
-        swapped = np.array([ctx.transpose_coords(x, i, j) for x in range(ctx.order)])
-        diff = wphi[np.ix_(swapped, swapped)] - wphi
-        dev = float(np.max(np.abs(ctx.char_matrix_c @ diff))) / ctx.order
+    pairs = list(itertools.combinations(range(1, ctx.n + 1), 2))
+    worst, witness = 0.0, None
+    for i, j in pairs:
+        perm = [ctx.transpose_coords(x, i, j) for x in range(ctx.order)]
+        swapped = np.ix_(perm, perm)
+        if kernel.conv is not None:
+            diff = kernel._wphi[swapped] - kernel._wphi
+            dev, point = float(np.max(np.abs(ctx.char_matrix_c @ diff))) / ctx.order, (0, 0)
+        else:
+            pmat, table = permutation_op(ctx, i, j), kernel._table
+            devs = np.abs(pmat @ table @ pmat - table[swapped]).max(axis=(2, 3))
+            a, b = np.unravel_index(np.argmax(devs), devs.shape)
+            dev, point = float(devs[a, b]), (int(a), int(b))
         if dev > worst:
             worst = dev
             if dev > tol:
-                witness = (i, j, 0, 0)
-    return InvarianceReport(kernel.label, ctx.n, count, worst, witness)
+                witness = (i, j, *point)
+    return InvarianceReport(kernel.label, ctx.n, len(pairs), worst, witness)
 
 
 def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction,

@@ -11,6 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    tomllib = None
+
 from dpsmap import (ConfigurationError, FieldContext, build_kernel,
                     convention_from_name, field_context, forward_map,
                     ghz_state)
@@ -345,11 +350,16 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_console(*argv):
     """The ``dpsmap`` script when installed, else ``python -m dpsmap`` from src/.
 
-    Either way the script must be declared as ``dpsmap.cli:main``.
+    Either way the script must be declared as ``dpsmap.cli:main``; the
+    declaration is read with ``tomllib`` where it exists (Python >= 3.11)
+    and matched as text otherwise.
     """
-    tomllib = pytest.importorskip("tomllib")
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        assert tomllib.load(fh)["project"]["scripts"]["dpsmap"] == "dpsmap.cli:main"
+    text = (ROOT / "pyproject.toml").read_text()
+    if tomllib is not None:
+        assert tomllib.loads(text)["project"]["scripts"]["dpsmap"] == "dpsmap.cli:main"
+    else:
+        scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        assert 'dpsmap = "dpsmap.cli:main"' in scripts.splitlines()
     if shutil.which("dpsmap"):
         return subprocess.run(["dpsmap", *argv], capture_output=True, text=True)
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -15,6 +15,7 @@ from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     theorem_witness, trace_convolution, valid_triples, w_state,
                     wootters_kernel)
 from dpsmap import REFERENCE_IDS
+from dpsmap.kernels import KernelSet
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
@@ -245,10 +246,24 @@ def test_transposition_maps_displacements(name):
                     assert np.max(np.abs(moved - ratio * displacement(ctx, conv, tg, td))) < 1e-12
 
 
-def test_invariance_needs_convention_kernel():
-    ctx = field_context(2)
-    with pytest.raises(ConfigurationError):
-        check_kernel_invariance(wootters_kernel(ctx, mub_family(ctx)))
+def test_table_backed_invariance_takes_point_check():
+    """Table-backed kernels are checked point by point, against the oracle."""
+    kerns = [wootters_kernel(ctx, mub_family(ctx)) for ctx in map(field_context, (2, 3))]
+    ctx = field_context(3)
+    tomo = build_kernel(ctx, 0.0, TOMO)
+    table = np.array([[tomo.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
+    table[0, 0] = np.eye(ctx.order)     # invariant at (0, 0): the witness lies elsewhere
+    kerns.append(KernelSet.from_table(ctx, 0.0, table, "tomographic-p1 table"))
+    for kern in kerns:
+        n = kern.ctx.n
+        worst = max(point_deviation(kern, i, j, a, b)
+                    for i, j in itertools.combinations(range(1, n + 1), 2)
+                    for a, b in kern.points())
+        rep = check_kernel_invariance(kern)
+        assert rep.max_deviation == pytest.approx(worst, abs=1e-12)
+        assert rep.invariant == (worst <= 1e-12)
+        if rep.witness is not None:
+            assert point_deviation(kern, *rep.witness) == pytest.approx(worst, abs=1e-12)
 
 
 def test_symbol_h_dependence():
