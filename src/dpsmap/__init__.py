@@ -31,8 +31,8 @@ from .pauli import (DEFAULT_FIDUCIAL_ZETA, FactorizedPhase, FiducialReport,
                     TomographicPhase, build_X, build_Z, check_fiducial,
                     collective_spin, convention_from_name, displacement,
                     displacement_overlaps, ghz_state, logical_state,
-                    permutation_matrix, permutation_op, phase_value,
-                    spin_coherent, su2_group_element, symmetrize, w_state)
+                    permutation_matrix, permutation_op, spin_coherent,
+                    su2_group_element, symmetrize, w_state)
 from .symproj import (REFERENCE_IDS, InvarianceReport, PhaseSearchReport,
                       ProjectedFunction, TheoremWitness,
                       check_kernel_invariance, find_theorem_witness,
@@ -60,8 +60,7 @@ __all__ = [
     "build_X", "build_Z", "check_fiducial", "collective_spin",
     "convention_from_name", "displacement", "displacement_overlaps",
     "ghz_state", "logical_state", "permutation_matrix", "permutation_op",
-    "phase_value", "spin_coherent", "su2_group_element", "symmetrize",
-    "w_state",
+    "spin_coherent", "su2_group_element", "symmetrize", "w_state",
     "REFERENCE_IDS", "InvarianceReport", "PhaseSearchReport",
     "ProjectedFunction", "TheoremWitness", "check_kernel_invariance",
     "find_theorem_witness", "fit_constant", "pair_counts", "project",

@@ -211,26 +211,23 @@ def _map_pipeline(cfg: RunConfig):
 
 
 def _export_symbol(cfg: RunConfig, ctx, psf, constants) -> int:
-    config_dict = asdict(cfg)
+    meta = (asdict(cfg), constants)
     base = cfg.out or (f"dpsmap-{_state_slug(cfg.state)}-n{cfg.n}"
                        f"-s{cfg.s:g}-{cfg.conv}")
     ext = {"json": "json", "csv": "csv", "gnuplot": "dat"}[cfg.format]
-    if cfg.format == "json":
-        grid_text = serialize.psf_to_json(psf, config_dict, constants)
-    elif cfg.format == "csv":
-        grid_text = serialize.psf_to_csv(ctx, psf, config_dict, constants)
-    else:
-        grid_text = serialize.psf_to_gnuplot(psf)
-    _write(f"{base}.grid.{ext}", grid_text)
+    symbols = {"grid": psf}
     if cfg.project:
-        proj = symproj.project(ctx, psf)
+        symbols["proj"] = symproj.project(ctx, psf)
+    for tag, sym in symbols.items():
+        grid = tag == "grid"
         if cfg.format == "json":
-            proj_text = serialize.proj_to_json(proj, config_dict, constants)
+            text = (serialize.psf_to_json if grid else serialize.proj_to_json)(sym, *meta)
         elif cfg.format == "csv":
-            proj_text = serialize.proj_to_csv(proj, config_dict, constants)
+            text = (serialize.psf_to_csv(ctx, sym, *meta) if grid
+                    else serialize.proj_to_csv(sym, *meta))
         else:
-            proj_text = serialize.proj_to_gnuplot(proj)
-        _write(f"{base}.proj.{ext}", proj_text)
+            text = (serialize.psf_to_gnuplot if grid else serialize.proj_to_gnuplot)(sym)
+        _write(f"{base}.{tag}.{ext}", text)
     return 0
 
 

@@ -13,7 +13,7 @@ linear map on the field.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -197,6 +197,35 @@ class FieldContext:
         self.char_matrix_c = self.char_matrix.astype(np.complex128)
         self.xor_grid = np.bitwise_xor.outer(
             np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64))
+        # orbit labels depend on the coordinates; rebuild them on next use
+        self.__dict__.pop("_orbits", None)
+
+    # -- orbits under simultaneous qubit permutations --------------------
+
+    @cached_property
+    def _orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        hw, base = self.hweight_table, self.n + 1
+        labels = (hw[:, None] * base + hw[None, :]) * base + hw[self.xor_grid]
+        present = np.zeros(base ** 3, dtype=bool)
+        present[labels] = True
+        weights = np.stack(np.unravel_index(np.flatnonzero(present), (base,) * 3), axis=1)
+        # a label's orbit number is its rank among the labels that occur
+        return (np.cumsum(present) - 1)[labels], weights
+
+    @property
+    def orbit_index(self) -> np.ndarray:
+        """q x q table: orbit of (alpha, beta) as a row of ``orbit_weights``.
+
+        A permutation of qubits permutes self-dual coordinates, so the orbit
+        of a grid point is labelled by (h(alpha), h(beta), h(alpha + beta)).
+        Built on first use.
+        """
+        return self._orbits[0]
+
+    @property
+    def orbit_weights(self) -> np.ndarray:
+        """The (m, n, k) weights of every orbit, in lexicographic order."""
+        return self._orbits[1]
 
     # -- scalar operations ----------------------------------------------
 

@@ -31,20 +31,26 @@ MAX_DENSE_N = 4
 MAX_LAZY_N = 6
 
 
-@dataclass(eq=False)
-class PhaseSpaceFunction:
+@dataclass(eq=False, kw_only=True)
+class SymbolMeta:
+    """What both kinds of symbol record about how they were made."""
+
+    n: int
+    s: float
+    convention: str
+    convention_invariant: bool = False
+    fiducial: np.ndarray | None = None
+    provenance: str = ""
+
+
+@dataclass(eq=False, kw_only=True)
+class PhaseSpaceFunction(SymbolMeta):
     """An operator symbol W(alpha, beta) sampled on the full grid.
 
     ``grid[a, b]`` is indexed by field integers in polynomial-basis order.
     """
 
-    n: int
-    s: float
     grid: np.ndarray
-    convention: str
-    convention_invariant: bool = False
-    fiducial: np.ndarray | None = None
-    provenance: str = ""
 
     def total(self) -> complex:
         return complex(self.grid.sum())

@@ -184,7 +184,8 @@ class SqrtPhase(PhaseConvention):
 
     ``signs`` may be None (all +1) or a map from weight triples
     (h(gamma), h(delta), h(gamma+delta)) to +-1; keying signs on weight
-    triples keeps the convention permutation invariant.
+    triples keeps the convention permutation invariant.  A key that is not
+    an orbit of the field (see ``FieldContext.orbit_weights``) is an error.
     """
 
     permutation_invariant = True
@@ -197,23 +198,24 @@ class SqrtPhase(PhaseConvention):
             self.name = "perminv-sqrt[custom]"
 
     def _exponent_table(self, ctx):
-        tr = ctx.trace_table[ctx.mul_table]
-        exps = tr.copy()
+        exps = ctx.trace_table[ctx.mul_table]
         if self.signs:
-            hw = ctx.hweight_table
-            q = ctx.order
-            m = np.broadcast_to(hw[:, None], (q, q))
-            nn = np.broadcast_to(hw[None, :], (q, q))
-            kk = hw[ctx.xor_grid]
+            orbit_of = {tuple(w): i for i, w in enumerate(ctx.orbit_weights.tolist())}
+            flips = np.zeros(len(orbit_of), dtype=np.int64)
             for (wm, wn, wk), sgn in self.signs.items():
                 if sgn not in (1, -1):
                     raise ConfigurationError("signs must be +-1")
+                orbit = orbit_of.get((wm, wn, wk))
+                if orbit is None:
+                    raise ConfigurationError(
+                        f"sign key {(wm, wn, wk)} is not an (m, n, k) orbit "
+                        f"for n = {ctx.n}")
                 if sgn == -1:
                     if wm == 0 or wn == 0:
                         raise ConfigurationError(
                             "signs on the axes gamma=0 / delta=0 must stay +1")
-                    exps = np.where((m == wm) & (nn == wn) & (kk == wk),
-                                    exps + 2, exps)
+                    flips[orbit] = 2
+            exps = exps + flips[ctx.orbit_index]
         return exps
 
 
@@ -243,9 +245,9 @@ class FactorizedPhase(PhaseConvention):
         self.name = f"perminv-f{f11}"
 
     def _exponent_table(self, ctx):
-        hw = ctx.hweight_table
-        n11 = (hw[:, None] + hw[None, :] - hw[ctx.xor_grid]) // 2
-        return (1 + 2 * self.f11) * n11
+        m, nn, k = ctx.orbit_weights.T
+        n11 = (m + nn - k) // 2
+        return ((1 + 2 * self.f11) * n11)[ctx.orbit_index]
 
 
 class GraphPhase(PhaseConvention):
@@ -302,11 +304,6 @@ def convention_from_name(name: str) -> PhaseConvention:
     if name == "plain":
         return PlainPhase()
     raise ConfigurationError(f"unknown phase convention {name!r}")
-
-
-def phase_value(conv: PhaseConvention, ctx: FieldContext,
-                gamma: int, delta: int) -> complex:
-    return conv.value(ctx, gamma, delta)
 
 
 # ----------------------------------------------------------------------

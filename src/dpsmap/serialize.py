@@ -9,14 +9,14 @@ fixed configuration produces byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._version import __version__
 from .errors import ConfigurationError
 from .gf2n import FieldContext
-from .kernels import PhaseSpaceFunction
+from .kernels import PhaseSpaceFunction, SymbolMeta
 from .symproj import ProjectedFunction, r_factor
 
 
@@ -29,23 +29,44 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _coord_string(ctx: FieldContext, x: int) -> str:
-    return "".join(str(c) for c in ctx.to_coords(x))
+def _metadata(sym: SymbolMeta, config=None, constants=None) -> dict:
+    record = {f.name: getattr(sym, f.name) for f in fields(SymbolMeta)}
+    if sym.fiducial is not None:
+        record["fiducial"] = [_c2pair(z) for z in np.asarray(sym.fiducial)]
+    record.update(version=__version__, config=config, constants=constants)
+    return record
 
 
-def _metadata(obj, config=None, constants=None) -> dict:
-    fid = getattr(obj, "fiducial", None)
-    return {
-        "version": __version__,
-        "n": obj.n,
-        "s": obj.s,
-        "convention": obj.convention,
-        "convention_invariant": obj.convention_invariant,
-        "fiducial": None if fid is None else [_c2pair(z) for z in np.asarray(fid)],
-        "provenance": obj.provenance,
-        "config": config,
-        "constants": constants,
-    }
+def _to_json(sym: SymbolMeta, kind: str, body: str, values, config, constants) -> str:
+    record = _metadata(sym, config, constants)
+    record["kind"] = kind
+    record[body] = values
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def _to_csv(sym: SymbolMeta, header: str, rows, config, constants) -> str:
+    meta = _metadata(sym, config, constants)
+    lines = [f"# {key}: {json.dumps(meta[key], sort_keys=True)}" for key in sorted(meta)]
+    return "\n".join([*lines, header, *rows]) + "\n"
+
+
+def _to_gnuplot(sym: SymbolMeta, kind: str, columns: str, rows) -> str:
+    return "\n".join([f"# {kind} symbol n={sym.n} s={sym.s} convention={sym.convention}",
+                      f"# columns: {columns}", *rows]) + "\n"
+
+
+def _from_record(record: dict, kind: str):
+    """The symbol held by a parsed record of the given kind."""
+    if record.get("kind") != kind:
+        raise ConfigurationError(f"not a {kind}-symbol record")
+    meta = {f.name: record[f.name] for f in fields(SymbolMeta) if f.name in record}
+    if meta.get("fiducial") is not None:
+        meta["fiducial"] = np.array([complex(re, im) for re, im in meta["fiducial"]])
+    if kind == "grid":
+        grid = np.array([[complex(re, im) for re, im in row] for row in record["grid"]])
+        return PhaseSpaceFunction(grid=grid, **meta)
+    entries = {tuple(key): complex(re, im) for key, (re, im), _r in record["entries"]}
+    return ProjectedFunction(entries=entries, **meta)
 
 
 # ----------------------------------------------------------------------
@@ -53,53 +74,31 @@ def _metadata(obj, config=None, constants=None) -> dict:
 # ----------------------------------------------------------------------
 
 def psf_to_json(psf: PhaseSpaceFunction, config=None, constants=None) -> str:
-    record = _metadata(psf, config, constants)
-    record["kind"] = "grid"
-    record["grid"] = [[_c2pair(v) for v in row] for row in np.asarray(psf.grid)]
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    grid = [[_c2pair(v) for v in row] for row in np.asarray(psf.grid)]
+    return _to_json(psf, "grid", "grid", grid, config, constants)
 
 
 def psf_from_json(text: str) -> PhaseSpaceFunction:
-    record = json.loads(text)
-    if record.get("kind") != "grid":
-        raise ConfigurationError("not a grid-symbol record")
-    grid = np.array([[complex(re, im) for re, im in row] for row in record["grid"]])
-    fid = record.get("fiducial")
-    return PhaseSpaceFunction(
-        n=record["n"], s=record["s"], grid=grid,
-        convention=record["convention"],
-        convention_invariant=record.get("convention_invariant", False),
-        fiducial=None if fid is None else np.array([complex(re, im) for re, im in fid]),
-        provenance=record.get("provenance", ""))
+    return _from_record(json.loads(text), "grid")
 
 
 def psf_to_csv(ctx: FieldContext, psf: PhaseSpaceFunction,
                config=None, constants=None) -> str:
-    meta = _metadata(psf, config, constants)
-    lines = [f"# {key}: {json.dumps(meta[key], sort_keys=True)}"
-             for key in sorted(meta)]
-    lines.append("a_coords,b_coords,re,im")
-    grid = np.asarray(psf.grid)
-    for a in range(ctx.order):
-        sa = _coord_string(ctx, a)
-        for b in range(ctx.order):
-            v = complex(grid[a, b])
-            lines.append(f"{sa},{_coord_string(ctx, b)},{_fmt(v.real)},{_fmt(v.imag)}")
-    return "\n".join(lines) + "\n"
+    coords = ["".join(map(str, ctx.to_coords(x))) for x in range(ctx.order)]
+    rows = [f"{coords[a]},{coords[b]},{_fmt(v.real)},{_fmt(v.imag)}"
+            for a, row in enumerate(np.asarray(psf.grid))
+            for b, v in enumerate(map(complex, row))]
+    return _to_csv(psf, "a_coords,b_coords,re,im", rows, config, constants)
 
 
 def psf_to_gnuplot(psf: PhaseSpaceFunction) -> str:
     """Blocks of `a b re im` rows separated by blank lines (splot input)."""
-    out = [f"# grid symbol n={psf.n} s={psf.s} convention={psf.convention}",
-           "# columns: alpha beta re im"]
-    grid = np.asarray(psf.grid)
-    q = grid.shape[0]
-    for a in range(q):
-        for b in range(q):
-            v = complex(grid[a, b])
-            out.append(f"{a} {b} {_fmt(v.real)} {_fmt(v.imag)}")
-        out.append("")
-    return "\n".join(out) + "\n"
+    rows = []
+    for a, row in enumerate(np.asarray(psf.grid)):
+        rows += [f"{a} {b} {_fmt(v.real)} {_fmt(v.imag)}"
+                 for b, v in enumerate(map(complex, row))]
+        rows.append("")
+    return _to_gnuplot(psf, "grid", "alpha beta re im", rows)
 
 
 # ----------------------------------------------------------------------
@@ -107,51 +106,30 @@ def psf_to_gnuplot(psf: PhaseSpaceFunction) -> str:
 # ----------------------------------------------------------------------
 
 def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
-    record = _metadata(proj, config, constants)
-    record["kind"] = "projected"
-    record["entries"] = [
-        [list(key), _c2pair(proj.entries[key]), r_factor(proj.n, *key)]
-        for key in sorted(proj.entries)]
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    entries = [[list(key), _c2pair(proj.entries[key]), r_factor(proj.n, *key)]
+               for key in sorted(proj.entries)]
+    return _to_json(proj, "projected", "entries", entries, config, constants)
 
 
 def proj_from_json(text: str) -> ProjectedFunction:
-    record = json.loads(text)
-    if record.get("kind") != "projected":
-        raise ConfigurationError("not a projected-symbol record")
-    entries = {tuple(key): complex(re, im)
-               for key, (re, im), _r in record["entries"]}
-    fid = record.get("fiducial")
-    return ProjectedFunction(
-        n=record["n"], s=record["s"], entries=entries,
-        convention=record["convention"],
-        convention_invariant=record.get("convention_invariant", False),
-        fiducial=None if fid is None else np.array([complex(re, im) for re, im in fid]),
-        provenance=record.get("provenance", ""))
+    return _from_record(json.loads(text), "projected")
+
+
+def _proj_rows(proj: ProjectedFunction, sep: str) -> list:
+    rows = []
+    for key in sorted(proj.entries):
+        v = complex(proj.entries[key])
+        rows.append(sep.join([*map(str, key), _fmt(v.real), _fmt(v.imag),
+                              str(r_factor(proj.n, *key))]))
+    return rows
 
 
 def proj_to_csv(proj: ProjectedFunction, config=None, constants=None) -> str:
-    meta = _metadata(proj, config, constants)
-    lines = [f"# {key}: {json.dumps(meta[key], sort_keys=True)}"
-             for key in sorted(meta)]
-    lines.append("m,n,k,re,im,R")
-    for key in sorted(proj.entries):
-        v = complex(proj.entries[key])
-        m, nn, k = key
-        lines.append(f"{m},{nn},{k},{_fmt(v.real)},{_fmt(v.imag)},"
-                     f"{r_factor(proj.n, *key)}")
-    return "\n".join(lines) + "\n"
+    return _to_csv(proj, "m,n,k,re,im,R", _proj_rows(proj, ","), config, constants)
 
 
 def proj_to_gnuplot(proj: ProjectedFunction) -> str:
-    out = [f"# projected symbol n={proj.n} s={proj.s} convention={proj.convention}",
-           "# columns: m n k re im R"]
-    for key in sorted(proj.entries):
-        v = complex(proj.entries[key])
-        m, nn, k = key
-        out.append(f"{m} {nn} {k} {_fmt(v.real)} {_fmt(v.imag)} "
-                   f"{r_factor(proj.n, *key)}")
-    return "\n".join(out) + "\n"
+    return _to_gnuplot(proj, "projected", "m n k re im R", _proj_rows(proj, " "))
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +188,7 @@ def load_symbol(text: str):
     if kind not in ("grid", "projected"):
         raise ConfigurationError(f"unrecognized symbol record kind {kind!r}")
     try:
-        return (psf_from_json if kind == "grid" else proj_from_json)(text)
+        return _from_record(record, kind)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed symbol record: {exc!r}") from exc
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gf2n import FieldContext
-from .kernels import KernelSet, PhaseSpaceFunction
+from .kernels import KernelSet, PhaseSpaceFunction, SymbolMeta
 from .mubrot import RotationCoefficients
 from .pauli import I4, TomographicPhase, permutation_op
 
@@ -72,17 +72,11 @@ def valid_triples(n: int) -> list[tuple[int, int, int]]:
     return [t for t in itertools.product(range(n + 1), repeat=3) if r_factor(n, *t)]
 
 
-@dataclass(eq=False)
-class ProjectedFunction:
+@dataclass(eq=False, kw_only=True)
+class ProjectedFunction(SymbolMeta):
     """A symbol summed over (m, n, k) orbits, stored sparsely."""
 
-    n: int
-    s: float
     entries: dict
-    convention: str
-    convention_invariant: bool = False
-    fiducial: np.ndarray | None = None
-    provenance: str = ""
 
     def value(self, m: int, nn: int, k: int) -> complex:
         return self.entries.get((m, nn, k), 0j)
@@ -106,14 +100,12 @@ def project(ctx: FieldContext, psf: PhaseSpaceFunction) -> ProjectedFunction:
     grid = np.asarray(psf.grid)
     if grid.shape != (q, q):
         raise ConfigurationError(f"grid must be {q}x{q} for n = {ctx.n}")
-    hw = ctx.hweight_table
-    m_arr = np.broadcast_to(hw[:, None], (q, q))
-    n_arr = np.broadcast_to(hw[None, :], (q, q))
-    k_arr = hw[ctx.xor_grid]
-    entries = {}
-    for m, nn, k in valid_triples(ctx.n):
-        mask = (m_arr == m) & (n_arr == nn) & (k_arr == k)
-        entries[(m, nn, k)] = complex(np.sum(grid[mask]))
+    # each orbit's values as one contiguous run in row-major order, so every
+    # np.sum adds the same numbers in the same order as a boolean mask would
+    orbit = ctx.orbit_index.ravel()
+    runs = np.split(grid.ravel()[np.argsort(orbit, kind="stable")],
+                    np.cumsum(np.bincount(orbit))[:-1])
+    entries = {t: complex(np.sum(run)) for t, run in zip(valid_triples(ctx.n), runs)}
     return ProjectedFunction(
         n=ctx.n, s=psf.s, entries=entries, convention=psf.convention,
         convention_invariant=psf.convention_invariant, fiducial=psf.fiducial,
@@ -200,24 +192,19 @@ def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction,
                              tol: float = 1e-10):
     """Whether W(alpha, beta) is constant on (m, n, k) orbits.
 
-    Returns (flag, witness); the witness is a pair of grid points in one
-    orbit whose values differ by more than ``tol``.
+    Returns (flag, witness); the witness pairs the first point of an orbit
+    (row-major) with a point of that orbit whose value differs by more than
+    ``tol``: the first such point of the orbit that starts first.
     """
     q = ctx.order
-    grid = np.asarray(psf.grid)
-    hw = ctx.hweight_table
-    buckets = {}
-    for a in range(q):
-        for b in range(q):
-            key = (int(hw[a]), int(hw[b]), int(hw[a ^ b]))
-            buckets.setdefault(key, []).append((a, b))
-    for key, points in buckets.items():
-        ref_a, ref_b = points[0]
-        ref = grid[ref_a, ref_b]
-        for a, b in points[1:]:
-            if abs(grid[a, b] - ref) > tol:
-                return False, ((ref_a, ref_b), (a, b))
-    return True, None
+    grid = np.asarray(psf.grid).ravel()
+    orbit = ctx.orbit_index.ravel()
+    first = np.unique(orbit, return_index=True)[1]
+    bad = np.flatnonzero(np.abs(grid - grid[first][orbit]) > tol)
+    if bad.size == 0:
+        return True, None
+    point = int(bad[np.argmin(first[orbit[bad]])])
+    return False, (divmod(int(first[orbit[point]]), q), divmod(point, q))
 
 
 # ----------------------------------------------------------------------
@@ -326,17 +313,11 @@ class PhaseSearchReport:
 
 def _invariant_phase_tables(ctx: FieldContext):
     """Orbit labels and the fixed i^tr(alpha beta) factor for the search."""
-    q = ctx.order
-    hw = ctx.hweight_table
     base_exp = ctx.trace_table[ctx.mul_table] % 4
-    free = [t for t in valid_triples(ctx.n) if t[0] >= 1 and t[1] >= 1]
-    orbit_id = np.full((q, q), -1, dtype=np.int64)
+    triples = valid_triples(ctx.n)
+    free = [t for t in triples if t[0] >= 1 and t[1] >= 1]
     lookup = {t: i for i, t in enumerate(free)}
-    for a in range(q):
-        for b in range(q):
-            key = (int(hw[a]), int(hw[b]), int(hw[a ^ b]))
-            if key in lookup:
-                orbit_id[a, b] = lookup[key]
+    orbit_id = np.array([lookup.get(t, -1) for t in triples])[ctx.orbit_index]
     return free, orbit_id, base_exp
 
 
@@ -446,14 +427,8 @@ def _su2_element_grid(ctx: FieldContext, euler) -> np.ndarray:
     b = np.exp(-1j * (phi + psi)) + 1j * np.sqrt(2) * tan * np.cos(phi - psi + np.pi / 4)
     c = np.exp(1j * (phi + psi)) - 1j * np.sqrt(2) * tan * np.cos(phi - psi - np.pi / 4)
     d = np.exp(-1j * (phi + psi)) - 1j * np.sqrt(2) * tan * np.cos(phi - psi + np.pi / 4)
-    hw = ctx.hweight_table
-    m = hw[:, None]
-    nn = hw[None, :]
-    k = hw[ctx.xor_grid]
-    n00 = n - (m + nn + k) // 2
-    n01 = (-m + nn + k) // 2
-    n10 = (m - nn + k) // 2
-    n11 = (m + nn - k) // 2
+    counts = np.array([pair_counts(n, *t) for t in valid_triples(n)])
+    n11, n10, n01, n00 = np.moveaxis(counts[ctx.orbit_index], -1, 0)
     return (np.cos(theta) ** n * a ** n00 * b ** n01 * c ** n10 * d ** n11)
 
 
@@ -502,32 +477,27 @@ def reference_symbol(ctx: FieldContext, which: str, *, zeta_abs: float = 0.5,
     as printed, so the flag has no effect on them.
     """
     q = ctx.order
-    tag = "normalized" if normalized else "as-printed"
+    provenance = f"closed-form[{which}] {'normalized' if normalized else 'as-printed'}"
+    if which == "ghz_q_proj":
+        provenance += f" zeta_abs={zeta_abs} arg=pi/4"
+    tomographic = dict(n=ctx.n, s=0.0, convention="tomographic-p1", provenance=provenance)
+    invariant = dict(n=ctx.n, convention="perminv-f0", convention_invariant=True,
+                     provenance=provenance)
     if which == "equatorial_w0":
         grid = np.zeros((q, q), dtype=complex)
         grid[0, :] = 1.0
-        return PhaseSpaceFunction(ctx.n, 0.0, grid, "tomographic-p1", False,
-                                  None, f"closed-form[equatorial_w0] {tag}")
+        return PhaseSpaceFunction(grid=grid, **tomographic)
     if which == "ghz_w0":
-        return PhaseSpaceFunction(ctx.n, 0.0, _ghz_w0_grid(ctx),
-                                  "tomographic-p1", False, None,
-                                  f"closed-form[ghz_w0] {tag}")
+        return PhaseSpaceFunction(grid=_ghz_w0_grid(ctx), **tomographic)
     if which == "wstate_w0":
-        return PhaseSpaceFunction(ctx.n, 0.0, _wstate_w0_grid(ctx),
-                                  "tomographic-p1", False, None,
-                                  f"closed-form[wstate_w0] {tag}")
+        return PhaseSpaceFunction(grid=_wstate_w0_grid(ctx), **tomographic)
     if which == "su2_element":
-        return PhaseSpaceFunction(ctx.n, 0.0, _su2_element_grid(ctx, euler),
-                                  "perminv-f0", True, None,
-                                  f"closed-form[su2_element] {tag}")
+        return PhaseSpaceFunction(s=0.0, grid=_su2_element_grid(ctx, euler), **invariant)
     if which == "ghz_q_proj":
-        entries = _ghz_q_proj_entries(ctx.n, zeta_abs)
-        return ProjectedFunction(ctx.n, -1.0, entries, "perminv-f0", True,
-                                 f"closed-form[ghz_q_proj] {tag} "
-                                 f"zeta_abs={zeta_abs} arg=pi/4")
+        return ProjectedFunction(s=-1.0, entries=_ghz_q_proj_entries(ctx.n, zeta_abs),
+                                 **invariant)
     if which == "ghz_w0_proj":
-        entries = _ghz_w0_proj_entries(ctx.n, normalized)
-        return ProjectedFunction(ctx.n, 0.0, entries, "perminv-f0", True,
-                                 f"closed-form[ghz_w0_proj] {tag}")
+        return ProjectedFunction(s=0.0, entries=_ghz_w0_proj_entries(ctx.n, normalized),
+                                 **invariant)
     raise ConfigurationError(
         f"unknown reference symbol {which!r}; choose from {REFERENCE_IDS}")

@@ -1,4 +1,6 @@
 # tests/test_pauli.py
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FactorizedPhase,
                     build_X, build_Z, check_fiducial, collective_spin,
                     convention_from_name, displacement, displacement_overlaps,
                     field_context, ghz_state, logical_state, permutation_matrix,
-                    permutation_op, phase_value, spin_coherent,
-                    su2_group_element, symmetrize, w_state)
+                    permutation_op, spin_coherent, su2_group_element,
+                    symmetrize, valid_triples, w_state)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -194,19 +196,55 @@ def test_sqrt_phase_signs_are_free():
         assert ctx.hweight(int(g)) == 1 and ctx.hweight(int(d)) == 1
 
 
+def test_sqrt_phase_rejects_keys_off_the_orbits():
+    ctx = field_context(2)
+    for key in ((1, 1, 1), (5, 1, 4)):
+        for sign in (-1, 1):
+            with pytest.raises(ConfigurationError, match=re.escape(str(key))):
+                SqrtPhase({key: sign}).exponent_table(ctx)
+
+
+def sqrt_exponents_by_masks(ctx, signs=None):
+    """Reference table: one boolean mask per flipped weight triple."""
+    hw = ctx.hweight_table
+    q = ctx.order
+    m = np.broadcast_to(hw[:, None], (q, q))
+    nn = np.broadcast_to(hw[None, :], (q, q))
+    kk = hw[ctx.xor_grid]
+    exps = ctx.trace_table[ctx.mul_table].copy()
+    for (wm, wn, wk), sgn in (signs or {}).items():
+        if sgn == -1:
+            exps = np.where((m == wm) & (nn == wn) & (kk == wk), exps + 2, exps)
+    return exps % 4
+
+
+def factorized_exponents_by_weights(ctx, f11):
+    hw = ctx.hweight_table
+    n11 = (hw[:, None] + hw[None, :] - hw[ctx.xor_grid]) // 2
+    return (1 + 2 * f11) * n11 % 4
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_conventions_match_point_formulas(n):
+    """The orbit-table conventions equal their per-point weight formulas."""
+    rng = np.random.default_rng(n)
+    ctx = field_context(n)
+    free = [t for t in valid_triples(n) if t[0] and t[1]]
+    signs = {t: int(rng.choice([-1, 1])) for t in free}
+    assert np.array_equal(SqrtPhase().exponent_table(ctx), sqrt_exponents_by_masks(ctx))
+    assert np.array_equal(SqrtPhase(signs).exponent_table(ctx),
+                          sqrt_exponents_by_masks(ctx, signs))
+    for f11 in (0, 1):
+        assert np.array_equal(FactorizedPhase(f11).exponent_table(ctx),
+                              factorized_exponents_by_weights(ctx, f11))
+    assert not PlainPhase().exponent_table(ctx).any()
+
+
 def test_graph_phase_sign_conjugate():
     ctx = field_context(2)
     plus = GraphPhase(+1).value_table(ctx)
     minus = GraphPhase(-1).value_table(ctx)
     assert np.allclose(minus, np.conj(plus))
-
-
-def test_phase_value_helper_matches_method():
-    ctx = field_context(2)
-    c = conv("tomographic-p1")
-    for g in ctx.elements():
-        for d in ctx.elements():
-            assert phase_value(c, ctx, g, d) == c.value(ctx, g, d)
 
 
 def test_convention_from_name_rejects_unknown():

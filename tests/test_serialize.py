@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from dpsmap import (ConfigurationError, build_kernel, convention_from_name,
+from dpsmap import (REFERENCE_IDS, ConfigurationError, PhaseSpaceFunction,
+                    ProjectedFunction, build_kernel, convention_from_name,
                     diff_grids, diff_projected, field_context, forward_map,
                     ghz_state, load_symbol, mub_family, mub_to_json, project,
                     proj_from_json, proj_to_csv, proj_to_gnuplot, proj_to_json,
                     psf_from_json, psf_to_csv, psf_to_gnuplot, psf_to_json,
-                    r_factor, spin_coherent, valid_triples)
+                    r_factor, reference_symbol, spin_coherent, valid_triples)
 from dpsmap._version import __version__
 
 PERMINV = convention_from_name("perminv-f0")
@@ -159,6 +160,32 @@ def test_diff_shape_mismatch_rejected():
     _, psf3 = sample_psf(3)
     with pytest.raises(ConfigurationError):
         diff_grids(psf2, psf3)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_reference_symbols_roundtrip_with_provenance(n):
+    ctx = field_context(n)
+    for which in REFERENCE_IDS:
+        sym = reference_symbol(ctx, which)
+        grid = isinstance(sym, PhaseSpaceFunction)
+        back = load_symbol((psf_to_json if grid else proj_to_json)(sym))
+        assert type(back) is type(sym)
+        assert back.provenance == sym.provenance
+        assert back.provenance.startswith(f"closed-form[{which}] as-printed")
+        assert back.fiducial is None
+        assert (back.n, back.s, back.convention, back.convention_invariant) == (
+            sym.n, sym.s, sym.convention, sym.convention_invariant)
+        if grid:
+            assert np.array_equal(back.grid, sym.grid)
+        else:
+            assert back.entries == sym.entries
+
+
+def test_symbols_take_metadata_by_keyword_only():
+    with pytest.raises(TypeError):
+        ProjectedFunction(3, 0.0, {}, "perminv-f0", True, "provenance")
+    with pytest.raises(TypeError):
+        PhaseSpaceFunction(3, 0.0, np.zeros((8, 8)), "plain")
 
 
 def test_load_symbol_detects_kind():

@@ -14,13 +14,47 @@ from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     symbol_depends_only_on_h, symmetric_average, symmetrize,
                     theorem_witness, trace_convolution, valid_triples, w_state,
                     wootters_kernel)
-from dpsmap import REFERENCE_IDS
+from dpsmap import REFERENCE_IDS, FieldContext, PhaseSpaceFunction
 from dpsmap.kernels import KernelSet
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
 ALL_CONVENTIONS = ("tomographic-p1", "perminv-sqrt", "perminv-f0",
                    "perminv-f1", "graph-plus", "graph-minus", "plain")
+
+
+def orbit_positions(ctx):
+    """Per-point (h(a), h(b), h(a+b)) looked up in valid_triples."""
+    hw = ctx.hweight_table
+    pos = {t: i for i, t in enumerate(valid_triples(ctx.n))}
+    return np.array([[pos[(int(hw[a]), int(hw[b]), int(hw[a ^ b]))]
+                      for b in ctx.elements()] for a in ctx.elements()])
+
+
+def project_by_masks(ctx, grid):
+    """Reference projection: one boolean mask per (m, n, k) triple."""
+    q = ctx.order
+    hw = ctx.hweight_table
+    m_arr = np.broadcast_to(hw[:, None], (q, q))
+    n_arr = np.broadcast_to(hw[None, :], (q, q))
+    k_arr = hw[ctx.xor_grid]
+    return {(m, nn, k): complex(np.sum(grid[(m_arr == m) & (n_arr == nn) & (k_arr == k)]))
+            for m, nn, k in valid_triples(ctx.n)}
+
+
+def h_dependence_by_buckets(ctx, grid, tol=1e-10):
+    """Reference orbit-constancy check: a double loop over buckets."""
+    hw = ctx.hweight_table
+    buckets = {}
+    for a in ctx.elements():
+        for b in ctx.elements():
+            buckets.setdefault((int(hw[a]), int(hw[b]), int(hw[a ^ b])), []).append((a, b))
+    for points in buckets.values():
+        ref_a, ref_b = points[0]
+        for a, b in points[1:]:
+            if abs(grid[a, b] - grid[ref_a, ref_b]) > tol:
+                return False, ((ref_a, ref_b), (a, b))
+    return True, None
 
 
 def brute_orbit_sizes(ctx):
@@ -58,6 +92,28 @@ def test_r_factor_frozen_values():
 def test_orbit_sizes_cover_the_grid():
     for n in range(1, 6):
         assert sum(r_factor(n, *t) for t in valid_triples(n)) == 4 ** n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_index_matches_point_labels(n):
+    ctx = FieldContext(n)
+    assert np.array_equal(ctx.orbit_index, orbit_positions(ctx))
+    assert ctx.orbit_weights.tolist() == [list(t) for t in valid_triples(n)]
+    sizes = np.bincount(ctx.orbit_index.ravel())
+    assert sizes.tolist() == [r_factor(n, *t) for t in valid_triples(n)]
+
+
+def test_orbit_index_follows_a_new_basis():
+    """Installing another self-dual basis rebuilds the orbit labels."""
+    ctx = FieldContext(4)
+    before = ctx.orbit_index.copy()
+    ctx.selfdual_basis = (9, 10, 12, 14)
+    ctx._build_coord_tables()
+    assert np.array_equal(ctx.orbit_index, orbit_positions(ctx))
+    assert not np.array_equal(ctx.orbit_index, before)
+    loaded = FieldContext.from_json_dict({"n": 4, "poly": 0b10011,
+                                          "selfdual_basis": [9, 10, 12, 14]})
+    assert np.array_equal(loaded.orbit_index, ctx.orbit_index)
 
 
 def test_pair_counts_consistency():
@@ -111,6 +167,19 @@ def test_projected_function_dense_layout():
     assert cube.shape == (3, 3, 3)
     assert abs(cube[1, 1, 0] - proj.value(1, 1, 0)) < 1e-12
     assert cube[1, 1, 1] == 0  # forbidden triple stays empty
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_project_is_bitwise_the_mask_sum(n):
+    """Each orbit adds the same numbers in the same order as a mask would."""
+    rng = np.random.default_rng(n)
+    ctx = field_context(n)
+    q = ctx.order
+    for _ in range(40):
+        scale = 10.0 ** rng.uniform(-8, 8, size=(q, q))
+        grid = (rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))) * scale
+        psf = PhaseSpaceFunction(n=n, s=0.0, grid=grid, convention="plain")
+        assert project(ctx, psf).entries == project_by_masks(ctx, grid)
 
 
 def test_project_rejects_wrong_grid():
@@ -279,6 +348,29 @@ def test_symbol_h_dependence():
     (a1, b1), (a2, b2) = witness
     hw = ctx.hweight_table
     assert (hw[a1], hw[b1], hw[a1 ^ b1]) == (hw[a2], hw[b2], hw[a2 ^ b2])
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_h_dependence_matches_bucket_loop(n):
+    """Same verdict and witness as the double loop, on symbols and raw grids."""
+    rng = np.random.default_rng(10 + n)
+    ctx = field_context(n)
+    q = ctx.order
+    for name in ("perminv-f0", "perminv-sqrt", "tomographic-p1"):
+        kern = build_kernel(ctx, 0.0, convention_from_name(name))
+        for _ in range(3):
+            A = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+            for op in (A, symmetrize(ctx, A)):
+                psf = forward_map(kern, op)
+                assert (symbol_depends_only_on_h(ctx, psf)
+                        == h_dependence_by_buckets(ctx, psf.grid))
+    values = rng.normal(size=len(valid_triples(n)))
+    for _ in range(20):
+        grid = values[ctx.orbit_index].astype(complex)
+        for a, b in rng.integers(0, q, size=(rng.integers(1, 4), 2)):
+            grid[a, b] += rng.choice([1e-11, 1e-9, 1.0])
+        psf = PhaseSpaceFunction(n=n, s=0.0, grid=grid, convention="plain")
+        assert symbol_depends_only_on_h(ctx, psf) == h_dependence_by_buckets(ctx, grid)
 
 
 # ---------------------------------------------------------
