@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import ConfigurationError, FiducialError
 from .gf2n import FieldContext
-from .mubrot import VERTICAL, LineSpec, MubFamily
-from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, check_fiducial,
-                    displacement_overlaps, require_operator_n, spin_coherent)
+from .mubrot import VERTICAL, LineSpec, MubFamily, all_lines, line_point_table
+from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
+                    check_fiducial, displacement_overlaps, require_operator_n,
+                    spin_coherent)
 
 #: size caps behind ``mode``; both modes evaluate kernels the same way
 MAX_DENSE_N = 4
@@ -137,11 +138,53 @@ class KernelSet:
         acc = self._table.sum(axis=(0, 1))
         return float(np.max(np.abs(acc - q * np.eye(q))))
 
+    def hermiticity_residual(self) -> float:
+        """Largest entry of Delta - Delta^dagger over all points.
+
+        (Z_g X_d)^dagger = chi(g d) Z_g X_d, so the difference has the
+        coefficient table wphi - conj(wphi) chi(g d).
+        """
+        if self._table is None:
+            return coefficient_residual(
+                self.ctx, self._wphi - np.conj(self._wphi) * self.ctx.char_matrix)
+        return float(np.max(np.abs(self._table - np.conj(np.swapaxes(self._table, 2, 3)))))
+
+    def coherent_projector_residual(self) -> float:
+        """Largest entry of Delta(a, b) - D(a, b)|xi><xi|D(a, b)^dagger.
+
+        |xi><xi| has the coefficient table conj(<xi|Z_g X_d|xi>) / q, and
+        conjugating by D(a, b) multiplies it by chi(a d + b g), as the kernel
+        sum does; s = -1 kernels match it exactly for hermitian conventions.
+        """
+        ctx = self.ctx
+        if self.fiducial is None:
+            raise ConfigurationError("coherent-state projectors need a fiducial")
+        if self._table is None:
+            pauli_coeffs = np.conj(displacement_overlaps(ctx, PlainPhase(), self.fiducial))
+            return coefficient_residual(ctx, self._wphi - pauli_coeffs)
+        q = ctx.order
+        amp = np.asarray(self.fiducial, dtype=complex)[ctx.index_table]
+        # coherent[a, b] = Z_a X_b |xi>, whose entry kappa is chi(a kappa) xi(kappa + b)
+        coherent = np.empty((q, q, q), dtype=complex)
+        coherent[:, :, ctx.index_table] = ctx.char_matrix[:, None, :] * amp[ctx.xor_grid]
+        proj = coherent[..., :, None] * np.conj(coherent[..., None, :])
+        return float(np.max(np.abs(self._table - proj)))
+
     def _psf(self, grid, provenance):
         return PhaseSpaceFunction(
             n=self.ctx.n, s=self.s, grid=grid, convention=self.label,
             convention_invariant=self.convention_invariant,
             fiducial=self.fiducial, provenance=provenance)
+
+
+def coefficient_residual(ctx: FieldContext, coeffs: np.ndarray) -> float:
+    """Largest entry, over all points, of the kernels with coefficient table
+    ``coeffs``: Delta(a, b) = sum chi(a d + b g) coeffs[g, d] Z_g X_d / q.
+
+    Entry (kappa + d, kappa) of Delta(a, b) is chi(a d) (C coeffs)[b + kappa + d, d] / q
+    with C = chi(xy), so the largest one is max |C coeffs| / q.
+    """
+    return float(np.max(np.abs(ctx.char_matrix_c @ coeffs))) / ctx.order
 
 
 def build_kernel(ctx: FieldContext, s: float, conv: PhaseConvention,
@@ -352,12 +395,26 @@ class TomographicCheckResult:
         return abs(self.lhs - self.rhs)
 
 
-def tomographic_check(kernel: KernelSet, rho: np.ndarray, line: LineSpec,
-                      states: list) -> TomographicCheckResult:
-    """Compare the line sum of W_rho with <psi|rho|psi> for the line state."""
+def tomographic_check(kernel: KernelSet, rho: np.ndarray,
+                      family: MubFamily) -> TomographicCheckResult:
+    """The worst line of the tomographic condition for one state.
+
+    Every line sum of W_rho (``line_marginal``) is compared with the Born
+    probability <psi|rho|psi> of the line's state in ``family``; the result
+    is the line with the largest deviation, the first in ``all_lines``
+    order on ties.
+    """
     ctx = kernel.ctx
-    psf = forward_map(kernel, rho)
-    lhs = line_marginal(ctx, psf, line)
-    psi = states[line.intercept]
-    rhs = complex(psi.conj() @ np.asarray(rho, dtype=complex) @ psi)
-    return TomographicCheckResult(line, lhs, rhs)
+    rho = np.asarray(rho, dtype=complex)
+    values = forward_map(kernel, rho).grid.ravel()[line_point_table(ctx)]
+    # added point by point in each line's order, as line_marginal adds them
+    lhs = values[:, 0].copy()
+    for column in values.T[1:]:
+        lhs += column
+    lhs /= ctx.order
+    states = np.array([state for slope in (*ctx.elements(), VERTICAL)
+                       for state in family.bases[slope]])
+    rhs = np.sum((states.conj() @ rho) * states, axis=1)
+    worst = int(np.argmax(np.abs(lhs - rhs)))
+    return TomographicCheckResult(list(all_lines(ctx))[worst], complex(lhs[worst]),
+                                  complex(rhs[worst]))

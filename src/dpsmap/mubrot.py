@@ -62,6 +62,20 @@ def all_lines(ctx: FieldContext):
         yield LineSpec(VERTICAL, nu)
 
 
+def line_point_table(ctx: FieldContext) -> np.ndarray:
+    """Flat grid indices a q + b of every line's points, shape (q(q+1), q).
+
+    Row r holds the r-th line of ``all_lines``, its points in
+    ``LineSpec.points`` order.
+    """
+    q = ctx.order
+    x = np.arange(q)
+    # sloped[xi, nu, a] = a q + (xi a + nu)
+    sloped = x * q + (ctx.mul_table[:, None, :] ^ x[None, :, None])
+    vertical = x[:, None] * q + x[None, :]
+    return np.concatenate([sloped.reshape(q * q, q), vertical])
+
+
 # ----------------------------------------------------------------------
 # dual basis
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigurationError
-from .gf2n import FieldContext
+from .gf2n import MAX_N, FieldContext
 from .kernels import PhaseSpaceFunction, SymbolMeta
-from .symproj import ProjectedFunction, r_factor
+from .symproj import ProjectedFunction, r_factor, valid_triples
 
 
 def _c2pair(z: complex) -> list:
@@ -59,13 +59,25 @@ def _from_record(record: dict, kind: str):
     """The symbol held by a parsed record of the given kind."""
     if record.get("kind") != kind:
         raise ConfigurationError(f"not a {kind}-symbol record")
+    n = record["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
+        raise ConfigurationError(f"record n must be an integer in 1..{MAX_N}, got {n!r}")
     meta = {f.name: record[f.name] for f in fields(SymbolMeta) if f.name in record}
     if meta.get("fiducial") is not None:
         meta["fiducial"] = np.array([complex(re, im) for re, im in meta["fiducial"]])
+        if meta["fiducial"].shape != (1 << n,):
+            raise ConfigurationError(f"fiducial must hold {1 << n} amplitudes for n = {n}")
     if kind == "grid":
         grid = np.array([[complex(re, im) for re, im in row] for row in record["grid"]])
+        if grid.shape != (1 << n, 1 << n):
+            raise ConfigurationError(
+                f"grid must be {1 << n}x{1 << n} for n = {n}, got shape {grid.shape}")
         return PhaseSpaceFunction(grid=grid, **meta)
     entries = {tuple(key): complex(re, im) for key, (re, im), _r in record["entries"]}
+    bad = set(entries) - set(valid_triples(n))
+    if bad:
+        raise ConfigurationError(
+            f"projection keys {sorted(bad)} are not (m, n, k) orbits for n = {n}")
     return ProjectedFunction(entries=entries, **meta)
 
 
@@ -189,6 +201,8 @@ def load_symbol(text: str):
         raise ConfigurationError(f"unrecognized symbol record kind {kind!r}")
     try:
         return _from_record(record, kind)
+    except ConfigurationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed symbol record: {exc!r}") from exc
 

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gf2n import FieldContext
-from .kernels import KernelSet, PhaseSpaceFunction, SymbolMeta
-from .mubrot import RotationCoefficients
+from .kernels import KernelSet, PhaseSpaceFunction, SymbolMeta, coefficient_residual
 from .pauli import I4, TomographicPhase, permutation_op
 
 
@@ -174,8 +173,8 @@ def check_kernel_invariance(kernel: KernelSet, tol: float = 1e-12) -> Invariance
         perm = [ctx.transpose_coords(x, i, j) for x in range(ctx.order)]
         swapped = np.ix_(perm, perm)
         if kernel.conv is not None:
-            diff = kernel._wphi[swapped] - kernel._wphi
-            dev, point = float(np.max(np.abs(ctx.char_matrix_c @ diff))) / ctx.order, (0, 0)
+            dev = coefficient_residual(ctx, kernel._wphi[swapped] - kernel._wphi)
+            point = (0, 0)
         else:
             pmat, table = permutation_op(ctx, i, j), kernel._table
             devs = np.abs(pmat @ table @ pmat - table[swapped]).max(axis=(2, 3))
@@ -327,38 +326,41 @@ def search_invariant_phases(ctx: FieldContext, max_examples: int = 4) -> PhaseSe
     Exhaustive for n <= 3 (32 and 8192 sign assignments); each candidate is
     accepted when phi(kappa, xi kappa) satisfies the rotation-coefficient
     recurrence for every nonzero slope xi, which is exactly the condition
-    for every line sum of the s = 0 kernel to be a rank-1 projector.
+    for every line sum of the s = 0 kernel to be a rank-1 projector.  The
+    assignments are tested in batches, one slope at a time, on int8
+    exponents; only the survivors of a slope go on to the next.
     """
     if ctx.n > 3:
         raise ConfigurationError("exhaustive phase search is limited to n <= 3")
     free, orbit_id, base_exp = _invariant_phase_tables(ctx)
-    q = ctx.order
     nfree = len(free)
-    hits = 0
-    hit_signs = []
+    # bit shift[a, b] of an assignment is the sign bit of point (a, b); the
+    # fixed orbits (id -1) read bit nfree, which is 0 in every assignment
+    shift = np.where(orbit_id >= 0, orbit_id, nfree)
+    kappa = np.arange(ctx.order)
+    hits = []
+    # 1024 assignments at a time keeps every temporary under 64 kB
+    for start in range(0, 1 << nfree, 1024):
+        alive = np.arange(start, min(start + 1024, 1 << nfree))
+        for xi in range(1, ctx.order):
+            line = ctx.mul_table[xi]
+            flips = (alive[:, None] >> shift[kappa, line]) & 1
+            psi = (base_exp[kappa, line] + 2 * flips).astype(np.int8) % 4
+            # RotationCoefficients.verify for every surviving assignment at once
+            resid = psi[:, ctx.xor_grid]
+            resid -= psi[:, :, None]
+            resid -= psi[:, None, :]
+            resid -= 2 * ctx.trace_table[ctx.mul_table[xi, ctx.mul_table]].astype(np.int8)
+            alive = alive[~(resid % 4).any(axis=(1, 2))]
+        hits.extend(int(bits) for bits in alive)
     closed_form = TomographicPhase(1).exponent_table(ctx)
-    found_closed_form = False
-    for bits in range(1 << nfree):
-        signs = np.array([(bits >> i) & 1 for i in range(nfree)], dtype=np.int64)
-        exps = base_exp.copy()
-        mask = orbit_id >= 0
-        exps[mask] = (exps[mask] + 2 * signs[orbit_id[mask]]) % 4
-        ok = True
-        for xi in range(1, q):
-            psi = exps[np.arange(q), ctx.mul_table[xi]]
-            if not RotationCoefficients(xi, psi, "search").verify(ctx):
-                ok = False
-                break
-        if ok:
-            hits += 1
-            if np.array_equal(exps, closed_form):
-                found_closed_form = True
-            if len(hit_signs) < max_examples:
-                hit_signs.append({t: (-1 if signs[i] else 1)
-                                  for i, t in enumerate(free)})
+    found = any(np.array_equal((base_exp + 2 * ((bits >> shift) & 1)) % 4, closed_form)
+                for bits in hits)
+    hit_signs = [{t: (-1 if (bits >> i) & 1 else 1) for i, t in enumerate(free)}
+                 for bits in hits[:max_examples]]
     return PhaseSearchReport(
-        n=ctx.n, free_orbits=free, assignments=1 << nfree, hits=hits,
-        hit_signs=hit_signs, includes_closed_form_p1=found_closed_form)
+        n=ctx.n, free_orbits=free, assignments=1 << nfree, hits=len(hits),
+        hit_signs=hit_signs, includes_closed_form_p1=found)
 
 
 def fit_constant(reference, numeric) -> tuple[complex, float]:

@@ -19,6 +19,7 @@ except ModuleNotFoundError:  # Python 3.10
 from dpsmap import (ConfigurationError, FieldContext, build_kernel,
                     convention_from_name, field_context, forward_map,
                     ghz_state)
+from dpsmap import cli
 from dpsmap._version import __version__
 from dpsmap.cli import RunConfig, build_state, main, parse_complex
 from dpsmap.serialize import load_symbol
@@ -66,6 +67,24 @@ def test_build_state_specs(tmp_path):
         build_state(ctx, "logical:0", 1)  # wrong bit count
     with pytest.raises(ConfigurationError):
         build_state(ctx, "bell", 1)
+
+
+def test_main_reuses_its_parser(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process: two calls print the same, and
+    a bad flag after a good call still exits 2."""
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for _ in range(2):
+        assert run("verify", "--n", "2", "--suite", "field") == 0
+        outputs.append(capsys.readouterr())
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit) as exc:
+        run("verify", "--n", "2", "--bogus")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run("verify", "--n", "2", "--suite", "field") == 0
+    assert capsys.readouterr() == outputs[0]
 
 
 def test_version_flag(capsys):
@@ -323,6 +342,17 @@ def test_diff_malformed_inputs(tmp_path, monkeypatch, capsys, text):
         assert run("diff", *pair) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_diff_rejects_grid_not_matching_n(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--n", "2", "--out", "x") == 0
+    record = json.loads((tmp_path / "x.grid.json").read_text())
+    (tmp_path / "bad.json").write_text(json.dumps(dict(record, n=3)))
+    capsys.readouterr()
+    assert run("diff", "x.grid.json", "bad.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid must be 8x8 for n = 3") and err.count("\n") == 1
 
 
 def test_diff_rejects_kind_mismatch(tmp_path, monkeypatch):

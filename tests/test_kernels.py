@@ -257,6 +257,46 @@ def test_table_backed_overlap_takes_explicit_sum():
         assert rep.max_diag_dev < 1e-12 and rep.max_offdiag < 1e-12
 
 
+def point_residuals(kernel, conv, fid):
+    """The per-point loops the residual methods replace: the largest entry
+    of Delta - Delta^dagger and of Delta(a, b) - D(a, b)|xi><xi|D(a, b)^dagger."""
+    ctx = kernel.ctx
+    herm = proj = 0.0
+    for a, b in kernel.points():
+        op = kernel.at(a, b)
+        coh = displacement(ctx, conv, a, b) @ fid
+        herm = max(herm, np.max(np.abs(op - op.conj().T)))
+        proj = max(proj, np.max(np.abs(op - np.outer(coh, coh.conj()))))
+    return herm, proj
+
+
+@pytest.mark.parametrize("s", (-1.0, 0.0, 1.0))
+@pytest.mark.parametrize("name", ALL_CONVENTIONS)
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_residuals_match_point_oracle(n, name, s):
+    """Closed-form hermiticity and coherent-projector residuals, and the
+    explicit ones of the same kernels held as a table."""
+    ctx = field_context(n)
+    conv = convention_from_name(name)
+    fid = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+    kern = KernelSet(ctx, s, conv, fid, name, conv.hermitian)
+    herm, proj = point_residuals(kern, conv, fid)
+    table = np.array([[kern.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
+    for k in (kern, KernelSet.from_table(ctx, s, table, name, fiducial=fid)):
+        assert abs(k.hermiticity_residual() - herm) < 1e-12
+        assert abs(k.coherent_projector_residual() - proj) < 1e-12
+    # only the plain convention's s = 0 kernels are not hermitian, and only
+    # its s = -1 kernels are not the coherent-state projectors
+    assert (herm < 1e-12) == (conv.hermitian or s != 0)
+    if s == -1:
+        assert (proj < 1e-12) == conv.hermitian
+
+
+def test_coherent_projector_residual_needs_fiducial():
+    with pytest.raises(ConfigurationError):
+        build_kernel(field_context(2), 0.0, TOMO).coherent_projector_residual()
+
+
 def test_overlap_constant_and_diagonality():
     for n in (1, 2):
         ctx = field_context(n)
@@ -366,6 +406,20 @@ def test_line_state_symbols_are_delta_lines():
                     assert abs(psf.grid[a, b] - expect) < 1e-10
 
 
+def per_line_tomographic_check(kern, rho, fam):
+    """The per-line loop tomographic_check replaces: a forward map, a line
+    sum and a Born probability for every line; the first worst line wins."""
+    ctx = kern.ctx
+    worst = None
+    for line in all_lines(ctx):
+        lhs = line_marginal(ctx, forward_map(kern, rho), line)
+        ket = fam.state(line)
+        rhs = complex(ket.conj() @ rho @ ket)
+        if worst is None or abs(lhs - rhs) > abs(worst[1] - worst[2]):
+            worst = (line, lhs, rhs)
+    return worst
+
+
 def test_tomographic_check_on_random_states():
     rng = np.random.default_rng(23)
     for n in (1, 2, 3):
@@ -377,9 +431,38 @@ def test_tomographic_check_on_random_states():
             psi = rng.normal(size=q) + 1j * rng.normal(size=q)
             psi /= np.linalg.norm(psi)
             rho = np.outer(psi, psi.conj())
-            for line in all_lines(ctx):
-                res = tomographic_check(kern, rho, line, fam.basis(line.slope))
-                assert res.deviation < 1e-10
+            res = tomographic_check(kern, rho, fam)
+            _line, lhs, rhs = per_line_tomographic_check(kern, rho, fam)
+            assert res.deviation < 1e-10
+            assert abs(res.deviation - abs(lhs - rhs)) < 1e-15
+            # the reported line sum is the one line_marginal adds, bit for bit
+            ket = fam.state(res.line)
+            assert res.lhs == line_marginal(ctx, forward_map(kern, rho), res.line)
+            assert abs(res.rhs - ket.conj() @ rho @ ket) < 1e-15
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_tomographic_check_reports_the_perturbed_line(n):
+    """Every point of one line is shifted by eps I, so that line's sum is
+    off by eps and every other line's by at most eps / q."""
+    ctx = field_context(n)
+    q = ctx.order
+    kern = build_kernel(ctx, 0.0, TOMO)
+    fam = mub_family(ctx)
+    table = np.array([[kern.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
+    rho = np.outer(ghz_state(ctx), ghz_state(ctx).conj())
+    lines = list(all_lines(ctx))
+    for target in (lines[0], lines[q + 1], lines[q * q - 1], lines[-1]):
+        shifted = table.copy()
+        for a, b in target.points(ctx):
+            shifted[a, b] += 1e-3 * np.eye(q)
+        bent = KernelSet.from_table(ctx, 0.0, shifted, "shifted")
+        res = tomographic_check(bent, rho, fam)
+        line, lhs, rhs = per_line_tomographic_check(bent, rho, fam)
+        assert res.line == line == target
+        assert res.lhs == lhs
+        assert abs(res.rhs - rhs) < 1e-15
+        assert abs(res.deviation - 1e-3) < 1e-12
 
 
 def test_line_marginal_equals_born_probability():

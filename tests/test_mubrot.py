@@ -7,6 +7,7 @@ from dpsmap import (ConfigurationError, TomographicPhase, VERTICAL, all_lines,
                     coeffs_from_phase, coeffs_graph, convention_from_name,
                     dual_basis_matrix, dual_basis_state, field_context,
                     line_states, mub_family)
+from dpsmap.mubrot import line_point_table
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -61,6 +62,14 @@ def test_vertical_lines_fix_alpha():
     for line in all_lines(ctx):
         if line.slope is VERTICAL:
             assert {a for a, _ in line.points(ctx)} == {line.intercept}
+
+
+def test_line_point_table_lists_every_line_in_order():
+    for n in (1, 2, 3, 4):
+        ctx = field_context(n)
+        q = ctx.order
+        expect = [[a * q + b for a, b in line.points(ctx)] for line in all_lines(ctx)]
+        assert line_point_table(ctx).tolist() == expect
 
 
 # ---------------------------------------------------------

@@ -188,6 +188,40 @@ def test_symbols_take_metadata_by_keyword_only():
         PhaseSpaceFunction(3, 0.0, np.zeros((8, 8)), "plain")
 
 
+def test_load_rejects_grid_shape_not_matching_n():
+    """A 4x4 grid recorded with n = 3 (and the reverse) is not a symbol."""
+    for n, q in ((3, 4), (2, 8)):
+        psf = PhaseSpaceFunction(n=n, s=0.0, grid=np.zeros((q, q)), convention="plain")
+        for load in (load_symbol, psf_from_json):
+            with pytest.raises(ConfigurationError, match="grid must be"):
+                load(psf_to_json(psf))
+
+
+@pytest.mark.parametrize("n", (0, 9, "3", True, None))
+def test_load_rejects_bad_record_n(n):
+    record = json.loads(psf_to_json(sample_psf(2)[1]))
+    record["n"] = n
+    with pytest.raises(ConfigurationError):
+        load_symbol(json.dumps(record))
+
+
+def test_load_rejects_fiducial_not_matching_n():
+    record = json.loads(psf_to_json(sample_psf(2)[1]))
+    for fiducial in (record["fiducial"][:3], record["fiducial"] * 2):
+        with pytest.raises(ConfigurationError, match="fiducial must hold 4"):
+            load_symbol(json.dumps(dict(record, fiducial=fiducial)))
+
+
+def test_load_rejects_projection_keys_off_the_orbits():
+    ctx, psf = sample_psf(2)
+    record = json.loads(proj_to_json(project(ctx, psf)))
+    assert load_symbol(json.dumps(record)).n == 2
+    for key in ([1, 1, 1], [3, 0, 3], [0, 0, 0, 0]):
+        bad = dict(record, entries=[*record["entries"], [key, [0.0, 0.0], 0]])
+        with pytest.raises(ConfigurationError, match="not \\(m, n, k\\) orbits"):
+            load_symbol(json.dumps(bad))
+
+
 def test_load_symbol_detects_kind():
     ctx, psf = sample_psf()
     grid = load_symbol(psf_to_json(psf))

@@ -14,7 +14,8 @@ from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     symbol_depends_only_on_h, symmetric_average, symmetrize,
                     theorem_witness, trace_convolution, valid_triples, w_state,
                     wootters_kernel)
-from dpsmap import REFERENCE_IDS, FieldContext, PhaseSpaceFunction
+from dpsmap import (REFERENCE_IDS, FieldContext, PhaseSearchReport,
+                    PhaseSpaceFunction, RotationCoefficients, TomographicPhase)
 from dpsmap.kernels import KernelSet
 
 TOMO = convention_from_name("tomographic-p1")
@@ -440,6 +441,38 @@ def test_search_three_qubits():
     assert rep.hits == 16
     assert not rep.includes_closed_form_p1
     assert len(rep.free_orbits) == 13
+
+
+def scalar_phase_search(ctx, max_examples):
+    """The per-assignment loop the batched search replaces: build each
+    sign assignment's exponent table and verify every slope's coefficients."""
+    triples = valid_triples(ctx.n)
+    free = [t for t in triples if t[0] >= 1 and t[1] >= 1]
+    labels = orbit_positions(ctx)
+    closed_form = TomographicPhase(1).exponent_table(ctx)
+    hits, hit_signs, found = 0, [], False
+    for bits in range(1 << len(free)):
+        sign_of = {t: (-1 if (bits >> i) & 1 else 1) for i, t in enumerate(free)}
+        flipped = np.array([sign_of.get(t) == -1 for t in triples])[labels]
+        exps = (ctx.trace_table[ctx.mul_table] + 2 * flipped) % 4
+        if all(RotationCoefficients(xi, exps[np.arange(ctx.order), ctx.mul_table[xi]])
+               .verify(ctx) for xi in range(1, ctx.order)):
+            hits += 1
+            found |= bool(np.array_equal(exps, closed_form))
+            if len(hit_signs) < max_examples:
+                hit_signs.append(sign_of)
+    return PhaseSearchReport(n=ctx.n, free_orbits=free, assignments=1 << len(free),
+                             hits=hits, hit_signs=hit_signs,
+                             includes_closed_form_p1=found)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_search_matches_scalar_loop(n):
+    """Whole report, with every hit's signs, in bit order."""
+    ctx = field_context(n)
+    every = scalar_phase_search(ctx, max_examples=1 << 13)
+    assert search_invariant_phases(ctx, max_examples=1 << 13) == every
+    assert search_invariant_phases(ctx).hit_signs == every.hit_signs[:4]
 
 
 def test_search_cap():
