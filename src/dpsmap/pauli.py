@@ -388,16 +388,21 @@ def permutation_op(ctx: FieldContext, i: int, j: int) -> np.ndarray:
 
 def symmetrize(ctx: FieldContext, op: np.ndarray) -> np.ndarray:
     """Average of P op P^dag over all n! qubit permutations."""
-    if ctx.n > MAX_SYMMETRIZE_N:
+    n, q = ctx.n, ctx.order
+    if n > MAX_SYMMETRIZE_N:
         raise ConfigurationError(
-            f"symmetrize is capped at n <= {MAX_SYMMETRIZE_N}, got n = {ctx.n}")
-    acc = np.zeros_like(np.asarray(op, dtype=complex))
-    count = 0
-    for perm in permutations(range(1, ctx.n + 1)):
-        p = permutation_matrix(ctx, perm)
-        acc += p @ op @ p.conj().T
-        count += 1
-    return acc / count
+            f"symmetrize is capped at n <= {MAX_SYMMETRIZE_N}, got n = {n}")
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (q, q):
+        raise ConfigurationError(
+            f"symmetrize needs a {q}x{q} operator for n = {n}, got shape {op.shape}")
+    # qubit slot i is row axis i-1 and column axis n+i-1 (slot 1 is the most
+    # significant bit), so P op P^dag is a transpose of those axes
+    tensor = op.reshape((2,) * (2 * n))
+    acc = np.zeros_like(op)
+    for perm in permutations(range(n)):
+        acc += tensor.transpose(perm + tuple(n + p for p in perm)).reshape(q, q)
+    return acc / math.factorial(n)
 
 
 def collective_spin(ctx: FieldContext, axis: str) -> np.ndarray:

@@ -21,6 +21,7 @@ pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -66,9 +67,14 @@ def r_factor(n: int, m: int, nn: int, k: int) -> int:
         * math.factorial(n01) * math.factorial(n00))
 
 
+@functools.lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(t for t in itertools.product(range(n + 1), repeat=3) if r_factor(n, *t))
+
+
 def valid_triples(n: int) -> list[tuple[int, int, int]]:
     """All (m, n, k) with nonzero orbit size, in lexicographic order."""
-    return [t for t in itertools.product(range(n + 1), repeat=3) if r_factor(n, *t)]
+    return list(_triples(n))
 
 
 @dataclass(eq=False, kw_only=True)
@@ -104,7 +110,8 @@ def project(ctx: FieldContext, psf: PhaseSpaceFunction) -> ProjectedFunction:
     orbit = ctx.orbit_index.ravel()
     runs = np.split(grid.ravel()[np.argsort(orbit, kind="stable")],
                     np.cumsum(np.bincount(orbit))[:-1])
-    entries = {t: complex(np.sum(run)) for t, run in zip(valid_triples(ctx.n), runs)}
+    keys = map(tuple, ctx.orbit_weights.tolist())
+    entries = {t: complex(np.sum(run)) for t, run in zip(keys, runs)}
     return ProjectedFunction(
         n=ctx.n, s=psf.s, entries=entries, convention=psf.convention,
         convention_invariant=psf.convention_invariant, fiducial=psf.fiducial,

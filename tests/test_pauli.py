@@ -1,5 +1,6 @@
 # tests/test_pauli.py
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -376,6 +377,36 @@ def test_symmetrize_cap():
     ctx = field_context(6)
     with pytest.raises(ConfigurationError):
         symmetrize(ctx, np.eye(64))
+
+
+def _symmetrize_oracle(ctx, op):
+    """Average of P op P^dag with every P built as a dense permutation matrix."""
+    acc = np.zeros_like(np.asarray(op, dtype=complex))
+    count = 0
+    for perm in permutations(range(1, ctx.n + 1)):
+        p = permutation_matrix(ctx, perm)
+        acc += p @ op @ p.conj().T
+        count += 1
+    return acc / count
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetrize_is_bitwise_the_permutation_matrix_loop(n):
+    ctx = field_context(n)
+    q = ctx.order
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        op = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+        got, want = symmetrize(ctx, op), _symmetrize_oracle(ctx, op)
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_symmetrize_rejects_wrong_shape():
+    ctx = field_context(3)
+    for bad in (np.eye(4), np.ones(8), np.ones((8, 4))):
+        with pytest.raises(ConfigurationError, match="8x8"):
+            symmetrize(ctx, bad)
 
 
 def test_collective_spin_commutators():

@@ -1,4 +1,5 @@
 # tests/test_suites.py
+import numpy as np
 import pytest
 
 from dpsmap import ConfigurationError, SUITE_NAMES, run_suite
@@ -45,3 +46,86 @@ def test_reports_are_deterministic():
     a = run_suite("pauli", 2, seed=5)
     b = run_suite("pauli", 2, seed=5)
     assert a == b
+
+
+# the streaming checks keep a running residual; each must still catch a fault
+
+def _check_named(report, prefix):
+    (check,) = [c for c in report["checks"] if c["name"].startswith(prefix)]
+    return check
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_pauli_suite_catches_non_unitary_X(monkeypatch, n):
+    from dpsmap import pauli
+    build_X = pauli.build_X
+    monkeypatch.setattr(pauli, "build_X", lambda ctx, b: 1.001 * build_X(ctx, b))
+    report = run_suite("pauli", n)
+    assert not _check_named(report, "Z_a, X_b unitary")["passed"]
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_pauli_suite_catches_non_hermitian_displacement(monkeypatch, n):
+    from dpsmap import pauli
+    displacement = pauli.displacement
+    # i D is unitary whenever D is, but not hermitian when D is
+    monkeypatch.setattr(pauli, "displacement", lambda *a: 1j * displacement(*a))
+    report = run_suite("pauli", n)
+    herm = [c for c in report["checks"] if c["name"].endswith("unitary and hermitian")]
+    assert herm and not any(c["passed"] for c in herm)
+    unitary_only = [c for c in report["checks"] if c["name"].endswith("displacements unitary")]
+    assert unitary_only and all(c["passed"] for c in unitary_only)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_suite_catches_broken_covariance(monkeypatch, n):
+    from dpsmap.kernels import KernelSet
+    at = KernelSet.at
+    monkeypatch.setattr(KernelSet, "at",
+                        lambda self, a, b: (1 + 1e-6 * a) * at(self, a, b))
+    report = run_suite("kernel", n)
+    for name in ("tomographic-p1", "perminv-f0"):
+        assert not _check_named(report, f"{name}: covariance")["passed"]
+
+
+def test_pauli_suite_catches_nan_after_good_pairs(monkeypatch):
+    from dpsmap import pauli
+    displacement = pauli.displacement
+
+    def nan_at_one_pair(ctx, conv, g, d):
+        dm = displacement(ctx, conv, g, d)
+        return dm * np.nan if (g, d) == (1, 1) else dm
+
+    monkeypatch.setattr(pauli, "displacement", nan_at_one_pair)
+    report = run_suite("pauli", 2)
+    disp = [c for c in report["checks"] if ": displacements unitary" in c["name"]]
+    assert len(disp) == 6 and not any(c["passed"] for c in disp)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_sampled_field_check_matches_scalar_loop(monkeypatch, n):
+    from dpsmap import gf2n
+    flagged = 0
+    for corrupt in (0, 1, 40, 4000):
+        ctx = gf2n.FieldContext(n)
+        q = ctx.order
+        rng = np.random.default_rng(corrupt)
+        mt = ctx.mul_table.copy()
+        a, b = rng.integers(0, q, size=(2, corrupt))
+        mt[a, b] ^= rng.integers(1, q, size=corrupt).astype(mt.dtype)
+        ctx.mul_table = mt
+        monkeypatch.setattr(gf2n, "field_context", lambda n, poly=None: ctx)
+        report = run_suite("field", n, seed=3)
+        trips = np.random.default_rng(3).integers(0, q, size=(2000, 3))
+        assoc = all(ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
+                    for x, y, z in trips)
+        distrib = all(ctx.mul(x, y ^ z) == (ctx.mul(x, y) ^ ctx.mul(x, z))
+                      for x, y, z in trips)
+        for name, want in (("multiplication associative", assoc),
+                           ("multiplication distributes over xor", distrib)):
+            check = _check_named(report, name)
+            assert check["passed"] == want
+            assert check["detail"] == "sampled 2000 triples"
+            flagged += not want
+    assert flagged >= 4
