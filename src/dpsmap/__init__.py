@@ -10,8 +10,7 @@ tomographic condition and permutation invariance are incompatible.
 
 from ._version import __version__
 from .errors import ConfigurationError, FiducialError
-from .gf2n import (IRREDUCIBLE_POLYS, MAX_N, FieldContext, field_context,
-                   find_selfdual_basis)
+from .gf2n import IRREDUCIBLE_POLYS, MAX_N, FieldContext, field_context
 from .kernels import (MAX_DENSE_N, MAX_LAZY_N, KernelSet, OverlapReport,
                       PhaseSpaceFunction, TomographicCheckResult, build_kernel,
                       convolution_prefactor, forward_map, inverse_map,
@@ -45,7 +44,6 @@ __all__ = [
     "__version__",
     "ConfigurationError", "FiducialError",
     "IRREDUCIBLE_POLYS", "MAX_N", "FieldContext", "field_context",
-    "find_selfdual_basis",
     "MAX_DENSE_N", "MAX_LAZY_N", "KernelSet", "OverlapReport",
     "PhaseSpaceFunction", "TomographicCheckResult", "build_kernel",
     "convolution_prefactor", "forward_map", "inverse_map", "line_marginal",

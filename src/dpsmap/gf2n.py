@@ -343,8 +343,3 @@ class FieldContext:
 def field_context(n: int, poly: int | None = None) -> FieldContext:
     """Cached constructor; contexts are immutable in practice."""
     return FieldContext(n, poly)
-
-
-def find_selfdual_basis(n: int, poly: int | None = None) -> tuple[int, ...]:
-    """Convenience wrapper returning just the canonical basis."""
-    return field_context(n, poly).selfdual_basis

@@ -60,43 +60,32 @@ class PhaseSpaceFunction(SymbolMeta):
 class KernelSet:
     """All 4^n kernels for one (s, convention, fiducial) choice.
 
-    Either backed by a phase convention (character-sum evaluation from the
-    q x q table ``w * phi``) or directly by a table of operators (used for
-    the line-projector construction).
+    Every kernel is evaluated by character sums from the q x q table
+    ``w * phi`` of its displacement coefficients.
     """
 
-    def __init__(self, ctx: FieldContext, s: float, conv: PhaseConvention | None,
-                 fiducial: np.ndarray | None, label: str, hermitian: bool):
+    def __init__(self, ctx: FieldContext, s: float, conv: PhaseConvention,
+                 fiducial: np.ndarray | None):
         require_operator_n(ctx)
         self.ctx = ctx
         self.s = s
         self.conv = conv
         self.fiducial = fiducial
-        self.label = label
-        self.hermitian = hermitian
+        self.label = conv.name
         self.fiducial_report = None
-        self._table = None
-        self._wphi = None
-        self._stable = None
-        if conv is not None:
-            self._prepare_character_data()
-
-    # -- construction ---------------------------------------------------
-
-    def _prepare_character_data(self):
-        ctx = self.ctx
-        phi = self.conv.value_table(ctx)
-        if self.s == 0:
+        phi = conv.value_table(ctx)
+        if s == 0:
             weights = np.ones((ctx.order, ctx.order), dtype=complex)
         else:
-            overlaps = displacement_overlaps(ctx, self.conv, self.fiducial)
-            weights = overlaps ** (-self.s)
+            weights = displacement_overlaps(ctx, conv, fiducial) ** (-s)
         # wphi[gamma, delta]: the coefficient of Z_gamma X_delta in every kernel
         self._wphi = weights * phi
         # stable[delta, t] = sum_gamma chi(gamma t) w[gamma, delta] phi[gamma, delta]
         self._stable = (ctx.char_matrix_c @ self._wphi).T
 
-    def _point(self, alpha: int, beta: int) -> np.ndarray:
+    # -- access -----------------------------------------------------------
+
+    def at(self, alpha: int, beta: int) -> np.ndarray:
         ctx = self.ctx
         q = ctx.order
         xg = ctx.xor_grid
@@ -107,36 +96,18 @@ class KernelSet:
         out[ctx.index_table[:, None], ctx.index_table[None, :]] = vals
         return out
 
-    @classmethod
-    def from_table(cls, ctx: FieldContext, s: float, table: np.ndarray,
-                   label: str, fiducial: np.ndarray | None = None,
-                   hermitian: bool = True) -> "KernelSet":
-        self = cls(ctx, s, None, fiducial, label, hermitian)
-        self._table = np.asarray(table, dtype=complex)
-        return self
-
-    # -- access -----------------------------------------------------------
-
-    def at(self, alpha: int, beta: int) -> np.ndarray:
-        if self._table is not None:
-            return self._table[alpha, beta]
-        return self._point(alpha, beta)
-
     def points(self):
         q = self.ctx.order
         return [(a, b) for a in range(q) for b in range(q)]
 
     @property
     def convention_invariant(self) -> bool:
-        return self.conv.permutation_invariant if self.conv is not None else False
+        return self.conv.permutation_invariant
 
     def normalization_residual(self) -> float:
         """Max-norm of sum_(alpha,beta) Delta - 2^n I; that sum is q wphi(0,0) I."""
         q = self.ctx.order
-        if self._table is None:
-            return float(abs(q * self._wphi[0, 0] - q))
-        acc = self._table.sum(axis=(0, 1))
-        return float(np.max(np.abs(acc - q * np.eye(q))))
+        return float(abs(q * self._wphi[0, 0] - q))
 
     def hermiticity_residual(self) -> float:
         """Largest entry of Delta - Delta^dagger over all points.
@@ -144,10 +115,8 @@ class KernelSet:
         (Z_g X_d)^dagger = chi(g d) Z_g X_d, so the difference has the
         coefficient table wphi - conj(wphi) chi(g d).
         """
-        if self._table is None:
-            return coefficient_residual(
-                self.ctx, self._wphi - np.conj(self._wphi) * self.ctx.char_matrix)
-        return float(np.max(np.abs(self._table - np.conj(np.swapaxes(self._table, 2, 3)))))
+        return coefficient_residual(
+            self.ctx, self._wphi - np.conj(self._wphi) * self.ctx.char_matrix)
 
     def coherent_projector_residual(self) -> float:
         """Largest entry of Delta(a, b) - D(a, b)|xi><xi|D(a, b)^dagger.
@@ -159,16 +128,8 @@ class KernelSet:
         ctx = self.ctx
         if self.fiducial is None:
             raise ConfigurationError("coherent-state projectors need a fiducial")
-        if self._table is None:
-            pauli_coeffs = np.conj(displacement_overlaps(ctx, PlainPhase(), self.fiducial))
-            return coefficient_residual(ctx, self._wphi - pauli_coeffs)
-        q = ctx.order
-        amp = np.asarray(self.fiducial, dtype=complex)[ctx.index_table]
-        # coherent[a, b] = Z_a X_b |xi>, whose entry kappa is chi(a kappa) xi(kappa + b)
-        coherent = np.empty((q, q, q), dtype=complex)
-        coherent[:, :, ctx.index_table] = ctx.char_matrix[:, None, :] * amp[ctx.xor_grid]
-        proj = coherent[..., :, None] * np.conj(coherent[..., None, :])
-        return float(np.max(np.abs(self._table - proj)))
+        pauli_coeffs = np.conj(displacement_overlaps(ctx, PlainPhase(), self.fiducial))
+        return coefficient_residual(ctx, self._wphi - pauli_coeffs)
 
     def _psf(self, grid, provenance):
         return PhaseSpaceFunction(
@@ -218,7 +179,7 @@ def build_kernel(ctx: FieldContext, s: float, conv: PhaseConvention,
                 f"fiducial has vanishing displacement overlaps (min {report.min_abs:.2e}) "
                 f"at points {report.violations[:4]}; cannot raise them to a "
                 f"negative power")
-    kernel = KernelSet(ctx, s, conv, fiducial, conv.name, conv.hermitian)
+    kernel = KernelSet(ctx, s, conv, fiducial)
     kernel.fiducial_report = report
     return kernel
 
@@ -235,15 +196,12 @@ def forward_map(kernel: KernelSet, op: np.ndarray,
     op = np.asarray(op, dtype=complex)
     if op.shape != (q, q):
         raise ValueError(f"operator must be {q}x{q}")
-    if kernel.conv is not None:
-        a_idx = ctx.index_table
-        # monomial traces Tr[f D(gamma, delta)] via one character transform
-        v = op[a_idx[ctx.xor_grid], a_idx[None, :]]          # v[delta, mu]
-        t = v @ ctx.char_matrix_c                            # t[delta, gamma]
-        f_tab = kernel._wphi * t.T
-        grid = (ctx.char_matrix_c @ f_tab @ ctx.char_matrix_c).T / q
-    else:
-        grid = np.einsum("abij,ji->ab", kernel._table, op)
+    a_idx = ctx.index_table
+    # monomial traces Tr[f D(gamma, delta)] via one character transform
+    v = op[a_idx[ctx.xor_grid], a_idx[None, :]]              # v[delta, mu]
+    t = v @ ctx.char_matrix_c                                # t[delta, gamma]
+    f_tab = kernel._wphi * t.T
+    grid = (ctx.char_matrix_c @ f_tab @ ctx.char_matrix_c).T / q
     return kernel._psf(grid, provenance)
 
 
@@ -267,15 +225,13 @@ def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
             and not np.allclose(psf.fiducial, kernel.fiducial)):
         raise ConfigurationError("fiducial mismatch between symbol and kernel")
     w = np.asarray(psf.grid, dtype=complex)
-    if kernel.conv is not None:
-        c = ctx.char_matrix_c
-        bracket = ((c @ w @ c).T) / (q * q)                  # [gamma, delta]
-        g = bracket * kernel._wphi
-        coef = c @ g                                         # coef[mu, delta]
-        out = np.zeros((q, q), dtype=complex)
-        out[ctx.index_table[:, None], ctx.index_table[ctx.xor_grid]] = coef
-        return out
-    return np.einsum("ab,abij->ij", w, kernel._table) / q
+    c = ctx.char_matrix_c
+    bracket = ((c @ w @ c).T) / (q * q)                      # [gamma, delta]
+    g = bracket * kernel._wphi
+    coef = c @ g                                             # coef[mu, delta]
+    out = np.zeros((q, q), dtype=complex)
+    out[ctx.index_table[:, None], ctx.index_table[ctx.xor_grid]] = coef
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -292,37 +248,23 @@ class OverlapReport:
     max_offdiag: float
 
 
-def _operators(kernel: KernelSet) -> np.ndarray:
-    q = kernel.ctx.order
-    if kernel._table is not None:
-        return kernel._table.reshape(q * q, q, q)
-    return np.stack([kernel.at(a, b) for a, b in kernel.points()])
-
-
 def overlap_check(kernel_a: KernelSet, kernel_b: KernelSet) -> OverlapReport:
     """Pairwise traces of a dual kernel pair; fits the diagonal constant.
 
     Tr[D(gamma, delta) D(gamma', delta')] is q chi(gamma delta) when the
     displacements coincide and 0 otherwise (Gibbons, Hoffman and Wootters,
-    PRA 70, 062101 (2004)), so convention-backed pairs have the closed form
-    Tr[Delta_a(a, b) Delta_b(a', b')] = t[b + b', a + a'] with t = C g C / q,
-    C = chi(xy) and g = w_a phi_a w_b phi_b chi(gamma delta): the diagonal
-    is t[0, 0] exactly.  Table-backed kernels take the explicit sum.
+    PRA 70, 062101 (2004)), so Tr[Delta_a(a, b) Delta_b(a', b')] has the
+    closed form t[b + b', a + a'] with t = C g C / q, C = chi(xy) and
+    g = w_a phi_a w_b phi_b chi(gamma delta): the diagonal is t[0, 0] exactly.
     """
     ctx = kernel_a.ctx
     if ctx is not kernel_b.ctx:
         raise ConfigurationError("kernels live on different fields")
-    if kernel_a.conv is not None and kernel_b.conv is not None:
-        c = ctx.char_matrix_c
-        t = c @ (kernel_a._wphi * kernel_b._wphi * ctx.char_matrix) @ c / ctx.order
-        constant = complex(t[0, 0])
-        t[0, 0] = 0
-        return OverlapReport(ctx.n, constant, 0.0, float(np.max(np.abs(t))))
-    gram = np.einsum("iab,jba->ij", _operators(kernel_a), _operators(kernel_b))
-    diag = np.diag(gram)
-    constant = complex(diag.mean())
-    return OverlapReport(ctx.n, constant, float(np.max(np.abs(diag - constant))),
-                         float(np.max(np.abs(gram - np.diag(diag)))))
+    c = ctx.char_matrix_c
+    t = c @ (kernel_a._wphi * kernel_b._wphi * ctx.char_matrix) @ c / ctx.order
+    constant = complex(t[0, 0])
+    t[0, 0] = 0
+    return OverlapReport(ctx.n, constant, 0.0, float(np.max(np.abs(t))))
 
 
 def convolution_prefactor(kernel_a: KernelSet, kernel_b: KernelSet):
@@ -351,11 +293,14 @@ def trace_convolution(wf: PhaseSpaceFunction, wg: PhaseSpaceFunction,
 # line-projector (tomographic) kernel and checks
 # ----------------------------------------------------------------------
 
-def wootters_kernel(ctx: FieldContext, family: MubFamily) -> KernelSet:
-    """Delta^(0)(a, b) = |a~><a~| + sum_xi P^xi_(b + xi a) - I.
+def wootters_kernel(ctx: FieldContext, family: MubFamily) -> np.ndarray:
+    """The (q, q, q, q) table ``table[a, b]`` of the line-projector kernels
+    Delta^(0)(a, b) = |a~><a~| + sum_xi P^xi_(b + xi a) - I.
 
-    P^xi_nu projects on the line state of slope xi through (a, b).  Equals
-    the s = 0 kernel of the matching tomographic phase convention.
+    P^xi_nu projects on the line state of slope xi through (a, b).  The
+    table equals the s = 0 kernels of the matching tomographic phase
+    convention (Wootters, Ann. Phys. 176, 1 (1987)); the tomographic suite
+    compares it with them point by point.
     """
     require_operator_n(ctx)
     if ctx.n > MAX_DENSE_N:
@@ -374,7 +319,7 @@ def wootters_kernel(ctx: FieldContext, family: MubFamily) -> KernelSet:
             for xi in range(q):
                 acc = acc + proj[xi][b ^ mul_row[xi]]
             table[a, b] = acc
-    return KernelSet.from_table(ctx, 0.0, table, f"wootters[{family.scheme}]")
+    return table
 
 
 def line_marginal(ctx: FieldContext, psf: PhaseSpaceFunction,

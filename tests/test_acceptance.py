@@ -219,7 +219,7 @@ def test_criterion_06_tomography_suite():
         woot = wootters_kernel(ctx, mub_family(ctx))
         for a, b in kern.points():
             worst_w = max(worst_w, float(np.max(np.abs(
-                woot.at(a, b) - kern.at(a, b)))))
+                woot[a, b] - kern.at(a, b)))))
     ok = worst_tc < TOL and worst_line < TOL and worst_w < TOL
     _verdict(6, "line sums = Born probabilities, delta-line states, "
                 "projector form of the kernel", ok,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dpsmap import ConfigurationError, FieldContext, field_context, find_selfdual_basis
+from dpsmap import ConfigurationError, FieldContext, field_context
 from dpsmap.gf2n import IRREDUCIBLE_POLYS, clmul, is_irreducible, poly_degree, poly_mod
 
 
@@ -181,8 +181,8 @@ def test_char_matrix_values_and_symmetry():
 # ---------------------------------------------------------
 
 def test_selfdual_basis_frozen():
-    assert find_selfdual_basis(1) == (1,)
-    assert find_selfdual_basis(2) == (2, 3)
+    assert field_context(1).selfdual_basis == (1,)
+    assert field_context(2).selfdual_basis == (2, 3)
 
 
 def test_selfdual_gram_is_identity():

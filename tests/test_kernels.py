@@ -5,6 +5,7 @@ builder beyond the displacement definition itself."""
 import numpy as np
 import pytest
 
+from dpsmap import kernels
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FiducialError,
                     KernelSet, all_lines, build_kernel, convention_from_name,
                     convolution_prefactor, displacement, field_context,
@@ -245,18 +246,6 @@ def test_table_checks_match_operator_oracle(n, name, s):
                - np.max(np.abs(total - q * np.eye(q)))) < 1e-12
 
 
-def test_table_backed_overlap_takes_explicit_sum():
-    """Line-projector kernels, alone or paired with a convention kernel."""
-    ctx = field_context(2)
-    k0 = build_kernel(ctx, 0.0, TOMO)
-    woot = wootters_kernel(ctx, mub_family(ctx))
-    assert woot.normalization_residual() < 1e-12
-    for pair in ((woot, woot), (woot, k0), (k0, woot)):
-        rep = overlap_check(*pair)
-        assert abs(rep.constant - ctx.order) < 1e-12
-        assert rep.max_diag_dev < 1e-12 and rep.max_offdiag < 1e-12
-
-
 def point_residuals(kernel, conv, fid):
     """The per-point loops the residual methods replace: the largest entry
     of Delta - Delta^dagger and of Delta(a, b) - D(a, b)|xi><xi|D(a, b)^dagger."""
@@ -274,17 +263,14 @@ def point_residuals(kernel, conv, fid):
 @pytest.mark.parametrize("name", ALL_CONVENTIONS)
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_residuals_match_point_oracle(n, name, s):
-    """Closed-form hermiticity and coherent-projector residuals, and the
-    explicit ones of the same kernels held as a table."""
+    """Closed-form hermiticity and coherent-projector residuals."""
     ctx = field_context(n)
     conv = convention_from_name(name)
     fid = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
-    kern = KernelSet(ctx, s, conv, fid, name, conv.hermitian)
+    kern = KernelSet(ctx, s, conv, fid)
     herm, proj = point_residuals(kern, conv, fid)
-    table = np.array([[kern.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
-    for k in (kern, KernelSet.from_table(ctx, s, table, name, fiducial=fid)):
-        assert abs(k.hermiticity_residual() - herm) < 1e-12
-        assert abs(k.coherent_projector_residual() - proj) < 1e-12
+    assert abs(kern.hermiticity_residual() - herm) < 1e-12
+    assert abs(kern.coherent_projector_residual() - proj) < 1e-12
     # only the plain convention's s = 0 kernels are not hermitian, and only
     # its s = -1 kernels are not the coherent-state projectors
     assert (herm < 1e-12) == (conv.hermitian or s != 0)
@@ -412,7 +398,7 @@ def per_line_tomographic_check(kern, rho, fam):
     ctx = kern.ctx
     worst = None
     for line in all_lines(ctx):
-        lhs = line_marginal(ctx, forward_map(kern, rho), line)
+        lhs = line_marginal(ctx, kernels.forward_map(kern, rho), line)
         ket = fam.state(line)
         rhs = complex(ket.conj() @ rho @ ket)
         if worst is None or abs(lhs - rhs) > abs(worst[1] - worst[2]):
@@ -442,23 +428,26 @@ def test_tomographic_check_on_random_states():
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_tomographic_check_reports_the_perturbed_line(n):
-    """Every point of one line is shifted by eps I, so that line's sum is
-    off by eps and every other line's by at most eps / q."""
+def test_tomographic_check_reports_the_perturbed_line(monkeypatch, n):
+    """The symbol is shifted by eps Tr rho on every point of one line, as
+    kernels shifted by eps I there would shift it, so that line's sum is off
+    by eps and every other line's by at most eps / q."""
     ctx = field_context(n)
     q = ctx.order
     kern = build_kernel(ctx, 0.0, TOMO)
     fam = mub_family(ctx)
-    table = np.array([[kern.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
     rho = np.outer(ghz_state(ctx), ghz_state(ctx).conj())
     lines = list(all_lines(ctx))
+    unbent = kernels.forward_map
     for target in (lines[0], lines[q + 1], lines[q * q - 1], lines[-1]):
-        shifted = table.copy()
-        for a, b in target.points(ctx):
-            shifted[a, b] += 1e-3 * np.eye(q)
-        bent = KernelSet.from_table(ctx, 0.0, shifted, "shifted")
-        res = tomographic_check(bent, rho, fam)
-        line, lhs, rhs = per_line_tomographic_check(bent, rho, fam)
+        def bent(kernel, op, provenance="", target=target):
+            psf = unbent(kernel, op, provenance)
+            for a, b in target.points(ctx):
+                psf.grid[a, b] += 1e-3 * np.trace(op)
+            return psf
+        monkeypatch.setattr(kernels, "forward_map", bent)
+        res = tomographic_check(kern, rho, fam)
+        line, lhs, rhs = per_line_tomographic_check(kern, rho, fam)
         assert res.line == line == target
         assert res.lhs == lhs
         assert abs(res.rhs - rhs) < 1e-15
@@ -479,13 +468,19 @@ def test_line_marginal_equals_born_probability():
 
 def test_wootters_form_equals_character_sum():
     """Sum of line projectors through a point minus identity, compared
-    entrywise with the character-sum construction."""
+    entrywise with the character-sum construction at every point; the
+    table sums to q I and holds hermitian kernels of unit trace."""
     for n in (1, 2, 3):
         ctx = field_context(n)
+        q = ctx.order
         kern = build_kernel(ctx, 0.0, TOMO)
         woot = wootters_kernel(ctx, mub_family(ctx))
-        for a, b in [(0, 0), (1, 1), (0, ctx.order - 1), (2 % ctx.order, 1)]:
-            assert np.max(np.abs(woot.at(a, b) - kern.at(a, b))) < 1e-10
+        chars = np.array([[kern.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
+        assert woot.shape == (q, q, q, q)
+        assert np.max(np.abs(woot - chars)) < 1e-10
+        assert np.max(np.abs(woot.sum(axis=(0, 1)) - q * np.eye(q))) < 1e-12
+        assert np.max(np.abs(woot - np.conj(np.swapaxes(woot, 2, 3)))) < 1e-12
+        assert np.max(np.abs(np.trace(woot, axis1=2, axis2=3) - 1)) < 1e-12
 
 
 def test_wootters_kernel_cap():

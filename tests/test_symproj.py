@@ -9,14 +9,12 @@ from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     check_kernel_invariance, convention_from_name,
                     convolution_prefactor, displacement, field_context,
                     find_theorem_witness, fit_constant, forward_map, ghz_state,
-                    mub_family, pair_counts, permutation_op, project, r_factor,
+                    pair_counts, permutation_op, project, r_factor,
                     reference_symbol, search_invariant_phases, spin_coherent,
                     symbol_depends_only_on_h, symmetric_average, symmetrize,
-                    theorem_witness, trace_convolution, valid_triples, w_state,
-                    wootters_kernel)
+                    theorem_witness, trace_convolution, valid_triples, w_state)
 from dpsmap import (REFERENCE_IDS, FieldContext, PhaseSearchReport,
                     PhaseSpaceFunction, RotationCoefficients, TomographicPhase)
-from dpsmap.kernels import KernelSet
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
@@ -314,26 +312,6 @@ def test_transposition_maps_displacements(name):
                     ratio = conv.value(ctx, g, d) / conv.value(ctx, tg, td)
                     moved = pmat @ displacement(ctx, conv, g, d) @ pmat
                     assert np.max(np.abs(moved - ratio * displacement(ctx, conv, tg, td))) < 1e-12
-
-
-def test_table_backed_invariance_takes_point_check():
-    """Table-backed kernels are checked point by point, against the oracle."""
-    kerns = [wootters_kernel(ctx, mub_family(ctx)) for ctx in map(field_context, (2, 3))]
-    ctx = field_context(3)
-    tomo = build_kernel(ctx, 0.0, TOMO)
-    table = np.array([[tomo.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
-    table[0, 0] = np.eye(ctx.order)     # invariant at (0, 0): the witness lies elsewhere
-    kerns.append(KernelSet.from_table(ctx, 0.0, table, "tomographic-p1 table"))
-    for kern in kerns:
-        n = kern.ctx.n
-        worst = max(point_deviation(kern, i, j, a, b)
-                    for i, j in itertools.combinations(range(1, n + 1), 2)
-                    for a, b in kern.points())
-        rep = check_kernel_invariance(kern)
-        assert rep.max_deviation == pytest.approx(worst, abs=1e-12)
-        assert rep.invariant == (worst <= 1e-12)
-        if rep.witness is not None:
-            assert point_deviation(kern, *rep.witness) == pytest.approx(worst, abs=1e-12)
 
 
 def test_symbol_h_dependence():
