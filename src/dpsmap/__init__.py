@@ -17,9 +17,9 @@ from .kernels import (MAX_DENSE_N, MAX_LAZY_N, KernelSet, OverlapReport,
                       line_marginal, overlap_check, tomographic_check,
                       trace_convolution, wootters_kernel)
 from .mubrot import (VERTICAL, LineSpec, MubFamily, RotationCoefficients,
-                     all_lines, build_V, check_unbiased, coeffs_closed_form,
-                     coeffs_from_phase, coeffs_graph, dual_basis_matrix,
-                     dual_basis_state, line_states, mub_family)
+                     all_lines, build_V, check_unbiased, coeffs_from_phase,
+                     dual_basis_matrix, dual_basis_state, line_states,
+                     mub_family)
 from .serialize import (DiffReport, diff_grids, diff_projected, load_symbol,
                         mub_to_json, proj_from_json, proj_to_csv,
                         proj_to_gnuplot, proj_to_json, psf_from_json,
@@ -50,9 +50,8 @@ __all__ = [
     "overlap_check", "tomographic_check", "trace_convolution",
     "wootters_kernel",
     "VERTICAL", "LineSpec", "MubFamily", "RotationCoefficients", "all_lines",
-    "build_V", "check_unbiased", "coeffs_closed_form", "coeffs_from_phase",
-    "coeffs_graph", "dual_basis_matrix", "dual_basis_state", "line_states",
-    "mub_family",
+    "build_V", "check_unbiased", "coeffs_from_phase", "dual_basis_matrix",
+    "dual_basis_state", "line_states", "mub_family",
     "DEFAULT_FIDUCIAL_ZETA", "FactorizedPhase", "FiducialReport", "GraphPhase",
     "PhaseConvention", "PlainPhase", "SqrtPhase", "TomographicPhase",
     "build_X", "build_Z", "check_fiducial", "collective_spin",

@@ -32,7 +32,7 @@ from .errors import ConfigurationError, FiducialError
 
 STATE_SPECS = "ghz | w | coherent | logical:<bits> | @<file.json>"
 FORMATS = ("json", "csv", "gnuplot")
-MUB_SCHEMES = ("p1", "p2", "p4", "graph+", "graph-")
+MUB_SCHEMES = tuple(mubrot.SCHEMES)
 
 
 def parse_complex(text: str) -> complex:
@@ -248,7 +248,6 @@ def cmd_mub(args) -> int:
     cfg = RunConfig.from_args(args)
     ctx = gf2n.field_context(cfg.n)
     family = mubrot.mub_family(ctx, cfg.scheme)
-    family.validate()
     text = serialize.mub_to_json(family, asdict(cfg))
     if cfg.out:
         _write(cfg.out, text)

@@ -197,8 +197,10 @@ class FieldContext:
         self.char_matrix_c = self.char_matrix.astype(np.complex128)
         self.xor_grid = np.bitwise_xor.outer(
             np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64))
-        # orbit labels depend on the coordinates; rebuild them on next use
+        # orbit labels and phase tables depend on the coordinates; rebuild
+        # them on next use (``PhaseConvention.exponent_table`` fills the dict)
         self.__dict__.pop("_orbits", None)
+        self.phase_tables: dict[tuple, np.ndarray] = {}
 
     # -- orbits under simultaneous qubit permutations --------------------
 

@@ -244,7 +244,6 @@ class OverlapReport:
 
     n: int
     constant: complex
-    max_diag_dev: float
     max_offdiag: float
 
 
@@ -264,7 +263,7 @@ def overlap_check(kernel_a: KernelSet, kernel_b: KernelSet) -> OverlapReport:
     t = c @ (kernel_a._wphi * kernel_b._wphi * ctx.char_matrix) @ c / ctx.order
     constant = complex(t[0, 0])
     t[0, 0] = 0
-    return OverlapReport(ctx.n, constant, 0.0, float(np.max(np.abs(t))))
+    return OverlapReport(ctx.n, constant, float(np.max(np.abs(t))))
 
 
 def convolution_prefactor(kernel_a: KernelSet, kernel_b: KernelSet):

@@ -8,9 +8,13 @@ coefficients obey the recurrence
 
     c_(kappa+alpha) c_kappa^* = chi(xi alpha kappa) c_alpha.
 
-All built-in coefficient families are fourth roots of unity and are kept
-as integer exponents of i, so the recurrence is checked exactly.  Line
-states |psi_nu^xi> = V_xi X_nu |0> label the points of the line
+The coefficients are the line restriction c_kappa = phi(kappa, xi kappa)
+of a phase convention phi: the tomographic condition holds on the line
+exactly when that restriction solves the recurrence.  Each MUB scheme in
+``SCHEMES`` names the convention it restricts, so the closed forms live in
+``pauli`` only.  Phases are fourth roots of unity kept as integer
+exponents of i, so the recurrence is checked exactly.  Line states
+|psi_nu^xi> = V_xi X_nu |0> label the points of the line
 beta = xi alpha + nu.
 """
 
@@ -23,10 +27,16 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gf2n import FieldContext
-from .pauli import I4, PhaseConvention, logical_state, require_operator_n
+from .pauli import (I4, PhaseConvention, convention_from_name, logical_state,
+                    require_operator_n)
 
 #: slope tag for vertical lines alpha = const (the dual basis)
 VERTICAL = None
+
+#: MUB scheme -> the phase convention whose line restriction it uses
+SCHEMES = {"p1": "tomographic-p1", "p2": "tomographic-p2",
+           "p4": "tomographic-p4", "graph+": "graph-plus",
+           "graph-": "graph-minus"}
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +109,7 @@ def dual_basis_matrix(ctx: FieldContext) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# coefficient families
+# rotation coefficients
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -121,49 +131,6 @@ class RotationCoefficients:
         return not resid.any()
 
 
-def _xi_half_power(ctx: FieldContext, xi: int, p: int) -> int:
-    """xi^(p/2): square root for p = 1, else xi^(2^(j-1)) for p = 2^j."""
-    if p == 1:
-        return ctx.sqrt(xi)
-    return ctx.frobenius(xi, p.bit_length() - 2)
-
-
-def coeffs_closed_form(ctx: FieldContext, xi: int, p: int = 1) -> RotationCoefficients:
-    """c_(alpha,xi) = (-i)^h(alpha^p xi^(p/2)) for p in {1, 2, 4, ...}."""
-    if xi == 0:
-        raise ConfigurationError("slope 0 is the logical basis; no rotation needed")
-    if p < 1 or p & (p - 1) or p > 1 << (ctx.n - 1):
-        raise ConfigurationError(
-            f"p must be a power of two in 1..{1 << (ctx.n - 1)}, got {p}")
-    alpha = np.arange(ctx.order, dtype=np.int64)
-    ap = alpha
-    for _ in range(p.bit_length() - 1):
-        ap = ctx.mul_table[ap, ap]
-    exps = 3 * ctx.hweight_table[ctx.mul_table[ap, _xi_half_power(ctx, xi, p)]]
-    coeffs = RotationCoefficients(xi, exps % 4, provenance=f"closed-form-p{p}")
-    if not coeffs.verify(ctx):
-        raise ConfigurationError("closed-form coefficients failed the recurrence")
-    return coeffs
-
-
-def coeffs_graph(ctx: FieldContext, xi: int, sign: int = 1) -> RotationCoefficients:
-    """c_alpha = (sign*i)^(alpha^T Gamma alpha), Gamma_pq = tr(xi theta_p theta_q)."""
-    if xi == 0:
-        raise ConfigurationError("slope 0 is the logical basis; no rotation needed")
-    if sign not in (1, -1):
-        raise ConfigurationError("sign must be +1 or -1")
-    theta = np.array(ctx.selfdual_basis, dtype=np.int64)
-    gamma = ctx.trace_table[
-        ctx.mul_table[xi, ctx.mul_table[np.ix_(theta, theta)]]]
-    coords = ctx.coords_table
-    quad = np.einsum("ap,pq,aq->a", coords, gamma, coords)
-    tag = "graph+" if sign == 1 else "graph-"
-    coeffs = RotationCoefficients(xi, (sign * quad) % 4, provenance=tag)
-    if not coeffs.verify(ctx):
-        raise ConfigurationError("graph coefficients failed the recurrence")
-    return coeffs
-
-
 def coeffs_from_phase(ctx: FieldContext, conv: PhaseConvention,
                       xi: int) -> RotationCoefficients:
     """Extract c_kappa = phi(kappa, xi kappa) from a phase convention.
@@ -175,8 +142,7 @@ def coeffs_from_phase(ctx: FieldContext, conv: PhaseConvention,
         raise ConfigurationError("slope 0 is the logical basis; no rotation needed")
     kappa = np.arange(ctx.order, dtype=np.int64)
     exps = conv.exponent_table(ctx)[kappa, ctx.mul_table[xi]]
-    coeffs = RotationCoefficients(xi, exps % 4,
-                                  provenance=f"from-phase[{conv.name}]")
+    coeffs = RotationCoefficients(xi, exps, provenance=f"from-phase[{conv.name}]")
     if not coeffs.verify(ctx):
         raise ConfigurationError(
             f"{conv.name} does not satisfy the rotation recurrence on slope {xi}")
@@ -245,24 +211,16 @@ class MubFamily:
                 raise ConfigurationError(f"slope {slope}: expected {q} states")
 
 
-def _coeffs_for_scheme(ctx, xi, scheme):
-    if scheme.startswith("p"):
-        return coeffs_closed_form(ctx, xi, int(scheme[1:]))
-    if scheme == "graph+":
-        return coeffs_graph(ctx, xi, 1)
-    if scheme == "graph-":
-        return coeffs_graph(ctx, xi, -1)
-    raise ConfigurationError(f"unknown MUB scheme {scheme!r}")
-
-
 def mub_family(ctx: FieldContext, scheme: str = "p1") -> MubFamily:
-    """Build the complete family; scheme is 'p1', 'p2', ... or 'graph+-'."""
+    """Build the complete family; ``scheme`` is a key of ``SCHEMES``."""
     require_operator_n(ctx)
+    if scheme not in SCHEMES:
+        raise ConfigurationError(
+            f"unknown MUB scheme {scheme!r}; choose from {tuple(SCHEMES)}")
+    conv = convention_from_name(SCHEMES[scheme])
     bases = {0: [logical_state(ctx, nu) for nu in ctx.elements()]}
-    for xi in ctx.elements():
-        if xi == 0:
-            continue
-        bases[xi] = line_states(ctx, _coeffs_for_scheme(ctx, xi, scheme))
+    for xi in range(1, ctx.order):
+        bases[xi] = line_states(ctx, coeffs_from_phase(ctx, conv, xi))
     bases[VERTICAL] = [dual_basis_state(ctx, k) for k in ctx.elements()]
     fam = MubFamily(ctx, scheme, bases)
     fam.validate()

@@ -119,22 +119,21 @@ class PhaseConvention:
     hermitian = True
     permutation_invariant = False
 
-    def __init__(self):
-        self._table_cache: dict[tuple, np.ndarray] = {}
-
     def _exponent_table(self, ctx: FieldContext) -> np.ndarray:
         raise NotImplementedError
 
     def exponent_table(self, ctx: FieldContext) -> np.ndarray:
-        # keyed on what the table depends on: ids of collected contexts get reused
-        key = (ctx.n, ctx.poly, ctx.selfdual_basis)
-        if key not in self._table_cache:
+        """Read-only q x q exponents, shared by equal conventions on ctx."""
+        # keyed on class and parameters: custom sign maps share one name
+        cache, key = ctx.phase_tables, (type(self), repr(sorted(vars(self).items())))
+        if key not in cache:
             tab = self._exponent_table(ctx) % 4
-            if (tab[0, :] % 4).any() or (tab[:, 0] % 4).any():
+            if tab[0, :].any() or tab[:, 0].any():
                 raise ConfigurationError(
                     f"{self.name}: phi must be 1 on the axes gamma=0 and delta=0")
-            self._table_cache[key] = tab
-        return self._table_cache[key]
+            tab.flags.writeable = False
+            cache[key] = tab
+        return cache[key]
 
     def value_table(self, ctx: FieldContext) -> np.ndarray:
         return I4[self.exponent_table(ctx)]
@@ -157,7 +156,6 @@ class TomographicPhase(PhaseConvention):
     """
 
     def __init__(self, p: int = 1):
-        super().__init__()
         if p < 1 or p & (p - 1):
             raise ConfigurationError(f"p must be a power of two, got {p}")
         self.p = p
@@ -192,7 +190,6 @@ class SqrtPhase(PhaseConvention):
     name = "perminv-sqrt"
 
     def __init__(self, signs: dict | None = None):
-        super().__init__()
         self.signs = dict(signs) if signs else None
         if self.signs:
             self.name = "perminv-sqrt[custom]"
@@ -231,7 +228,6 @@ class FactorizedPhase(PhaseConvention):
     permutation_invariant = True
 
     def __init__(self, f11: int = 0, table=None):
-        super().__init__()
         if table is not None:
             tab = [[int(b) for b in row] for row in table]
             if tab[0][0] or tab[0][1] or tab[1][0]:
@@ -258,7 +254,6 @@ class GraphPhase(PhaseConvention):
     """
 
     def __init__(self, sign: int = 1):
-        super().__init__()
         if sign not in (1, -1):
             raise ConfigurationError("sign must be +1 or -1")
         self.sign = sign
@@ -292,7 +287,11 @@ class PlainPhase(PhaseConvention):
 def convention_from_name(name: str) -> PhaseConvention:
     """Resolve CLI-facing convention labels."""
     if name.startswith("tomographic-p"):
-        return TomographicPhase(int(name.removeprefix("tomographic-p")))
+        try:
+            p = int(name.removeprefix("tomographic-p"))
+        except ValueError:
+            raise ConfigurationError(f"unknown phase convention {name!r}") from None
+        return TomographicPhase(p)
     if name == "perminv-sqrt":
         return SqrtPhase()
     if name in ("perminv-f0", "perminv-f1"):

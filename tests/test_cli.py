@@ -282,6 +282,17 @@ def test_config_accepts_json_numbers_and_nulls(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "c.grid.json").read_text())["config"]["s"] == -1.0
 
 
+@pytest.mark.parametrize("name", ["tomographic-px", "tomographic-p"])
+def test_malformed_convention_name_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                     name):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--n", "2", "--conv", name) == 2
+    (tmp_path / "cfg.json").write_text(json.dumps({"conv": name}))
+    assert run("map", "--config", "cfg.json") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: unknown phase convention {name!r}"] * 2
+
+
 # ---------------------------------------------------------
 # mub / verify / diff
 # ---------------------------------------------------------

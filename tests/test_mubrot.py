@@ -2,20 +2,39 @@
 import numpy as np
 import pytest
 
-from dpsmap import (ConfigurationError, TomographicPhase, VERTICAL, all_lines,
-                    build_V, build_X, check_unbiased, coeffs_closed_form,
-                    coeffs_from_phase, coeffs_graph, convention_from_name,
-                    dual_basis_matrix, dual_basis_state, field_context,
-                    line_states, mub_family)
+from dpsmap import (ConfigurationError, GraphPhase, TomographicPhase, VERTICAL,
+                    all_lines, build_V, build_X, check_unbiased,
+                    coeffs_from_phase, dual_basis_matrix, dual_basis_state,
+                    field_context, line_states, mub_family)
 from dpsmap.mubrot import line_point_table
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.diag([1.0 + 0j, -1.0])
+TOMO = TomographicPhase(1)
 
 
 def valid_p_values(n):
-    return [p for p in (1, 2, 4, 8) if p <= 1 << (n - 1)]
+    return [1 << j for j in range(n)]
+
+
+def closed_form_oracle(ctx, xi, p):
+    """Exponents of c_(alpha, xi) = (-i)^h(alpha^p xi^(p/2)), written out
+    per slope, with xi^(1/2) the field square root."""
+    half = ctx.sqrt(xi) if p == 1 else ctx.frobenius(xi, p.bit_length() - 2)
+    ap = np.arange(ctx.order)
+    for _ in range(p.bit_length() - 1):
+        ap = ctx.mul_table[ap, ap]
+    return 3 * ctx.hweight_table[ctx.mul_table[ap, half]] % 4
+
+
+def graph_oracle(ctx, xi, sign):
+    """Exponents of c_alpha = (sign i)^(alpha^T Gamma alpha) with
+    Gamma_pq = tr(xi theta_p theta_q), written out per slope."""
+    theta = np.array(ctx.selfdual_basis)
+    gamma = ctx.trace_table[ctx.mul_table[xi, ctx.mul_table[np.ix_(theta, theta)]]]
+    coords = ctx.coords_table
+    return sign * np.einsum("ap,pq,aq->a", coords, gamma, coords) % 4
 
 
 # ---------------------------------------------------------
@@ -115,7 +134,7 @@ def test_closed_form_recurrence_exact():
         ctx = field_context(n)
         for p in valid_p_values(n):
             for xi in range(1, ctx.order):
-                assert coeffs_closed_form(ctx, xi, p).verify(ctx)
+                assert coeffs_from_phase(ctx, TomographicPhase(p), xi).verify(ctx)
 
 
 def test_graph_recurrence_exact():
@@ -123,42 +142,50 @@ def test_graph_recurrence_exact():
         ctx = field_context(n)
         for sign in (1, -1):
             for xi in range(1, ctx.order):
-                assert coeffs_graph(ctx, xi, sign).verify(ctx)
+                assert coeffs_from_phase(ctx, GraphPhase(sign), xi).verify(ctx)
 
 
 def test_frozen_single_qubit_coefficients():
     ctx = field_context(1)
-    c = coeffs_closed_form(ctx, 1, 1)
+    c = coeffs_from_phase(ctx, TOMO, 1)
     assert np.allclose(c.values(), [1, -1j])
 
 
-def test_coeffs_from_phase_matches_closed_form_p1():
-    conv = convention_from_name("tomographic-p1")
-    for n in (1, 2, 3):
+def test_coeffs_from_phase_match_closed_form_oracles():
+    """Line restrictions of the tomographic and graph conventions equal the
+    per-slope closed forms: every valid p and sign, every slope, n = 1..6."""
+    cases = 0
+    for n in range(1, 7):
         ctx = field_context(n)
         for xi in range(1, ctx.order):
-            a = coeffs_from_phase(ctx, conv, xi)
-            b = coeffs_closed_form(ctx, xi, 1)
-            assert np.array_equal(a.exponents % 4, b.exponents % 4)
+            for p in valid_p_values(n):
+                got = coeffs_from_phase(ctx, TomographicPhase(p), xi).exponents % 4
+                assert np.array_equal(got, closed_form_oracle(ctx, xi, p))
+                cases += 1
+            for sign in (1, -1):
+                got = coeffs_from_phase(ctx, GraphPhase(sign), xi).exponents % 4
+                assert np.array_equal(got, graph_oracle(ctx, xi, sign))
+                cases += 1
+    assert cases == 861
 
 
 def test_invalid_coefficient_requests():
     ctx = field_context(2)
     with pytest.raises(ConfigurationError):
-        coeffs_closed_form(ctx, 0, 1)  # slope 0 needs no rotation
+        coeffs_from_phase(ctx, TOMO, 0)  # slope 0 needs no rotation
     with pytest.raises(ConfigurationError):
-        coeffs_closed_form(ctx, 1, 3)  # p must be a power of two
+        coeffs_from_phase(ctx, TomographicPhase(3), 1)  # p must be a power of two
     with pytest.raises(ConfigurationError):
-        coeffs_closed_form(ctx, 1, 4)  # p too large for n=2
+        coeffs_from_phase(ctx, TomographicPhase(4), 1)  # p too large for n=2
     with pytest.raises(ConfigurationError):
-        coeffs_graph(ctx, 1, 2)
+        coeffs_from_phase(ctx, GraphPhase(2), 1)
 
 
 def test_failed_recurrence_detected():
     """A deliberately corrupted exponent table must not verify."""
     from dpsmap import RotationCoefficients
     ctx = field_context(2)
-    good = coeffs_closed_form(ctx, 1, 1)
+    good = coeffs_from_phase(ctx, TOMO, 1)
     bad = np.array(good.exponents, copy=True)
     bad[2] = (bad[2] + 1) % 4
     assert not RotationCoefficients(1, bad, "corrupted").verify(ctx)
@@ -170,7 +197,7 @@ def test_failed_recurrence_detected():
 
 def test_single_qubit_rotation_frozen():
     ctx = field_context(1)
-    V = build_V(ctx, coeffs_closed_form(ctx, 1, 1))
+    V = build_V(ctx, coeffs_from_phase(ctx, TOMO, 1))
     assert np.allclose(V @ V, SX)
     assert np.allclose(V @ SZ @ V.conj().T, SY)
 
@@ -180,7 +207,7 @@ def test_V_unitary_and_square_relation():
     for n in (1, 2, 3):
         ctx = field_context(n)
         for xi in range(1, ctx.order):
-            V = build_V(ctx, coeffs_closed_form(ctx, xi, 1))
+            V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
             assert np.allclose(V @ V.conj().T, np.eye(ctx.order))
             assert np.allclose(V @ V, build_X(ctx, ctx.sqrt(xi)))
 
@@ -188,7 +215,7 @@ def test_V_unitary_and_square_relation():
 def test_V_commutes_with_shifts():
     ctx = field_context(3)
     for xi in (1, 3, 5):
-        V = build_V(ctx, coeffs_closed_form(ctx, xi, 1))
+        V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
         for nu in ctx.elements():
             X = build_X(ctx, nu)
             assert np.allclose(V @ X, X @ V)
@@ -196,7 +223,7 @@ def test_V_commutes_with_shifts():
 
 def test_line_states_orthonormal():
     ctx = field_context(2)
-    states = line_states(ctx, coeffs_closed_form(ctx, 2, 1))
+    states = line_states(ctx, coeffs_from_phase(ctx, TOMO, 2))
     G = np.array([[np.vdot(a, b) for b in states] for a in states])
     assert np.allclose(G, np.eye(4))
 

@@ -146,6 +146,21 @@ def test_exponent_cache_follows_the_field_not_its_id():
         assert np.array_equal(c.exponent_table(FieldContext(3, poly)), expect[poly])
 
 
+def test_phase_tables_are_shared_per_field_and_read_only():
+    """Equal conventions share one table on a field; custom sign maps, which
+    all carry one name, do not; a shared table cannot be written."""
+    ctx = field_context(3)
+    tab = conv("perminv-f0").exponent_table(ctx)
+    assert conv("perminv-f0").exponent_table(ctx) is tab
+    with pytest.raises(ValueError):
+        tab[1, 1] = 0
+    t1, t2 = [t for t in valid_triples(3) if t[0] and t[1]][:2]
+    a, b = SqrtPhase({t1: -1}), SqrtPhase({t2: -1})
+    assert a.name == b.name
+    assert not np.array_equal(a.exponent_table(ctx), b.exponent_table(ctx))
+    assert np.array_equal(a.exponent_table(ctx), sqrt_exponents_by_masks(ctx, {t1: -1}))
+
+
 def test_phase_values_are_fourth_roots():
     ctx = field_context(3)
     for name in ALL_CONVENTIONS:
