@@ -153,19 +153,27 @@ def coeffs_from_phase(ctx: FieldContext, conv: PhaseConvention,
 # rotation operators and line states
 # ----------------------------------------------------------------------
 
+def _rotation(dual: np.ndarray, coeffs: RotationCoefficients) -> np.ndarray:
+    """sum_kappa c_kappa |kappa~><kappa~| from the dual basis matrix, unchecked."""
+    return (dual * coeffs.values()[None, :]) @ dual.conj().T
+
+
+def _columns(ctx: FieldContext, v: np.ndarray) -> list[np.ndarray]:
+    """V X_nu |0> for every intercept nu, in field order."""
+    return [v[:, ctx.basis_index(nu)].copy() for nu in ctx.elements()]
+
+
 def build_V(ctx: FieldContext, coeffs: RotationCoefficients) -> np.ndarray:
     """V_xi = sum_kappa c_kappa |kappa~><kappa~|; rejects bad coefficients."""
     require_operator_n(ctx)
     if not coeffs.verify(ctx):
         raise ConfigurationError("coefficients fail the recurrence; refusing to build V")
-    b = dual_basis_matrix(ctx)
-    return (b * coeffs.values()[None, :]) @ b.conj().T
+    return _rotation(dual_basis_matrix(ctx), coeffs)
 
 
 def line_states(ctx: FieldContext, coeffs: RotationCoefficients) -> list[np.ndarray]:
     """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu."""
-    v = build_V(ctx, coeffs)
-    return [v[:, ctx.basis_index(nu)].copy() for nu in ctx.elements()]
+    return _columns(ctx, build_V(ctx, coeffs))
 
 
 def check_unbiased(ctx: FieldContext, states_a, states_b,
@@ -218,9 +226,11 @@ def mub_family(ctx: FieldContext, scheme: str = "p1") -> MubFamily:
         raise ConfigurationError(
             f"unknown MUB scheme {scheme!r}; choose from {tuple(SCHEMES)}")
     conv = convention_from_name(SCHEMES[scheme])
+    dual = dual_basis_matrix(ctx)
     bases = {0: [logical_state(ctx, nu) for nu in ctx.elements()]}
     for xi in range(1, ctx.order):
-        bases[xi] = line_states(ctx, coeffs_from_phase(ctx, conv, xi))
+        # coeffs_from_phase has checked the recurrence; build_V would again
+        bases[xi] = _columns(ctx, _rotation(dual, coeffs_from_phase(ctx, conv, xi)))
     bases[VERTICAL] = [dual_basis_state(ctx, k) for k in ctx.elements()]
     fam = MubFamily(ctx, scheme, bases)
     fam.validate()

@@ -4,6 +4,15 @@ Grid symbols serialize row-major over (alpha, beta) in polynomial-basis
 integer order, with the self-dual coordinate strings included per CSV row.
 All writers sort keys and use shortest-round-trip float formatting, so a
 fixed configuration produces byte-identical files.
+
+JSON exports are byte for byte what ``json.dumps(record, sort_keys=True,
+indent=2)`` writes, but only the small metadata dict goes through the
+encoder (which is pure Python whenever ``indent`` is set).  The grid, the
+projection entries and the MUB bases are formatted from ``float.__repr__``
+lists, with JSON's ``NaN`` / ``Infinity`` / ``-Infinity`` tokens for values
+that are not finite, and spliced in at their top-level key.  CSV and
+gnuplot rows use the same ``float.__repr__`` text.  The readers are plain
+``json.loads``.
 """
 
 from __future__ import annotations
@@ -20,28 +29,71 @@ from .kernels import PhaseSpaceFunction, SymbolMeta
 from .symproj import ProjectedFunction, r_factor, valid_triples
 
 
-def _c2pair(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _reprs(x: np.ndarray) -> list:
+    """``float.__repr__`` of every value of a float array, in C order."""
+    return list(map(float.__repr__, x.ravel().tolist()))
+
+
+def _json_list(items: list, depth: int) -> str:
+    """The ``indent=2`` JSON list of preformatted items, its "[" at nesting
+    depth ``depth``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{'  ' * depth}]"
+
+
+def _pairs_json(values, depth: int) -> list:
+    """A complex array as ``json.dumps(..., indent=2)`` would write it as
+    nested ``[re, im]`` pairs, one text per item of its first axis, each
+    item at nesting depth ``depth``.
+
+    Floats are ``float.__repr__`` (what ``json`` writes for finite floats),
+    with JSON's ``NaN`` / ``Infinity`` / ``-Infinity`` tokens otherwise.
+    """
+    z = np.asarray(values, dtype=complex)
+    re, im = _reprs(z.real), _reprs(z.imag)
+    if not np.isfinite(z).all():
+        re, im = ([_JSON_NONFINITE.get(t, t) for t in part] for part in (re, im))
+    depth += z.ndim - 1
+    pad = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + "]"
+    items = [f"[{pad}{r},{pad}{i}{close}" for r, i in zip(re, im)]
+    for size in z.shape[:0:-1]:
+        depth -= 1
+        items = [_json_list(items[k:k + size], depth)
+                 for k in range(0, len(items), size)]
+    return items
 
 
 def _metadata(sym: SymbolMeta, config=None, constants=None) -> dict:
     record = {f.name: getattr(sym, f.name) for f in fields(SymbolMeta)}
     if sym.fiducial is not None:
-        record["fiducial"] = [_c2pair(z) for z in np.asarray(sym.fiducial)]
+        fid = np.asarray(sym.fiducial, dtype=complex)
+        record["fiducial"] = np.column_stack([fid.real, fid.imag]).tolist()
     record.update(version=__version__, config=config, constants=constants)
     return record
 
 
-def _to_json(sym: SymbolMeta, kind: str, body: str, values, config, constants) -> str:
-    record = _metadata(sym, config, constants)
-    record["kind"] = kind
-    record[body] = values
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+def _splice(record: dict, key: str, body: str) -> str:
+    """``json.dumps(record, sort_keys=True, indent=2)`` plus a newline, with
+    the top-level ``key`` holding the preformatted JSON text ``body``.
+
+    The key's line is the only place where a newline, two spaces and an
+    unescaped quote meet: nested keys sit deeper and JSON escapes every
+    newline and quote inside a string value.
+    """
+    marker = f"\n  {json.dumps(key)}: "
+    text = json.dumps({**record, key: None}, sort_keys=True, indent=2)
+    head, _, tail = text.partition(marker + "null")
+    return f"{head}{marker}{body}{tail}\n"
+
+
+def _to_json(sym: SymbolMeta, kind: str, key: str, body: str, config, constants) -> str:
+    return _splice(dict(_metadata(sym, config, constants), kind=kind), key, body)
 
 
 def _to_csv(sym: SymbolMeta, header: str, rows, config, constants) -> str:
@@ -86,7 +138,7 @@ def _from_record(record: dict, kind: str):
 # ----------------------------------------------------------------------
 
 def psf_to_json(psf: PhaseSpaceFunction, config=None, constants=None) -> str:
-    grid = [[_c2pair(v) for v in row] for row in np.asarray(psf.grid)]
+    grid = _json_list(_pairs_json(psf.grid, 2), 1)
     return _to_json(psf, "grid", "grid", grid, config, constants)
 
 
@@ -94,21 +146,28 @@ def psf_from_json(text: str) -> PhaseSpaceFunction:
     return _from_record(json.loads(text), "grid")
 
 
+def _grid_rows(psf: PhaseSpaceFunction, labels: list, sep: str) -> list:
+    """One `a sep b sep re sep im` row per grid point, row-major."""
+    z = np.asarray(psf.grid, dtype=complex)
+    cells = [f"{labels[a]}{sep}{labels[b]}"
+             for a in range(z.shape[0]) for b in range(z.shape[1])]
+    return [sep.join(row) for row in zip(cells, _reprs(z.real), _reprs(z.imag))]
+
+
 def psf_to_csv(ctx: FieldContext, psf: PhaseSpaceFunction,
                config=None, constants=None) -> str:
     coords = ["".join(map(str, ctx.to_coords(x))) for x in range(ctx.order)]
-    rows = [f"{coords[a]},{coords[b]},{_fmt(v.real)},{_fmt(v.imag)}"
-            for a, row in enumerate(np.asarray(psf.grid))
-            for b, v in enumerate(map(complex, row))]
-    return _to_csv(psf, "a_coords,b_coords,re,im", rows, config, constants)
+    return _to_csv(psf, "a_coords,b_coords,re,im", _grid_rows(psf, coords, ","),
+                   config, constants)
 
 
 def psf_to_gnuplot(psf: PhaseSpaceFunction) -> str:
     """Blocks of `a b re im` rows separated by blank lines (splot input)."""
+    rows_n, cols = np.shape(psf.grid)
+    flat = _grid_rows(psf, list(map(str, range(max(rows_n, cols)))), " ")
     rows = []
-    for a, row in enumerate(np.asarray(psf.grid)):
-        rows += [f"{a} {b} {_fmt(v.real)} {_fmt(v.imag)}"
-                 for b, v in enumerate(map(complex, row))]
+    for a in range(rows_n):
+        rows += flat[a * cols:(a + 1) * cols]
         rows.append("")
     return _to_gnuplot(psf, "grid", "alpha beta re im", rows)
 
@@ -118,9 +177,13 @@ def psf_to_gnuplot(psf: PhaseSpaceFunction) -> str:
 # ----------------------------------------------------------------------
 
 def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
-    entries = [[list(key), _c2pair(proj.entries[key]), r_factor(proj.n, *key)]
-               for key in sorted(proj.entries)]
-    return _to_json(proj, "projected", "entries", entries, config, constants)
+    keys = sorted(proj.entries)
+    pairs = _pairs_json([proj.entries[key] for key in keys], 3)
+    entries = [_json_list([_json_list(list(map(str, key)), 3), pair,
+                           str(r_factor(proj.n, *key))], 2)
+               for key, pair in zip(keys, pairs)]
+    return _to_json(proj, "projected", "entries", _json_list(entries, 1),
+                    config, constants)
 
 
 def proj_from_json(text: str) -> ProjectedFunction:
@@ -128,12 +191,10 @@ def proj_from_json(text: str) -> ProjectedFunction:
 
 
 def _proj_rows(proj: ProjectedFunction, sep: str) -> list:
-    rows = []
-    for key in sorted(proj.entries):
-        v = complex(proj.entries[key])
-        rows.append(sep.join([*map(str, key), _fmt(v.real), _fmt(v.imag),
-                              str(r_factor(proj.n, *key))]))
-    return rows
+    keys = sorted(proj.entries)
+    z = np.array([proj.entries[key] for key in keys], dtype=complex)
+    return [sep.join([*map(str, key), re, im, str(r_factor(proj.n, *key))])
+            for key, re, im in zip(keys, _reprs(z.real), _reprs(z.imag))]
 
 
 def proj_to_csv(proj: ProjectedFunction, config=None, constants=None) -> str:
@@ -209,10 +270,9 @@ def load_symbol(text: str):
 
 def mub_to_json(family, config=None) -> str:
     """A MUB family as JSON arrays of amplitude pairs, one list per basis."""
-    bases = {}
-    for slope, states in family.bases.items():
-        key = "vertical" if slope is None else str(slope)
-        bases[key] = [[_c2pair(z) for z in state] for state in states]
+    bases = {"vertical" if slope is None else str(slope): _json_list(_pairs_json(states, 3), 2)
+             for slope, states in family.bases.items()}
+    body = ",".join(f"\n    {json.dumps(key)}: {bases[key]}" for key in sorted(bases))
     record = {"version": __version__, "kind": "mub", "n": family.ctx.n,
-              "scheme": family.scheme, "config": config, "bases": bases}
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+              "scheme": family.scheme, "config": config}
+    return _splice(record, "bases", "{" + body + "\n  }" if bases else "{}")

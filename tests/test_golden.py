@@ -1,8 +1,9 @@
 # tests/test_golden.py
-"""`map` exports compared byte for byte with files kept under tests/data.
+"""`map` and `mub` exports compared byte for byte with files kept under
+tests/data.
 
 The files pin float formatting, key order, row order and the embedded
-config of grid and projection exports.  Each was written by the command
+config of grid, projection and MUB exports.  Each was written by the command
 the test reruns, from inside tests/data; a change of `__version__` changes
 every file and means writing them again the same way.
 """
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dpsmap.cli import main
+from dpsmap.mubrot import SCHEMES
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,3 +31,16 @@ def test_map_export_matches_golden_file(tmp_path, monkeypatch, n, conv, s, fmt):
     for tag in ("grid", "proj"):
         name = f"{base}.{tag}.{ext}"
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+# every scheme that is valid at each n: p4 needs n >= 3
+MUB_RUNS = ([(2, scheme) for scheme in SCHEMES if scheme != "p4"]
+            + [(3, scheme) for scheme in SCHEMES])
+
+
+@pytest.mark.parametrize("n, scheme", MUB_RUNS)
+def test_mub_export_matches_golden_file(tmp_path, monkeypatch, n, scheme):
+    monkeypatch.chdir(tmp_path)
+    name = f"n{n}-{scheme}.mub.json"
+    assert main(["mub", "--n", str(n), "--scheme", scheme, "--out", name]) == 0
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

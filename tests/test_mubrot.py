@@ -191,6 +191,16 @@ def test_failed_recurrence_detected():
     assert not RotationCoefficients(1, bad, "corrupted").verify(ctx)
 
 
+def test_build_V_and_line_states_refuse_failed_recurrence():
+    from dpsmap import RotationCoefficients
+    ctx = field_context(2)
+    bad = np.array(coeffs_from_phase(ctx, TOMO, 1).exponents, copy=True)
+    bad[2] = (bad[2] + 1) % 4
+    for build in (build_V, line_states):
+        with pytest.raises(ConfigurationError, match="fail the recurrence"):
+            build(ctx, RotationCoefficients(1, bad, "corrupted"))
+
+
 # ---------------------------------------------------------
 # rotation operators
 # ---------------------------------------------------------
@@ -243,6 +253,28 @@ def test_family_structure_and_validation():
             # each basis resolves the identity
             acc = sum(np.outer(s, s.conj()) for s in states)
             assert np.allclose(acc, np.eye(ctx.order))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_family_checks_each_slope_recurrence_once(monkeypatch, n):
+    """q - 1 rotated slopes, one recurrence check each, one dual matrix."""
+    from dpsmap import RotationCoefficients, mubrot
+    calls = {"verify": 0, "dual": 0}
+    verify, dual = RotationCoefficients.verify, mubrot.dual_basis_matrix
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(RotationCoefficients, "verify", counted("verify", verify))
+    monkeypatch.setattr(mubrot, "dual_basis_matrix", counted("dual", dual))
+    ctx = field_context(n)
+    for scheme in ("p1", "graph+"):
+        calls.update(verify=0, dual=0)
+        mub_family(ctx, scheme)
+        assert calls == {"verify": ctx.order - 1, "dual": 1}
 
 
 def test_family_mutually_unbiased():

@@ -1,4 +1,5 @@
 # tests/test_serialize.py
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from dpsmap import (REFERENCE_IDS, ConfigurationError, PhaseSpaceFunction,
                     psf_from_json, psf_to_csv, psf_to_gnuplot, psf_to_json,
                     r_factor, reference_symbol, spin_coherent, valid_triples)
 from dpsmap._version import __version__
+from dpsmap.kernels import SymbolMeta
 
 PERMINV = convention_from_name("perminv-f0")
 
@@ -253,3 +255,159 @@ def test_mub_json_structure():
     # vertical basis states are uniform-magnitude character rows
     amp = complex(*vert[0][0])
     assert abs(abs(amp) - 0.5) < 1e-12
+
+
+# ---------------------------------------------------------
+# writers against the json-encoder oracle
+# ---------------------------------------------------------
+# The writers format floats themselves instead of passing every value
+# through json.dumps(indent=2).  The functions below are the encoder-based
+# writers they replace, kept as the oracle for byte-identical output.
+
+def _oracle_pair(z):
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def _oracle_metadata(sym, config, constants):
+    record = {f.name: getattr(sym, f.name) for f in dataclasses.fields(SymbolMeta)}
+    if sym.fiducial is not None:
+        record["fiducial"] = [_oracle_pair(z) for z in np.asarray(sym.fiducial)]
+    record.update(version=__version__, config=config, constants=constants)
+    return record
+
+
+def oracle_psf_json(psf, config=None, constants=None):
+    record = _oracle_metadata(psf, config, constants)
+    record.update(kind="grid", grid=[[_oracle_pair(v) for v in row]
+                                     for row in np.asarray(psf.grid)])
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_proj_json(proj, config=None, constants=None):
+    record = _oracle_metadata(proj, config, constants)
+    record.update(kind="projected", entries=[
+        [list(key), _oracle_pair(proj.entries[key]), r_factor(proj.n, *key)]
+        for key in sorted(proj.entries)])
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_psf_csv(ctx, psf, config=None, constants=None):
+    meta = _oracle_metadata(psf, config, constants)
+    lines = [f"# {key}: {json.dumps(meta[key], sort_keys=True)}" for key in sorted(meta)]
+    coords = ["".join(map(str, ctx.to_coords(x))) for x in range(ctx.order)]
+    rows = [f"{coords[a]},{coords[b]},{float(v.real)!r},{float(v.imag)!r}"
+            for a, row in enumerate(np.asarray(psf.grid))
+            for b, v in enumerate(map(complex, row))]
+    return "\n".join([*lines, "a_coords,b_coords,re,im", *rows]) + "\n"
+
+
+def oracle_psf_gnuplot(psf):
+    rows = [f"# grid symbol n={psf.n} s={psf.s} convention={psf.convention}",
+            "# columns: alpha beta re im"]
+    for a, row in enumerate(np.asarray(psf.grid)):
+        rows += [f"{a} {b} {float(v.real)!r} {float(v.imag)!r}"
+                 for b, v in enumerate(map(complex, row))]
+        rows.append("")
+    return "\n".join(rows) + "\n"
+
+
+def oracle_mub_json(family, config=None):
+    bases = {"vertical" if slope is None else str(slope):
+             [[_oracle_pair(z) for z in state] for state in states]
+             for slope, states in family.bases.items()}
+    record = {"version": __version__, "kind": "mub", "n": family.ctx.n,
+              "scheme": family.scheme, "config": config, "bases": bases}
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+           1e300, -1e300, 1 / 3, -1 / 3, 1.0, 2.5e-8, 123456789.125, 0.1]
+
+
+def special_grid(finite=False):
+    """A 4x4 grid whose parts hold signed zeros, non-finite values,
+    subnormals and values with long shortest-round-trip reprs."""
+    values = np.array(SPECIAL)
+    if finite:
+        values[~np.isfinite(values)] = [7.0, -1e-5, 2.0 ** -1074 * 3]
+    grid = np.empty((4, 4), dtype=complex)
+    grid.real = values.reshape(4, 4)
+    grid.imag = np.roll(values, 5).reshape(4, 4)
+    return grid
+
+
+def special_psf(finite=False, provenance="special values"):
+    ctx = field_context(2)
+    fid = np.array([-0.0, 0.5 if finite else np.nan, 1e-310, 1.0 if finite else -np.inf])
+    return ctx, PhaseSpaceFunction(n=2, s=0.0, grid=special_grid(finite),
+                                   convention="plain", fiducial=fid.astype(complex),
+                                   provenance=provenance)
+
+
+def special_proj(provenance="special values"):
+    keys = valid_triples(2)
+    values = np.roll(special_grid().ravel(), 3)[:len(keys)]
+    return ProjectedFunction(n=2, s=0.0, entries=dict(zip(keys, values)),
+                             convention="plain", provenance=provenance)
+
+
+def _bits(z):
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag]).view(np.uint64)
+
+
+def test_special_values_match_encoder_oracle():
+    ctx, psf = special_psf()
+    config, constants = {"n": 2, "s": -0.0}, {"c": [np.inf, -0.0]}
+    assert psf_to_json(psf, config, constants) == oracle_psf_json(psf, config, constants)
+    assert (psf_to_csv(ctx, psf, config, constants)
+            == oracle_psf_csv(ctx, psf, config, constants))
+    assert psf_to_gnuplot(psf) == oracle_psf_gnuplot(psf)
+    text = psf_to_json(psf)
+    assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e-310" in text
+    proj = special_proj()
+    assert not all(np.isfinite(list(proj.entries.values())))
+    assert proj_to_json(proj, config) == oracle_proj_json(proj, config)
+    empty = ProjectedFunction(n=2, s=0.0, entries={}, convention="plain")
+    assert proj_to_json(empty) == oracle_proj_json(empty)
+
+
+def test_special_values_roundtrip_bitwise():
+    _, psf = special_psf(finite=True)
+    back = load_symbol(psf_to_json(psf))
+    assert np.array_equal(_bits(back.grid), _bits(psf.grid))  # signs of zeros too
+    assert np.array_equal(_bits(back.fiducial), _bits(psf.fiducial))
+    assert np.signbit(back.grid.real[0, 0]) and not np.signbit(back.grid.real[0, 1])
+    # non-finite values come back as the same kind of value
+    _, psf = special_psf()
+    back = load_symbol(psf_to_json(psf))
+    for part in ("real", "imag"):
+        got, want = getattr(back.grid, part), getattr(psf.grid, part)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got[~np.isnan(want)], want[~np.isnan(want)])
+    proj = special_proj()
+    back = load_symbol(proj_to_json(proj))
+    finite = [key for key, v in proj.entries.items() if np.isfinite(v)]
+    assert finite and all(_bits(back.entries[k]).tolist() == _bits(proj.entries[k]).tolist()
+                          for k in finite)
+
+
+@pytest.mark.parametrize("tag", ("grid", "entries", "bases", "vertical", "0"))
+def test_placeholder_text_in_strings_and_nested_keys(tag):
+    """Key lines of a spliced body, written inside string values and as
+    nested keys, stay text and do not move the body."""
+    provenance = f'\n  "{tag}": null\n  "{tag}": []\n    "{tag}": null "grid": '
+    config = {tag: None, "grid": None, "nested": {tag: None, "entries": [None]},
+              f'\n  "{tag}": null': provenance}
+    ctx, psf = special_psf(finite=True, provenance=provenance)
+    text = psf_to_json(psf, config)
+    assert text == oracle_psf_json(psf, config)
+    back = load_symbol(text)
+    assert back.provenance == provenance
+    assert np.array_equal(_bits(back.grid), _bits(psf.grid))
+    proj = special_proj(provenance)
+    assert proj_to_json(proj, config) == oracle_proj_json(proj, config)
+    assert load_symbol(proj_to_json(proj, config)).provenance == provenance
+    family = mub_family(ctx, "graph+")
+    assert mub_to_json(family, config) == oracle_mub_json(family, config)
