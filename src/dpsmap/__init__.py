@@ -11,7 +11,7 @@ tomographic condition and permutation invariance are incompatible.
 from ._version import __version__
 from .errors import ConfigurationError, FiducialError
 from .gf2n import IRREDUCIBLE_POLYS, MAX_N, FieldContext, field_context
-from .kernels import (MAX_DENSE_N, MAX_LAZY_N, KernelSet, OverlapReport,
+from .kernels import (MAX_DENSE_N, KernelSet, OverlapReport,
                       PhaseSpaceFunction, TomographicCheckResult, build_kernel,
                       convolution_prefactor, forward_map, inverse_map,
                       line_marginal, overlap_check, tomographic_check,
@@ -21,9 +21,8 @@ from .mubrot import (VERTICAL, LineSpec, MubFamily, RotationCoefficients,
                      dual_basis_matrix, dual_basis_state, line_states,
                      mub_family)
 from .serialize import (DiffReport, diff_grids, diff_projected, load_symbol,
-                        mub_to_json, proj_from_json, proj_to_csv,
-                        proj_to_gnuplot, proj_to_json, psf_from_json,
-                        psf_to_csv, psf_to_gnuplot, psf_to_json)
+                        mub_to_json, proj_to_csv, proj_to_gnuplot,
+                        proj_to_json, psf_to_csv, psf_to_gnuplot, psf_to_json)
 from .suites import SUITE_NAMES, run_suite
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, FactorizedPhase, FiducialReport,
                     GraphPhase, PhaseConvention, PlainPhase, SqrtPhase,
@@ -44,7 +43,7 @@ __all__ = [
     "__version__",
     "ConfigurationError", "FiducialError",
     "IRREDUCIBLE_POLYS", "MAX_N", "FieldContext", "field_context",
-    "MAX_DENSE_N", "MAX_LAZY_N", "KernelSet", "OverlapReport",
+    "MAX_DENSE_N", "KernelSet", "OverlapReport",
     "PhaseSpaceFunction", "TomographicCheckResult", "build_kernel",
     "convolution_prefactor", "forward_map", "inverse_map", "line_marginal",
     "overlap_check", "tomographic_check", "trace_convolution",
@@ -65,8 +64,7 @@ __all__ = [
     "symbol_depends_only_on_h", "symmetric_average", "theorem_witness",
     "valid_triples",
     "DiffReport", "diff_grids", "diff_projected", "load_symbol",
-    "mub_to_json", "proj_from_json", "proj_to_csv", "proj_to_gnuplot",
-    "proj_to_json", "psf_from_json", "psf_to_csv", "psf_to_gnuplot",
-    "psf_to_json",
+    "mub_to_json", "proj_to_csv", "proj_to_gnuplot", "proj_to_json",
+    "psf_to_csv", "psf_to_gnuplot", "psf_to_json",
     "SUITE_NAMES", "run_suite",
 ]

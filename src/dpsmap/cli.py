@@ -7,12 +7,12 @@ map       compute a state's phase-space symbol, optionally projected
 mub       dump a full MUB family as JSON amplitude lists
 verify    run a named verification suite, exit 1 on failure
 diff      compare two exported symbol files
-plotdata  like ``map`` but emits gnuplot-ready text
 
 Exit codes: 0 success, 1 verification/comparison failure, 2 bad
 configuration or input file.  A JSON file mirroring RunConfig can seed any
-run via ``--config`` (explicit flags win).  ``--mode`` is only a size rule:
-dense allows n <= 4, lazy allows n <= 5 at s = 0.
+run via ``--config`` (explicit flags win).  ``map`` takes n <= 5, and n = 5
+only at s = 0; ``--mode`` only narrows that rule: dense to n <= 4, lazy to
+s = 0.
 """
 
 from __future__ import annotations
@@ -179,15 +179,16 @@ def cmd_field(args) -> int:
 def _map_pipeline(cfg: RunConfig):
     if cfg.n > 5:
         raise ConfigurationError("map is capped at n <= 5")
-    mode = cfg.mode or ("dense" if cfg.n <= kernels.MAX_DENSE_N else "lazy")
-    if mode == "lazy" and cfg.s != 0:
+    if cfg.mode == "dense" and cfg.n > kernels.MAX_DENSE_N:
+        raise ConfigurationError(f"dense kernels are capped at n <= {kernels.MAX_DENSE_N}")
+    if cfg.s != 0 and (cfg.n == 5 or cfg.mode == "lazy"):
         raise ConfigurationError("lazy maps support s = 0 only")
     ctx = gf2n.field_context(cfg.n)
     conv = pauli.convention_from_name(cfg.conv)
     fid_zeta = (pauli.DEFAULT_FIDUCIAL_ZETA if cfg.fiducial is None
                 else parse_complex(cfg.fiducial))
     fiducial = pauli.spin_coherent(ctx, fid_zeta) if cfg.s != 0 else None
-    kernel = kernels.build_kernel(ctx, cfg.s, conv, fiducial, mode=mode)
+    kernel = kernels.build_kernel(ctx, cfg.s, conv, fiducial)
     zeta = parse_complex(cfg.zeta)
     state = build_state(ctx, cfg.state, zeta)
     rho = np.outer(state, state.conj())
@@ -196,7 +197,7 @@ def _map_pipeline(cfg: RunConfig):
     psf = kernels.forward_map(kernel, rho, provenance=provenance)
     try:
         dual = (kernel if cfg.s == 0 else
-                kernels.build_kernel(ctx, -cfg.s, conv, fiducial, mode=mode))
+                kernels.build_kernel(ctx, -cfg.s, conv, fiducial))
     except FiducialError:
         # the s = -1 grid can be legal while its s = +1 dual is not;
         # there is then no overlap relation to fit constants from
@@ -233,13 +234,6 @@ def _export_symbol(cfg: RunConfig, ctx, psf, constants) -> int:
 
 def cmd_map(args) -> int:
     cfg = RunConfig.from_args(args)
-    ctx, psf, constants = _map_pipeline(cfg)
-    return _export_symbol(cfg, ctx, psf, constants)
-
-
-def cmd_plotdata(args) -> int:
-    cfg = RunConfig.from_args(args)
-    cfg.format = "gnuplot"
     ctx, psf, constants = _map_pipeline(cfg)
     return _export_symbol(cfg, ctx, psf, constants)
 
@@ -307,24 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "n", "config", "out")
     p.set_defaults(func=cmd_field)
 
-    for name, func in (("map", cmd_map), ("plotdata", cmd_plotdata)):
-        p = subs.add_parser(name, help=f"{name}: compute a state symbol")
-        _add_common(p, "n", "config", "out")
-        p.add_argument("--state", default=None, help=STATE_SPECS)
-        p.add_argument("--s", type=float, default=None,
-                       help="kernel parameter, one of -1, 0, 1")
-        p.add_argument("--conv", default=None, help="phase convention name")
-        p.add_argument("--zeta", default=None,
-                       help="coherent-state parameter (re,im or mag@deg)")
-        p.add_argument("--fiducial", default=None,
-                       help="fiducial zeta (re,im or mag@deg); default 0.5@45")
-        p.add_argument("--project", action="store_true", default=None,
-                       help="also export the (m,n,k) projection")
-        p.add_argument("--mode", default=None, choices=("dense", "lazy"),
-                       help="size rule: dense for n <= 4, lazy for n <= 5 at s = 0")
-        if name == "map":
-            p.add_argument("--format", default=None, choices=FORMATS)
-        p.set_defaults(func=func)
+    p = subs.add_parser("map", help="map: compute a state symbol")
+    _add_common(p, "n", "config", "out")
+    p.add_argument("--state", default=None, help=STATE_SPECS)
+    p.add_argument("--s", type=float, default=None,
+                   help="kernel parameter, one of -1, 0, 1")
+    p.add_argument("--conv", default=None, help="phase convention name")
+    p.add_argument("--zeta", default=None,
+                   help="coherent-state parameter (re,im or mag@deg)")
+    p.add_argument("--fiducial", default=None,
+                   help="fiducial zeta (re,im or mag@deg); default 0.5@45")
+    p.add_argument("--project", action="store_true", default=None,
+                   help="also export the (m,n,k) projection")
+    p.add_argument("--mode", default=None, choices=("dense", "lazy"),
+                   help="narrow the size rule: dense to n <= 4, lazy to s = 0")
+    p.add_argument("--format", default=None, choices=FORMATS)
+    p.set_defaults(func=cmd_map)
 
     p = subs.add_parser("mub", help="dump a MUB family as JSON")
     _add_common(p, "n", "config", "out")

@@ -88,9 +88,12 @@ class FieldContext:
     n : extension degree (1 <= n <= 8).
     poly : optional irreducible polynomial override (bit i = coeff of x^i).
         Must have degree n; irreducibility is verified at construction.
+    selfdual_basis : optional basis to use instead of the canonical one;
+        it must pass the Gram check.
     """
 
-    def __init__(self, n: int, poly: int | None = None):
+    def __init__(self, n: int, poly: int | None = None, *,
+                 selfdual_basis: tuple[int, ...] | None = None):
         if not 1 <= n <= MAX_N:
             raise ConfigurationError(f"n must be in 1..{MAX_N}, got {n}")
         if poly is None:
@@ -105,8 +108,16 @@ class FieldContext:
         self.order = 1 << n
 
         self._build_tables()
-        self.selfdual_basis = self._find_selfdual_basis()
+        if selfdual_basis:
+            self.selfdual_basis = tuple(selfdual_basis)
+            if (not all(0 < x < self.order for x in self.selfdual_basis)
+                    or not np.array_equal(self.gram_matrix(), np.eye(n, dtype=np.int64))):
+                raise ConfigurationError("stored basis fails the self-duality check")
+        else:
+            self.selfdual_basis = self._find_selfdual_basis()
         self._build_coord_tables()
+        # filled by ``PhaseConvention.exponent_table``
+        self.phase_tables: dict[tuple, np.ndarray] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -193,14 +204,9 @@ class FieldContext:
         self.element_of_index = inverse
         # chi(x*y) for all pairs; the workhorse of every character sum
         self.char_matrix = self.chi_table[self.mul_table]
-        self.char_matrix_f = self.char_matrix.astype(np.float64)
         self.char_matrix_c = self.char_matrix.astype(np.complex128)
         self.xor_grid = np.bitwise_xor.outer(
             np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64))
-        # orbit labels and phase tables depend on the coordinates; rebuild
-        # them on next use (``PhaseConvention.exponent_table`` fills the dict)
-        self.__dict__.pop("_orbits", None)
-        self.phase_tables: dict[tuple, np.ndarray] = {}
 
     # -- orbits under simultaneous qubit permutations --------------------
 
@@ -321,17 +327,9 @@ class FieldContext:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "FieldContext":
-        ctx = cls(int(record["n"]), int(record["poly"]))
-        claimed = tuple(int(x) for x in record.get("selfdual_basis", ()))
-        if claimed and claimed != ctx.selfdual_basis:
-            # accept any basis that passes the Gram test, not just ours
-            theta = np.array(claimed, dtype=np.int64)
-            gram = ctx.trace_table[ctx.mul_table[np.ix_(theta, theta)]]
-            if not np.array_equal(gram, np.eye(ctx.n, dtype=np.int64)):
-                raise ConfigurationError("stored basis fails the self-duality check")
-            ctx.selfdual_basis = claimed
-            ctx._build_coord_tables()
-        return ctx
+        # accepts any basis that passes the Gram check, not just ours
+        return cls(int(record["n"]), int(record["poly"]), selfdual_basis=tuple(
+            int(x) for x in record.get("selfdual_basis", ())))
 
     @classmethod
     def from_json(cls, text: str) -> "FieldContext":

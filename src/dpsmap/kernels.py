@@ -27,9 +27,8 @@ from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
                     check_fiducial, displacement_overlaps, require_operator_n,
                     spin_coherent)
 
-#: size caps behind ``mode``; both modes evaluate kernels the same way
+#: size cap of the line-projector table (and of ``map --mode dense``)
 MAX_DENSE_N = 4
-MAX_LAZY_N = 6
 
 
 @dataclass(eq=False, kw_only=True)
@@ -61,25 +60,40 @@ class KernelSet:
     """All 4^n kernels for one (s, convention, fiducial) choice.
 
     Every kernel is evaluated by character sums from the q x q table
-    ``w * phi`` of its displacement coefficients.
+    ``w * phi`` of its displacement coefficients.  When s != 0 the fiducial
+    (by default the spin-coherent state at ``DEFAULT_FIDUCIAL_ZETA``) is
+    checked and the result kept as ``fiducial_report``; otherwise that is
+    None.  Vanishing displacement overlaps are fatal only when the kernel
+    has to invert them (s > 0): the s = -1 family of coherent-state
+    projectors is well defined for any fiducial, it merely stops being
+    informationally complete.
     """
 
     def __init__(self, ctx: FieldContext, s: float, conv: PhaseConvention,
-                 fiducial: np.ndarray | None):
+                 fiducial: np.ndarray | None = None):
         require_operator_n(ctx)
+        if s != 0 and fiducial is None:
+            fiducial = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+        if fiducial is not None and np.shape(fiducial) != (ctx.order,):
+            raise ConfigurationError(
+                f"fiducial must hold {ctx.order} amplitudes for n = {ctx.n}")
+        self.fiducial_report = None
+        weights = 1
+        if s != 0:
+            report = check_fiducial(ctx, conv, fiducial)
+            if s > 0 and not report.ok:
+                raise FiducialError(
+                    f"fiducial has vanishing displacement overlaps (min {report.min_abs:.2e}) "
+                    f"at points {report.violations[:4]}; cannot raise them to a "
+                    f"negative power")
+            self.fiducial_report = report
+            weights = displacement_overlaps(ctx, conv, fiducial) ** (-s)
         self.ctx = ctx
         self.s = s
         self.conv = conv
         self.fiducial = fiducial
-        self.label = conv.name
-        self.fiducial_report = None
-        phi = conv.value_table(ctx)
-        if s == 0:
-            weights = np.ones((ctx.order, ctx.order), dtype=complex)
-        else:
-            weights = displacement_overlaps(ctx, conv, fiducial) ** (-s)
         # wphi[gamma, delta]: the coefficient of Z_gamma X_delta in every kernel
-        self._wphi = weights * phi
+        self._wphi = weights * conv.value_table(ctx)
         # stable[delta, t] = sum_gamma chi(gamma t) w[gamma, delta] phi[gamma, delta]
         self._stable = (ctx.char_matrix_c @ self._wphi).T
 
@@ -133,7 +147,7 @@ class KernelSet:
 
     def _psf(self, grid, provenance):
         return PhaseSpaceFunction(
-            n=self.ctx.n, s=self.s, grid=grid, convention=self.label,
+            n=self.ctx.n, s=self.s, grid=grid, convention=self.conv.name,
             convention_invariant=self.convention_invariant,
             fiducial=self.fiducial, provenance=provenance)
 
@@ -149,39 +163,9 @@ def coefficient_residual(ctx: FieldContext, coeffs: np.ndarray) -> float:
 
 
 def build_kernel(ctx: FieldContext, s: float, conv: PhaseConvention,
-                 fiducial: np.ndarray | None = None,
-                 mode: str | None = None) -> KernelSet:
-    """Construct the kernel set, checking the fiducial when s != 0.
-
-    ``mode`` ("dense" or "lazy") only selects which size cap applies; the
-    kernels are evaluated the same way in both.
-
-    Vanishing displacement overlaps are fatal only when the kernel has to
-    invert them (s > 0): the s = -1 family of coherent-state projectors is
-    well defined for any fiducial, it merely stops being informationally
-    complete.  The check result is attached as ``fiducial_report`` either
-    way.
-    """
-    require_operator_n(ctx)
-    caps = {"dense": MAX_DENSE_N, "lazy": MAX_LAZY_N}
-    mode = mode or ("dense" if ctx.n <= MAX_DENSE_N else "lazy")
-    if mode not in caps:
-        raise ConfigurationError(f"unknown kernel mode {mode!r}")
-    if ctx.n > caps[mode]:
-        raise ConfigurationError(f"{mode} kernels are capped at n <= {caps[mode]}")
-    report = None
-    if s != 0:
-        if fiducial is None:
-            fiducial = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
-        report = check_fiducial(ctx, conv, fiducial)
-        if s > 0 and not report.ok:
-            raise FiducialError(
-                f"fiducial has vanishing displacement overlaps (min {report.min_abs:.2e}) "
-                f"at points {report.violations[:4]}; cannot raise them to a "
-                f"negative power")
-    kernel = KernelSet(ctx, s, conv, fiducial)
-    kernel.fiducial_report = report
-    return kernel
+                 fiducial: np.ndarray | None = None) -> KernelSet:
+    """The checked kernel set; the same as ``KernelSet(ctx, s, conv, fiducial)``."""
+    return KernelSet(ctx, s, conv, fiducial)
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +202,9 @@ def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
     if abs(psf.s + kernel.s) > 1e-12:
         raise ConfigurationError(
             f"need the dual kernel: symbol has s = {psf.s}, kernel has s = {kernel.s}")
-    if psf.convention != kernel.label:
+    if psf.convention != kernel.conv.name:
         raise ConfigurationError(
-            f"convention mismatch: {psf.convention!r} vs {kernel.label!r}")
+            f"convention mismatch: {psf.convention!r} vs {kernel.conv.name!r}")
     if (kernel.s != 0 and psf.fiducial is not None and kernel.fiducial is not None
             and not np.allclose(psf.fiducial, kernel.fiducial)):
         raise ConfigurationError("fiducial mismatch between symbol and kernel")

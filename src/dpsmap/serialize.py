@@ -11,8 +11,8 @@ encoder (which is pure Python whenever ``indent`` is set).  The grid, the
 projection entries and the MUB bases are formatted from ``float.__repr__``
 lists, with JSON's ``NaN`` / ``Infinity`` / ``-Infinity`` tokens for values
 that are not finite, and spliced in at their top-level key.  CSV and
-gnuplot rows use the same ``float.__repr__`` text.  The readers are plain
-``json.loads``.
+gnuplot rows use the same ``float.__repr__`` text.  The one reader,
+``load_symbol``, is plain ``json.loads`` and dispatches on ``kind``.
 """
 
 from __future__ import annotations
@@ -109,8 +109,6 @@ def _to_gnuplot(sym: SymbolMeta, kind: str, columns: str, rows) -> str:
 
 def _from_record(record: dict, kind: str):
     """The symbol held by a parsed record of the given kind."""
-    if record.get("kind") != kind:
-        raise ConfigurationError(f"not a {kind}-symbol record")
     n = record["n"]
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
         raise ConfigurationError(f"record n must be an integer in 1..{MAX_N}, got {n!r}")
@@ -140,10 +138,6 @@ def _from_record(record: dict, kind: str):
 def psf_to_json(psf: PhaseSpaceFunction, config=None, constants=None) -> str:
     grid = _json_list(_pairs_json(psf.grid, 2), 1)
     return _to_json(psf, "grid", "grid", grid, config, constants)
-
-
-def psf_from_json(text: str) -> PhaseSpaceFunction:
-    return _from_record(json.loads(text), "grid")
 
 
 def _grid_rows(psf: PhaseSpaceFunction, labels: list, sep: str) -> list:
@@ -184,10 +178,6 @@ def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
                for key, pair in zip(keys, pairs)]
     return _to_json(proj, "projected", "entries", _json_list(entries, 1),
                     config, constants)
-
-
-def proj_from_json(text: str) -> ProjectedFunction:
-    return _from_record(json.loads(text), "projected")
 
 
 def _proj_rows(proj: ProjectedFunction, sep: str) -> list:

@@ -183,7 +183,7 @@ def check_kernel_invariance(kernel: KernelSet, tol: float = 1e-12) -> Invariance
             worst = dev
             if dev > tol:
                 witness = (i, j, 0, 0)
-    return InvarianceReport(kernel.label, ctx.n, len(pairs), worst, witness)
+    return InvarianceReport(kernel.conv.name, ctx.n, len(pairs), worst, witness)
 
 
 def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction,

@@ -187,9 +187,14 @@ def test_map_size_and_mode_rules(tmp_path, monkeypatch, capsys):
     # n = 5 falls back to the lazy path automatically for s = 0
     assert run("map", "--n", "5", "--state", "w", "--out", "big") == 0
     assert (tmp_path / "big.grid.json").exists()
-    assert run("map", "--n", "5", "--s", "-1", "--state", "w") == 2
-    assert run("map", "--n", "5", "--mode", "dense", "--state", "w") == 2
-    assert run("map", "--n", "6") == 2
+    capsys.readouterr()
+    for argv, line in ((("--n", "5", "--mode", "dense"), "dense kernels are capped at n <= 4"),
+                       (("--n", "5", "--s", "-1"), "lazy maps support s = 0 only"),
+                       (("--n", "3", "--mode", "lazy", "--s", "1"),
+                        "lazy maps support s = 0 only"),
+                       (("--n", "6"), "map is capped at n <= 5")):
+        assert run("map", *argv, "--state", "w") == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
     assert run("map", "--s", "0.5") == 2
     err = capsys.readouterr().err
     assert "error:" in err
@@ -204,9 +209,9 @@ def test_map_fiducial_gate(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "q.grid.json").exists()
 
 
-def test_plotdata_forces_gnuplot(tmp_path, monkeypatch):
+def test_map_gnuplot_grid_has_a_row_per_point(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert run("plotdata", "--n", "2", "--out", "pd") == 0
+    assert run("map", "--n", "2", "--format", "gnuplot", "--out", "pd") == 0
     text = (tmp_path / "pd.grid.dat").read_text()
     rows = [ln for ln in text.split("\n") if ln and not ln.startswith("#")]
     assert len(rows) == 16

@@ -298,6 +298,22 @@ def test_json_roundtrip():
     assert np.array_equal(restored.mul_table, ctx.mul_table)
 
 
+def test_stored_basis_is_used_without_a_search(monkeypatch):
+    """A stored basis that passes the Gram check is taken as it is; one that
+    fails it is refused."""
+    monkeypatch.setattr(FieldContext, "_find_selfdual_basis",
+                        lambda self: pytest.fail("searched for a basis"))
+    record = {"n": 4, "poly": 0b10011, "selfdual_basis": [9, 10, 12, 14]}
+    ctx = FieldContext.from_json_dict(record)
+    assert ctx.selfdual_basis == (9, 10, 12, 14)
+    assert np.array_equal(ctx.gram_matrix(), np.eye(4, dtype=np.int64))
+    assert FieldContext.from_json(ctx.to_json()).selfdual_basis == ctx.selfdual_basis
+    # not self-dual; out of range; -7 would index element 9 of the tables
+    for bad in ([1, 2, 4, 8], [99, 10, 12, 14], [-7, 10, 12, 14]):
+        with pytest.raises(ConfigurationError, match="self-duality"):
+            FieldContext.from_json_dict(dict(record, selfdual_basis=bad))
+
+
 def test_field_context_is_cached():
     assert field_context(4) is field_context(4)
 

@@ -176,7 +176,7 @@ def test_round_trip_lazy_mode():
     ctx = field_context(3)
     rng = np.random.default_rng(2)
     op = random_hermitian(8, rng)
-    k = build_kernel(ctx, 0.0, PERMINV, mode="lazy")
+    k = build_kernel(ctx, 0.0, PERMINV)
     assert np.max(np.abs(inverse_map(k, forward_map(k, op)) - op)) < 1e-10
 
 
@@ -324,20 +324,40 @@ def test_trace_convolution_matches_matrix_trace():
 
 def test_equatorial_fiducial_blocks_only_positive_s():
     """Vanishing overlaps make the P-side weights blow up; the Q side stays
-    well defined and just records the failed check."""
+    well defined and just records the failed check.  Both constructors
+    check."""
     ctx = field_context(2)
-    equatorial = spin_coherent(ctx, 1.0)
-    with pytest.raises(FiducialError):
-        build_kernel(ctx, 1.0, TOMO, fiducial=equatorial)
-    kq = build_kernel(ctx, -1.0, TOMO, fiducial=equatorial)
-    assert kq.fiducial_report is not None and not kq.fiducial_report.ok
-    assert kq.normalization_residual() < 1e-10
+    for fiducial in (spin_coherent(ctx, 1.0), logical_state(ctx, 0)):
+        kernels_q = []
+        for make in (KernelSet, build_kernel):
+            with pytest.raises(FiducialError, match="vanishing displacement overlaps"):
+                make(ctx, 1.0, TOMO, fiducial)
+            with pytest.raises(FiducialError):
+                make(ctx, 1.0, convention_from_name("plain"), fiducial)
+            kq = make(ctx, -1.0, TOMO, fiducial)
+            assert kq.fiducial_report is not None and not kq.fiducial_report.ok
+            assert kq.normalization_residual() < 1e-10
+            kernels_q.append(kq)
+        assert kernels_q[0]._wphi.tobytes() == kernels_q[1]._wphi.tobytes()
 
 
 def test_default_fiducial_passes_check():
     ctx = field_context(3)
-    k = build_kernel(ctx, 1.0, TOMO)
-    assert k.fiducial_report.ok
+    made = [make(ctx, 1.0, TOMO, None) for make in (KernelSet, build_kernel)]
+    for k in made:
+        assert k.fiducial_report.ok
+        assert np.array_equal(k.fiducial, spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA))
+        assert np.all(np.isfinite(k._wphi))
+    assert made[0]._wphi.tobytes() == made[1]._wphi.tobytes()
+    assert KernelSet(ctx, 0.0, TOMO).fiducial_report is None
+
+
+@pytest.mark.parametrize("s", (-1.0, 0.0, 1.0))
+def test_fiducial_of_the_wrong_length_is_refused(s):
+    ctx = field_context(3)
+    for fiducial in (spin_coherent(field_context(2), 0.5), np.ones(16) / 4):
+        with pytest.raises(ConfigurationError, match="fiducial must hold 8 amplitudes"):
+            KernelSet(ctx, s, TOMO, fiducial)
 
 
 def test_wigner_kernel_ignores_fiducial_weighting():
@@ -349,23 +369,19 @@ def test_wigner_kernel_ignores_fiducial_weighting():
 
 
 # ---------------------------------------------------------
-# mode and size caps
+# size cap
 # ---------------------------------------------------------
 
-def test_mode_validation():
-    ctx = field_context(2)
-    with pytest.raises(ConfigurationError):
-        build_kernel(ctx, 0.0, TOMO, mode="sparse")
-
-
 def test_dense_size_cap():
-    with pytest.raises(ConfigurationError):
-        build_kernel(field_context(5), 0.0, TOMO, mode="dense")
+    """The library's only kernel cap is the operator cap, n <= 6."""
+    for make in (KernelSet, build_kernel):
+        with pytest.raises(ConfigurationError, match="capped at n <= 6"):
+            make(field_context(7), 0.0, TOMO)
 
 
 def test_lazy_allows_larger_fields():
     ctx = field_context(5)
-    kern = build_kernel(ctx, 0.0, TOMO, mode="lazy")
+    kern = build_kernel(ctx, 0.0, TOMO)
     K = kern.at(3, 7)
     assert abs(np.trace(K) - 1) < 1e-12
     assert np.max(np.abs(K - K.conj().T)) < 1e-12

@@ -9,9 +9,9 @@ from dpsmap import (REFERENCE_IDS, ConfigurationError, PhaseSpaceFunction,
                     ProjectedFunction, build_kernel, convention_from_name,
                     diff_grids, diff_projected, field_context, forward_map,
                     ghz_state, load_symbol, mub_family, mub_to_json, project,
-                    proj_from_json, proj_to_csv, proj_to_gnuplot, proj_to_json,
-                    psf_from_json, psf_to_csv, psf_to_gnuplot, psf_to_json,
-                    r_factor, reference_symbol, spin_coherent, valid_triples)
+                    proj_to_csv, proj_to_gnuplot, proj_to_json, psf_to_csv,
+                    psf_to_gnuplot, psf_to_json, r_factor, reference_symbol,
+                    spin_coherent, valid_triples)
 from dpsmap._version import __version__
 from dpsmap.kernels import SymbolMeta
 
@@ -33,7 +33,7 @@ def sample_psf(n=2, s=-1.0):
 def test_grid_json_roundtrip_exact():
     _, psf = sample_psf()
     text = psf_to_json(psf, config={"n": 2}, constants={"c": [1.0, 0.0]})
-    back = psf_from_json(text)
+    back = load_symbol(text)
     assert back.n == psf.n and back.s == psf.s
     assert back.convention == psf.convention
     assert back.convention_invariant == psf.convention_invariant
@@ -82,13 +82,6 @@ def test_grid_gnuplot_blocks():
     assert all(len(ln.split()) == 4 for ln in data_lines)
 
 
-def test_grid_json_rejects_projected_record():
-    ctx, psf = sample_psf()
-    proj_text = proj_to_json(project(ctx, psf))
-    with pytest.raises(ConfigurationError):
-        psf_from_json(proj_text)
-
-
 # ---------------------------------------------------------
 # projected symbols
 # ---------------------------------------------------------
@@ -96,7 +89,7 @@ def test_grid_json_rejects_projected_record():
 def test_projected_json_roundtrip():
     ctx, psf = sample_psf()
     proj = project(ctx, psf)
-    back = proj_from_json(proj_to_json(proj))
+    back = load_symbol(proj_to_json(proj))
     assert back.n == proj.n and back.s == proj.s
     assert back.support() == proj.support()
     for key in proj.support():
@@ -134,11 +127,11 @@ def test_projected_gnuplot_has_all_rows():
 def test_diff_grid_zero_and_perturbed():
     _, psf = sample_psf()
     text = psf_to_json(psf)
-    rep = diff_grids(psf_from_json(text), psf_from_json(text))
+    rep = diff_grids(load_symbol(text), load_symbol(text))
     assert rep.kind == "grid"
     assert rep.max_deviation == 0.0
     assert rep.points == 16
-    other = psf_from_json(text)
+    other = load_symbol(text)
     other.grid[1, 2] += 0.5
     rep2 = diff_grids(psf, other)
     assert abs(rep2.max_deviation - 0.5) < 1e-12
@@ -194,9 +187,15 @@ def test_load_rejects_grid_shape_not_matching_n():
     """A 4x4 grid recorded with n = 3 (and the reverse) is not a symbol."""
     for n, q in ((3, 4), (2, 8)):
         psf = PhaseSpaceFunction(n=n, s=0.0, grid=np.zeros((q, q)), convention="plain")
-        for load in (load_symbol, psf_from_json):
-            with pytest.raises(ConfigurationError, match="grid must be"):
-                load(psf_to_json(psf))
+        with pytest.raises(ConfigurationError, match="grid must be"):
+            load_symbol(psf_to_json(psf))
+
+
+@pytest.mark.parametrize("text", ('{"kind": "grid"}', '{"kind": "projected", "n": 2}',
+                                  '{"kind": "mub"}', '[]'))
+def test_load_rejects_incomplete_records(text):
+    with pytest.raises(ConfigurationError):
+        load_symbol(text)
 
 
 @pytest.mark.parametrize("n", (0, 9, "3", True, None))

@@ -103,16 +103,14 @@ def test_orbit_index_matches_point_labels(n):
 
 
 def test_orbit_index_follows_a_new_basis():
-    """Installing another self-dual basis rebuilds the orbit labels."""
-    ctx = FieldContext(4)
-    before = ctx.orbit_index.copy()
-    ctx.selfdual_basis = (9, 10, 12, 14)
-    ctx._build_coord_tables()
-    assert np.array_equal(ctx.orbit_index, orbit_positions(ctx))
-    assert not np.array_equal(ctx.orbit_index, before)
+    """A context loaded with another self-dual basis labels its orbits in
+    that basis's coordinates."""
+    before = FieldContext(4).orbit_index
     loaded = FieldContext.from_json_dict({"n": 4, "poly": 0b10011,
                                           "selfdual_basis": [9, 10, 12, 14]})
-    assert np.array_equal(loaded.orbit_index, ctx.orbit_index)
+    assert loaded.selfdual_basis == (9, 10, 12, 14)
+    assert np.array_equal(loaded.orbit_index, orbit_positions(loaded))
+    assert not np.array_equal(loaded.orbit_index, before)
 
 
 def test_pair_counts_consistency():
