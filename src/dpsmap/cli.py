@@ -18,7 +18,7 @@ s = 0.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -36,17 +36,18 @@ MUB_SCHEMES = tuple(mubrot.SCHEMES)
 
 
 def parse_complex(text: str) -> complex:
-    """`re,im` or `mag@deg` (e.g. ``0.5@45``)."""
+    """`re,im` or `mag@deg` (e.g. ``0.5@45``), both parts finite."""
     text = text.strip()
+    polar = "@" in text
     try:
-        if "@" in text:
-            mag, deg = text.split("@")
-            return float(mag) * np.exp(1j * np.deg2rad(float(deg)))
-        re, im = text.split(",")
-        return complex(float(re), float(im))
-    except (ValueError, TypeError) as exc:
+        a, b = map(float, text.split("@" if polar else ","))
+    except ValueError as exc:
         raise ConfigurationError(
             f"cannot parse complex number {text!r}; use re,im or mag@deg") from exc
+    # checked before the arithmetic, which warns on infinities
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigurationError(f"complex number {text!r} is not finite")
+    return a * np.exp(1j * np.deg2rad(b)) if polar else complex(a, b)
 
 
 @dataclass
@@ -255,7 +256,7 @@ def cmd_verify(args) -> int:
     report = suites.run_suite(cfg.suite, cfg.n, cfg.seed)
     report["version"] = __version__
     report["config"] = asdict(cfg)
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = serialize._dumps(report)
     if cfg.out:
         _write(cfg.out, text + "\n")
     else:
@@ -272,7 +273,7 @@ def cmd_diff(args) -> int:
         report = serialize.diff_grids(sym_a, sym_b)
     else:
         report = serialize.diff_projected(sym_a, sym_b)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    print(serialize._dumps(report.to_dict()))
     return 0 if report.max_deviation <= args.tol else 1
 
 
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FiducialError, FileNotFoundError) as exc:
+    except (ConfigurationError, FiducialError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

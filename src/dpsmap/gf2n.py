@@ -211,14 +211,17 @@ class FieldContext:
     # -- orbits under simultaneous qubit permutations --------------------
 
     @cached_property
-    def _orbits(self) -> tuple[np.ndarray, np.ndarray]:
+    def _orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         hw, base = self.hweight_table, self.n + 1
         labels = (hw[:, None] * base + hw[None, :]) * base + hw[self.xor_grid]
         present = np.zeros(base ** 3, dtype=bool)
         present[labels] = True
         weights = np.stack(np.unravel_index(np.flatnonzero(present), (base,) * 3), axis=1)
         # a label's orbit number is its rank among the labels that occur
-        return (np.cumsum(present) - 1)[labels], weights
+        index = (np.cumsum(present) - 1)[labels]
+        flat = index.ravel()
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(flat))]).tolist()
+        return index, weights, np.argsort(flat, kind="stable"), bounds
 
     @property
     def orbit_index(self) -> np.ndarray:
@@ -234,6 +237,12 @@ class FieldContext:
     def orbit_weights(self) -> np.ndarray:
         """The (m, n, k) weights of every orbit, in lexicographic order."""
         return self._orbits[1]
+
+    @property
+    def orbit_runs(self) -> tuple[np.ndarray, list]:
+        """(order, bounds): ``grid.ravel()[order]`` holds the points of orbit
+        i, in row-major order, as the run ``bounds[i]:bounds[i + 1]``."""
+        return self._orbits[2:]
 
     # -- scalar operations ----------------------------------------------
 

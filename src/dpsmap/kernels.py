@@ -87,7 +87,7 @@ class KernelSet:
                     f"at points {report.violations[:4]}; cannot raise them to a "
                     f"negative power")
             self.fiducial_report = report
-            weights = displacement_overlaps(ctx, conv, fiducial) ** (-s)
+            weights = report.overlaps ** (-s)
         self.ctx = ctx
         self.s = s
         self.conv = conv

@@ -72,10 +72,15 @@ def w_state(ctx: FieldContext) -> np.ndarray:
 def spin_coherent(ctx: FieldContext, zeta: complex) -> np.ndarray:
     """Product state [(|0> + zeta|1>)/sqrt(1+|zeta|^2)]^(tensor n)."""
     require_operator_n(ctx)
-    q1 = np.array([1.0, zeta], dtype=complex) / math.sqrt(1.0 + abs(zeta) ** 2)
+    try:
+        norm = math.sqrt(1.0 + abs(zeta) ** 2)
+    except OverflowError:
+        raise ConfigurationError(
+            f"coherent-state parameter {zeta} is too large to normalize") from None
+    q1 = np.array([1.0, zeta], dtype=complex) / norm
     vec = q1
     for _ in range(ctx.n - 1):
-        vec = np.kron(vec, q1)
+        vec = np.multiply.outer(vec, q1).ravel()
     return vec
 
 
@@ -337,18 +342,22 @@ class FiducialReport:
     ok: bool
     min_abs: float
     violations: list = field(default_factory=list)
+    #: the checked table M[gamma, delta] = <ket| D(gamma, delta) |ket>
+    overlaps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def check_fiducial(ctx: FieldContext, conv: PhaseConvention, ket: np.ndarray,
                    tol: float = 1e-10) -> FiducialReport:
-    """All 4^n displacement overlaps must be nonzero for s = +-1 kernels."""
+    """All 4^n displacement overlaps must be finite and nonzero for s = +-1
+    kernels; the report keeps the table."""
     table = displacement_overlaps(ctx, conv, ket)
     mags = np.abs(table)
-    bad = np.argwhere(mags <= tol)
+    bad = np.argwhere(~(mags > tol) | np.isinf(mags))
     return FiducialReport(
         ok=bad.size == 0,
         min_abs=float(mags.min()),
         violations=[(int(g), int(d)) for g, d in bad[:16]],
+        overlaps=table,
     )
 
 

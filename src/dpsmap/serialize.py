@@ -5,20 +5,25 @@ integer order, with the self-dual coordinate strings included per CSV row.
 All writers sort keys and use shortest-round-trip float formatting, so a
 fixed configuration produces byte-identical files.
 
-JSON exports are byte for byte what ``json.dumps(record, sort_keys=True,
-indent=2)`` writes, but only the small metadata dict goes through the
-encoder (which is pure Python whenever ``indent`` is set).  The grid, the
-projection entries and the MUB bases are formatted from ``float.__repr__``
-lists, with JSON's ``NaN`` / ``Infinity`` / ``-Infinity`` tokens for values
-that are not finite, and spliced in at their top-level key.  CSV and
-gnuplot rows use the same ``float.__repr__`` text.  The one reader,
-``load_symbol``, is plain ``json.loads`` and dispatches on ``kind``.
+Every JSON output, the ``verify`` and ``diff`` reports included, is byte for
+byte what ``json.dumps(record, sort_keys=True, indent=2)`` writes, but none
+goes through that encoder, which is pure Python whenever ``indent`` is set;
+it survives only as the test oracle.  ``_dumps`` writes the plain values
+(str through the C ``encode_basestring_ascii``, floats as ``float.__repr__``
+with JSON's ``NaN`` / ``Infinity`` / ``-Infinity`` tokens) and a complex
+ndarray (a grid, a fiducial, a MUB basis) as nested ``[re, im]`` pairs from
+``float.__repr__`` lists; projection entries are formatted the same way and
+spliced in at their top-level key.  CSV and gnuplot rows use the same
+``float.__repr__`` text.  The one reader, ``load_symbol``, is plain
+``json.loads`` and dispatches on ``kind``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -69,36 +74,70 @@ def _pairs_json(values, depth: int) -> list:
     return items
 
 
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for the values dpsmap
+    writes, with the outermost bracket at nesting depth ``depth``.
+
+    Dict keys must be str.  A complex ndarray is written as its nested
+    ``[re, im]`` pairs, as the encoder writes ``[[z.real, z.imag], ...]``.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_NONFINITE.get(text, text)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (depth + 1)
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(obj[key], depth + 1)}"
+                 for key in sorted(obj)]
+        return f"{{{pad}{(',' + pad).join(items)}\n{'  ' * depth}}}"
+    if isinstance(obj, (list, tuple)):
+        return _json_list([_dumps(item, depth + 1) for item in obj], depth)
+    if isinstance(obj, np.ndarray):
+        return _json_list(_pairs_json(obj, depth + 1), depth)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _pair_lists(z: np.ndarray) -> list:
+    """A complex array as the nested ``[re, im]`` lists the encoder writes."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
 def _metadata(sym: SymbolMeta, config=None, constants=None) -> dict:
     record = {f.name: getattr(sym, f.name) for f in fields(SymbolMeta)}
     if sym.fiducial is not None:
-        fid = np.asarray(sym.fiducial, dtype=complex)
-        record["fiducial"] = np.column_stack([fid.real, fid.imag]).tolist()
+        record["fiducial"] = np.asarray(sym.fiducial, dtype=complex)
     record.update(version=__version__, config=config, constants=constants)
     return record
 
 
 def _splice(record: dict, key: str, body: str) -> str:
-    """``json.dumps(record, sort_keys=True, indent=2)`` plus a newline, with
-    the top-level ``key`` holding the preformatted JSON text ``body``.
+    """``_dumps(record)`` plus a newline, with the top-level ``key`` holding
+    the preformatted JSON text ``body``.
 
     The key's line is the only place where a newline, two spaces and an
     unescaped quote meet: nested keys sit deeper and JSON escapes every
     newline and quote inside a string value.
     """
-    marker = f"\n  {json.dumps(key)}: "
-    text = json.dumps({**record, key: None}, sort_keys=True, indent=2)
-    head, _, tail = text.partition(marker + "null")
+    marker = f"\n  {encode_basestring_ascii(key)}: "
+    head, _, tail = _dumps({**record, key: None}).partition(marker + "null")
     return f"{head}{marker}{body}{tail}\n"
-
-
-def _to_json(sym: SymbolMeta, kind: str, key: str, body: str, config, constants) -> str:
-    return _splice(dict(_metadata(sym, config, constants), kind=kind), key, body)
 
 
 def _to_csv(sym: SymbolMeta, header: str, rows, config, constants) -> str:
     meta = _metadata(sym, config, constants)
-    lines = [f"# {key}: {json.dumps(meta[key], sort_keys=True)}" for key in sorted(meta)]
+    lines = [f"# {key}: {json.dumps(meta[key], sort_keys=True, default=_pair_lists)}"
+             for key in sorted(meta)]
     return "\n".join([*lines, header, *rows]) + "\n"
 
 
@@ -136,8 +175,8 @@ def _from_record(record: dict, kind: str):
 # ----------------------------------------------------------------------
 
 def psf_to_json(psf: PhaseSpaceFunction, config=None, constants=None) -> str:
-    grid = _json_list(_pairs_json(psf.grid, 2), 1)
-    return _to_json(psf, "grid", "grid", grid, config, constants)
+    record = dict(_metadata(psf, config, constants), kind="grid", grid=np.asarray(psf.grid))
+    return _dumps(record) + "\n"
 
 
 def _grid_rows(psf: PhaseSpaceFunction, labels: list, sep: str) -> list:
@@ -170,14 +209,30 @@ def psf_to_gnuplot(psf: PhaseSpaceFunction) -> str:
 # projected symbols
 # ----------------------------------------------------------------------
 
+def _entry_frame(n: int, key) -> tuple[str, str]:
+    """The JSON text of the entry ``[[m, n, k], [re, im], R]`` before and
+    after its value pair, at the depth ``proj_to_json`` writes it."""
+    pad = "\n" + "  " * 3
+    return (f"[{pad}{_json_list(list(map(str, key)), 3)},{pad}",
+            f",{pad}{r_factor(n, *key)}\n    ]")
+
+
+@lru_cache(maxsize=None)
+def _entry_frames(n: int) -> dict:
+    """``_entry_frame`` of every (m, n, k) orbit of n qubits."""
+    return {key: _entry_frame(n, key) for key in valid_triples(n)}
+
+
 def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
     keys = sorted(proj.entries)
     pairs = _pairs_json([proj.entries[key] for key in keys], 3)
-    entries = [_json_list([_json_list(list(map(str, key)), 3), pair,
-                           str(r_factor(proj.n, *key))], 2)
-               for key, pair in zip(keys, pairs)]
-    return _to_json(proj, "projected", "entries", _json_list(entries, 1),
-                    config, constants)
+    frames = _entry_frames(proj.n)
+    entries = []
+    for key, pair in zip(keys, pairs):
+        head, tail = frames.get(key) or _entry_frame(proj.n, key)
+        entries.append(head + pair + tail)
+    return _splice(dict(_metadata(proj, config, constants), kind="projected"),
+                   "entries", _json_list(entries, 1))
 
 
 def _proj_rows(proj: ProjectedFunction, sep: str) -> list:
@@ -260,9 +315,7 @@ def load_symbol(text: str):
 
 def mub_to_json(family, config=None) -> str:
     """A MUB family as JSON arrays of amplitude pairs, one list per basis."""
-    bases = {"vertical" if slope is None else str(slope): _json_list(_pairs_json(states, 3), 2)
+    bases = {"vertical" if slope is None else str(slope): np.asarray(states)
              for slope, states in family.bases.items()}
-    body = ",".join(f"\n    {json.dumps(key)}: {bases[key]}" for key in sorted(bases))
-    record = {"version": __version__, "kind": "mub", "n": family.ctx.n,
-              "scheme": family.scheme, "config": config}
-    return _splice(record, "bases", "{" + body + "\n  }" if bases else "{}")
+    return _dumps({"version": __version__, "kind": "mub", "n": family.ctx.n,
+                   "scheme": family.scheme, "config": config, "bases": bases}) + "\n"

@@ -106,12 +106,11 @@ def project(ctx: FieldContext, psf: PhaseSpaceFunction) -> ProjectedFunction:
     if grid.shape != (q, q):
         raise ConfigurationError(f"grid must be {q}x{q} for n = {ctx.n}")
     # each orbit's values as one contiguous run in row-major order, so every
-    # np.sum adds the same numbers in the same order as a boolean mask would
-    orbit = ctx.orbit_index.ravel()
-    runs = np.split(grid.ravel()[np.argsort(orbit, kind="stable")],
-                    np.cumsum(np.bincount(orbit))[:-1])
+    # sum adds the same numbers in the same order as a boolean mask would
+    order, bounds = ctx.orbit_runs
+    flat = grid.ravel()[order]
     keys = map(tuple, ctx.orbit_weights.tolist())
-    entries = {t: complex(np.sum(run)) for t, run in zip(keys, runs)}
+    entries = {t: complex(flat[a:b].sum()) for t, a, b in zip(keys, bounds, bounds[1:])}
     return ProjectedFunction(
         n=ctx.n, s=psf.s, entries=entries, convention=psf.convention,
         convention_invariant=psf.convention_invariant, fiducial=psf.fiducial,

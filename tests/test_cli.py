@@ -41,6 +41,9 @@ def test_parse_complex_forms():
     for bad in ("", "1;2", "abc", "1@2@3"):
         with pytest.raises(ConfigurationError):
             parse_complex(bad)
+    for bad in ("nan,0", "0,-inf", "1e309@0", "1@nan", "inf@45"):
+        with pytest.raises(ConfigurationError, match="is not finite"):
+            parse_complex(bad)
 
 
 def test_runconfig_validation():
@@ -207,6 +210,36 @@ def test_map_fiducial_gate(tmp_path, monkeypatch, capsys):
     assert "fiducial" in capsys.readouterr().err
     assert run("map", "--s", "-1", "--fiducial", "1@0", "--out", "q") == 0
     assert (tmp_path / "q.grid.json").exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--s", "1", "--fiducial", "nan,0"), "complex number 'nan,0' is not finite"),
+    (("--s", "-1", "--fiducial", "1e309@0"), "complex number '1e309@0' is not finite"),
+    (("--state", "coherent", "--zeta", "0,inf"), "complex number '0,inf' is not finite"),
+    (("--s", "1", "--fiducial", "1e308,1e308"),
+     "coherent-state parameter (1e+308+1e+308j) is too large to normalize"),
+    (("--state", "coherent", "--zeta", "1e200,0"),
+     "coherent-state parameter (1e+200+0j) is too large to normalize"),
+])
+def test_map_bad_complex_parameters_are_one_error_line(tmp_path, monkeypatch, capsys,
+                                                       argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--n", "2", *argv) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("map", "--state", "@sub"), ("map", "--config", "sub"),
+                                  ("diff", "sub", "x.grid.json"),
+                                  ("diff", "x.grid.json", "sub")])
+def test_directory_inputs_are_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--out", "x") == 0
+    (tmp_path / "sub").mkdir()
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'sub'" in err and err.count("\n") == 1
 
 
 def test_map_gnuplot_grid_has_a_row_per_point(tmp_path, monkeypatch):

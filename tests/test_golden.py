@@ -1,11 +1,13 @@
 # tests/test_golden.py
-"""`map` and `mub` exports compared byte for byte with files kept under
-tests/data.
+"""`map` and `mub` exports and `verify` and `diff` reports compared byte for
+byte with files kept under tests/data.
 
 The files pin float formatting, key order, row order and the embedded
-config of grid, projection and MUB exports.  Each was written by the command
-the test reruns, from inside tests/data; a change of `__version__` changes
-every file and means writing them again the same way.
+config of grid, projection and MUB exports, and the layout of the JSON
+reports.  Each was written by the command the test reruns, from inside
+tests/data (a report is that command's standard output); a change of
+`__version__` changes every file but the `diff` reports and means writing
+them again the same way.
 """
 from pathlib import Path
 
@@ -44,3 +46,20 @@ def test_mub_export_matches_golden_file(tmp_path, monkeypatch, n, scheme):
     name = f"n{n}-{scheme}.mub.json"
     assert main(["mub", "--n", str(n), "--scheme", scheme, "--out", name]) == 0
     assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+REPORTS = [
+    ("verify-all-n3-seed0.json", ("verify", "--suite", "all", "--n", "3", "--seed", "0"), 0),
+    ("verify-kernel-n4.json", ("verify", "--suite", "kernel", "--n", "4"), 0),
+    ("diff-grid.json", ("diff", "n3-tomographic-p1-s0.grid.json",
+                        "n3-perminv-f0-s-1.grid.json"), 1),
+    ("diff-proj.json", ("diff", "n3-tomographic-p1-s0.proj.json",
+                        "n3-perminv-f0-s-1.proj.json"), 1),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", REPORTS)
+def test_report_matches_golden_file(monkeypatch, capsys, name, argv, code):
+    monkeypatch.chdir(DATA)
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes(), name

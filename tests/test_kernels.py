@@ -5,7 +5,7 @@ builder beyond the displacement definition itself."""
 import numpy as np
 import pytest
 
-from dpsmap import kernels
+from dpsmap import kernels, pauli
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FiducialError,
                     KernelSet, all_lines, build_kernel, convention_from_name,
                     convolution_prefactor, displacement, field_context,
@@ -350,6 +350,37 @@ def test_default_fiducial_passes_check():
         assert np.all(np.isfinite(k._wphi))
     assert made[0]._wphi.tobytes() == made[1]._wphi.tobytes()
     assert KernelSet(ctx, 0.0, TOMO).fiducial_report is None
+
+
+@pytest.mark.parametrize("s", (-1.0, 1.0))
+def test_one_overlap_table_per_kernel(monkeypatch, s):
+    """The table check_fiducial computed is the one the weights come from."""
+    tables = []
+
+    def counting(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    real = pauli.displacement_overlaps
+    monkeypatch.setattr(pauli, "displacement_overlaps", counting)
+    monkeypatch.setattr(kernels, "displacement_overlaps", counting)
+    ctx = field_context(3)
+    for conv in (TOMO, PERMINV):
+        tables.clear()
+        kern = KernelSet(ctx, s, conv)
+        assert len(tables) == 1
+        assert kern.fiducial_report.overlaps is tables[0]
+        wphi = real(ctx, conv, kern.fiducial) ** (-s) * conv.value_table(ctx)
+        assert kern._wphi.tobytes() == wphi.tobytes()
+
+
+def test_non_finite_fiducial_blocks_positive_s():
+    ctx = field_context(2)
+    for bad in (np.nan, np.inf):
+        fiducial = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+        fiducial[1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(FiducialError):
+            KernelSet(ctx, 1.0, TOMO, fiducial)
 
 
 @pytest.mark.parametrize("s", (-1.0, 0.0, 1.0))

@@ -64,6 +64,23 @@ def test_spin_coherent_limits_and_norm():
         assert abs(np.linalg.norm(ket) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spin_coherent_is_bitwise_the_kron_loop(n):
+    ctx = field_context(n)
+    for zeta in (0.3, 0.5 * np.exp(1j * np.pi / 4), 2.0 - 1.0j, 1e-200j):
+        q1 = np.array([1.0, zeta], dtype=complex) / np.sqrt(1.0 + abs(zeta) ** 2)
+        ref = q1
+        for _ in range(n - 1):
+            ref = np.kron(ref, q1)
+        assert spin_coherent(ctx, zeta).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("zeta", (complex(1e308, 1e308), 1e200, -1e155j))
+def test_spin_coherent_too_large_to_normalize(zeta):
+    with pytest.raises(ConfigurationError, match="too large to normalize"):
+        spin_coherent(field_context(2), zeta)
+
+
 def test_spin_coherent_is_product_state():
     """Amplitudes factor as zeta^(bit count) over the normalization."""
     ctx = field_context(2)
@@ -351,6 +368,20 @@ def test_fiducial_check_default_ok_equatorial_not():
     bad = check_fiducial(ctx, c, spin_coherent(ctx, 1.0))
     assert not bad.ok
     assert bad.violations  # at least one vanishing overlap reported
+
+
+def test_fiducial_check_counts_non_finite_overlaps():
+    ctx = field_context(2)
+    c = conv("tomographic-p1")
+    for bad in (np.nan, np.inf, -np.inf):
+        ket = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+        ket[2] = bad
+        with np.errstate(invalid="ignore"):
+            report = check_fiducial(ctx, c, ket)
+        assert not report.ok
+        mags = np.abs(report.overlaps)
+        expect = np.argwhere(~np.isfinite(mags) | (mags <= 1e-10))
+        assert report.violations == [tuple(map(int, p)) for p in expect[:16]]
 
 
 # ---------------------------------------------------------

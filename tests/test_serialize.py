@@ -14,6 +14,7 @@ from dpsmap import (REFERENCE_IDS, ConfigurationError, PhaseSpaceFunction,
                     spin_coherent, valid_triples)
 from dpsmap._version import __version__
 from dpsmap.kernels import SymbolMeta
+from dpsmap.serialize import _dumps
 
 PERMINV = convention_from_name("perminv-f0")
 
@@ -410,3 +411,41 @@ def test_placeholder_text_in_strings_and_nested_keys(tag):
     assert load_symbol(proj_to_json(proj, config)).provenance == provenance
     family = mub_family(ctx, "graph+")
     assert mub_to_json(family, config) == oracle_mub_json(family, config)
+
+
+# ---------------------------------------------------------
+# the indent-2 writer against the encoder
+# ---------------------------------------------------------
+
+DUMPS_VALUES = [
+    None, True, False, 0, 1, -1, 2 ** 80, -(3 ** 60),
+    0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 1e16, 5e-324, -1e-310, 1 / 3, 1e300,
+    np.float64(0.1), np.float64(-np.inf),
+    "", "plain", "caf\u00e9 \u6f22 \U0001f600", "\x00\x1f\t\n\"\\/\x7f",
+    [], {}, [[]], [{}], {"a": {}}, {"a": []},
+    [1, "x", None, [2.5, [True, False]], {"k": [], "j": {"i": -0.0}}],
+    {"b": 1, "a": [False, 1], "\u00e9": None, "": {"z": [{}], "y": np.nan}},
+    (1, (2.0, "t")),
+]
+
+
+@pytest.mark.parametrize("value", DUMPS_VALUES)
+def test_dumps_matches_the_encoder(value):
+    for obj in (value, [value], {"nested": {"deeper": [value, value]}}):
+        assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_dumps_writes_complex_arrays_as_pairs():
+    fiducial = np.array([0.5 + 0.5j, complex(-0.0, 1e-310), complex(np.nan, -np.inf),
+                         complex(1e16, 5e-324)])
+    record = {"fiducial": fiducial, "grid": special_grid(), "empty": np.zeros(0, complex),
+              "cube": special_grid().reshape(2, 2, 4)}
+    oracle = {key: np.vectorize(_oracle_pair, otypes=[object])(z).tolist()
+              for key, z in record.items()}
+    assert _dumps(record) == json.dumps(oracle, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), 1j, object(), {1: 2}])
+def test_dumps_refuses_what_dpsmap_does_not_write(value):
+    with pytest.raises(TypeError):
+        _dumps(value)

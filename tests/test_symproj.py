@@ -179,6 +179,17 @@ def test_project_is_bitwise_the_mask_sum(n):
         assert project(ctx, psf).entries == project_by_masks(ctx, grid)
 
 
+def test_project_runs_follow_a_new_basis():
+    """The cached orbit runs of a context loaded with another self-dual
+    basis group its own orbits."""
+    loaded = FieldContext.from_json_dict({"n": 4, "poly": 0b10011,
+                                          "selfdual_basis": [9, 10, 12, 14]})
+    grid = np.random.default_rng(4).normal(size=(16, 16)) * (1 + 1j)
+    psf = PhaseSpaceFunction(n=4, s=0.0, grid=grid, convention="plain")
+    assert project(loaded, psf).entries == project_by_masks(loaded, grid)
+    assert project(loaded, psf).entries != project(field_context(4), psf).entries
+
+
 def test_project_rejects_wrong_grid():
     ctx = field_context(2)
     kern = build_kernel(ctx, 0.0, PERMINV)
