@@ -6,7 +6,20 @@ with forward/inverse transforms, MUB/rotation-operator constructions, the
 line-sum (tomographic) machinery, and projections onto the symmetric
 (m, n, k) measurement space — including the constructive witness that the
 tomographic condition and permutation invariance are incompatible.
+
+Every matrix dpsmap multiplies is at most 64 x 64, where BLAS threads only
+add wake-up latency.  So when numpy is not imported yet and none of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set, importing
+dpsmap sets all three to 1; a process that set one of them, or imported
+numpy first, keeps its own BLAS threads.
 """
+
+import os
+import sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 from ._version import __version__
 from .errors import ConfigurationError, FiducialError

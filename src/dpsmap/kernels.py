@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FiducialError
 from .gf2n import FieldContext
-from .mubrot import VERTICAL, LineSpec, MubFamily, all_lines, line_point_table
+from .mubrot import VERTICAL, LineSpec, MubFamily, line_at, line_point_table
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
                     check_fiducial, displacement_overlaps, require_operator_n,
                     spin_coherent)
@@ -80,6 +80,8 @@ class KernelSet:
         self.fiducial_report = None
         weights = 1
         if s != 0:
+            if not np.isfinite(fiducial).all():
+                raise FiducialError("fiducial amplitudes are not finite")
             report = check_fiducial(ctx, conv, fiducial)
             if s > 0 and not report.ok:
                 raise FiducialError(
@@ -94,21 +96,27 @@ class KernelSet:
         self.fiducial = fiducial
         # wphi[gamma, delta]: the coefficient of Z_gamma X_delta in every kernel
         self._wphi = weights * conv.value_table(ctx)
-        # stable[delta, t] = sum_gamma chi(gamma t) w[gamma, delta] phi[gamma, delta]
-        self._stable = (ctx.char_matrix_c @ self._wphi).T
+        # stable[delta, t] = sum_gamma chi(gamma t) w[gamma, delta] phi[gamma, delta],
+        # both axes permuted to Hilbert-space basis order
+        basis = ctx.element_of_index
+        self._stable = (ctx.char_matrix_c @ self._wphi).T[np.ix_(basis, basis)]
 
     # -- access -----------------------------------------------------------
 
-    def at(self, alpha: int, beta: int) -> np.ndarray:
+    def at(self, alpha, beta) -> np.ndarray:
+        """Delta(alpha, beta); a (..., q, q) stack over the broadcast shape
+        of index arrays."""
         ctx = self.ctx
         q = ctx.order
-        xg = ctx.xor_grid
-        chi_a = ctx.char_matrix_c[alpha]
-        bmu = (np.arange(q) ^ beta)[:, None]
-        vals = chi_a[xg] * self._stable[xg, bmu] / q
-        out = np.empty((q, q), dtype=complex)
-        out[ctx.index_table[:, None], ctx.index_table[None, :]] = vals
-        return out
+        alpha, beta = np.broadcast_arrays(alpha, beta)
+        # the basis index is linear over GF(2), so in basis order entry (r, c)
+        # is chi(alpha d) stable[d, e] / q at d = r ^ c and e = r ^ index(beta)
+        chi_a = ctx.char_matrix_c[alpha.reshape(-1)][:, ctx.element_of_index]
+        tab = chi_a[:, :, None] * self._stable
+        tab /= q
+        rows = np.arange(q) ^ ctx.index_table[beta.reshape(-1, 1)]
+        out = tab[np.arange(len(tab))[:, None, None], ctx.xor_grid, rows[:, :, None]]
+        return out.reshape(alpha.shape + (q, q))
 
     def points(self):
         q = self.ctx.order
@@ -174,19 +182,25 @@ def build_kernel(ctx: FieldContext, s: float, conv: PhaseConvention,
 
 def forward_map(kernel: KernelSet, op: np.ndarray,
                 provenance: str = "") -> PhaseSpaceFunction:
-    """Symbol W_f(alpha, beta) = Tr[f Delta^(s)(alpha, beta)]."""
+    """Symbol W_f(alpha, beta) = Tr[f Delta^(s)(alpha, beta)].
+
+    A (..., q, q) stack of operators gives one symbol whose grid is
+    stacked the same way; only the suites' batch checks use that.
+    """
     ctx = kernel.ctx
     q = ctx.order
     op = np.asarray(op, dtype=complex)
-    if op.shape != (q, q):
+    if op.shape[-2:] != (q, q):
         raise ValueError(f"operator must be {q}x{q}")
     a_idx = ctx.index_table
-    # monomial traces Tr[f D(gamma, delta)] via one character transform
-    v = op[a_idx[ctx.xor_grid], a_idx[None, :]]              # v[delta, mu]
-    t = v @ ctx.char_matrix_c                                # t[delta, gamma]
-    f_tab = kernel._wphi * t.T
-    grid = (ctx.char_matrix_c @ f_tab @ ctx.char_matrix_c).T / q
-    return kernel._psf(grid, provenance)
+    c = ctx.char_matrix_c
+    # monomial traces Tr[f D(gamma, delta)] via one character transform; each
+    # stage replaces the last, so a stack's earlier stages are freed early
+    t = op[..., a_idx[ctx.xor_grid], a_idx[None, :]]         # [delta, mu]
+    t = t @ c                                                # [delta, gamma]
+    t = kernel._wphi * t.swapaxes(-1, -2)
+    t = (c @ t @ c).swapaxes(-1, -2) / q
+    return kernel._psf(t, provenance)
 
 
 def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
@@ -206,6 +220,7 @@ def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
         raise ConfigurationError(
             f"convention mismatch: {psf.convention!r} vs {kernel.conv.name!r}")
     if (kernel.s != 0 and psf.fiducial is not None and kernel.fiducial is not None
+            and psf.fiducial is not kernel.fiducial
             and not np.allclose(psf.fiducial, kernel.fiducial)):
         raise ConfigurationError("fiducial mismatch between symbol and kernel")
     w = np.asarray(psf.grid, dtype=complex)
@@ -330,7 +345,7 @@ def tomographic_check(kernel: KernelSet, rho: np.ndarray,
     Every line sum of W_rho (``line_marginal``) is compared with the Born
     probability <psi|rho|psi> of the line's state in ``family``; the result
     is the line with the largest deviation, the first in ``all_lines``
-    order on ties.
+    order on ties; its ``LineSpec`` is the only one built.
     """
     ctx = kernel.ctx
     rho = np.asarray(rho, dtype=complex)
@@ -344,5 +359,5 @@ def tomographic_check(kernel: KernelSet, rho: np.ndarray,
                        for state in family.bases[slope]])
     rhs = np.sum((states.conj() @ rho) * states, axis=1)
     worst = int(np.argmax(np.abs(lhs - rhs)))
-    return TomographicCheckResult(list(all_lines(ctx))[worst], complex(lhs[worst]),
+    return TomographicCheckResult(line_at(ctx, worst), complex(lhs[worst]),
                                   complex(rhs[worst]))

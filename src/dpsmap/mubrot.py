@@ -72,6 +72,14 @@ def all_lines(ctx: FieldContext):
         yield LineSpec(VERTICAL, nu)
 
 
+def line_at(ctx: FieldContext, row: int) -> LineSpec:
+    """Line ``row`` of ``all_lines``: slope row // q (q stands for the
+    vertical pencil) and intercept row % q."""
+    q = ctx.order
+    slope, nu = divmod(int(row), q)
+    return LineSpec(VERTICAL if slope == q else slope, nu)
+
+
 def line_point_table(ctx: FieldContext) -> np.ndarray:
     """Flat grid indices a q + b of every line's points, shape (q(q+1), q).
 
@@ -112,6 +120,22 @@ def dual_basis_matrix(ctx: FieldContext) -> np.ndarray:
 # rotation coefficients
 # ----------------------------------------------------------------------
 
+def recurrence_holds(ctx: FieldContext, xi, exponents) -> np.ndarray:
+    """Whether c = i^exponents solves the recurrence on slope xi, exactly.
+
+    ``exponents`` is (..., q) and ``xi`` broadcasts against its leading
+    axes: one bool per leading index, from one int8 residual
+    e[kappa + alpha] - e[kappa] - e[alpha] - 2 tr(xi alpha kappa) mod 4.
+    """
+    e = np.mod(exponents, 4).astype(np.int8)
+    trace_form = ctx.trace_table[ctx.mul_table].astype(np.int8)   # tr(x y)
+    resid = e[..., ctx.xor_grid]
+    resid -= e[..., :, None]
+    resid -= e[..., None, :]
+    resid -= 2 * trace_form[xi][..., ctx.mul_table]
+    return ~(resid % 4).any(axis=(-2, -1))
+
+
 @dataclass
 class RotationCoefficients:
     """Coefficients c_kappa = i^exponents[kappa] for one slope xi."""
@@ -125,10 +149,23 @@ class RotationCoefficients:
 
     def verify(self, ctx: FieldContext) -> bool:
         """Exact integer check of the recurrence for all (kappa, alpha)."""
-        e = np.mod(self.exponents, 4)
-        tr = ctx.trace_table[ctx.mul_table[self.xi, ctx.mul_table]]
-        resid = (e[ctx.xor_grid] - e[:, None] - e[None, :] - 2 * tr) % 4
-        return not resid.any()
+        return bool(recurrence_holds(ctx, self.xi, self.exponents))
+
+
+def _line_coefficients(ctx: FieldContext, conv: PhaseConvention,
+                       slopes) -> list[RotationCoefficients]:
+    """c_kappa = phi(kappa, xi kappa) for every slope, checked in one residual."""
+    slopes = np.asarray(slopes, dtype=np.int64)
+    if (slopes == 0).any():
+        raise ConfigurationError("slope 0 is the logical basis; no rotation needed")
+    rows = conv.exponent_table(ctx)[np.arange(ctx.order), ctx.mul_table[slopes]]
+    ok = recurrence_holds(ctx, slopes, rows)
+    if not ok.all():
+        raise ConfigurationError(
+            f"{conv.name} does not satisfy the rotation recurrence on slope "
+            f"{slopes[np.argmin(ok)]}")
+    return [RotationCoefficients(int(xi), row, provenance=f"from-phase[{conv.name}]")
+            for xi, row in zip(slopes, rows)]
 
 
 def coeffs_from_phase(ctx: FieldContext, conv: PhaseConvention,
@@ -138,15 +175,7 @@ def coeffs_from_phase(ctx: FieldContext, conv: PhaseConvention,
     Valid only when the convention solves the tomographic relation on the
     slope-xi line; the recurrence is verified and failure raises.
     """
-    if xi == 0:
-        raise ConfigurationError("slope 0 is the logical basis; no rotation needed")
-    kappa = np.arange(ctx.order, dtype=np.int64)
-    exps = conv.exponent_table(ctx)[kappa, ctx.mul_table[xi]]
-    coeffs = RotationCoefficients(xi, exps, provenance=f"from-phase[{conv.name}]")
-    if not coeffs.verify(ctx):
-        raise ConfigurationError(
-            f"{conv.name} does not satisfy the rotation recurrence on slope {xi}")
-    return coeffs
+    return _line_coefficients(ctx, conv, [xi])[0]
 
 
 # ----------------------------------------------------------------------
@@ -228,9 +257,9 @@ def mub_family(ctx: FieldContext, scheme: str = "p1") -> MubFamily:
     conv = convention_from_name(SCHEMES[scheme])
     dual = dual_basis_matrix(ctx)
     bases = {0: [logical_state(ctx, nu) for nu in ctx.elements()]}
-    for xi in range(1, ctx.order):
-        # coeffs_from_phase has checked the recurrence; build_V would again
-        bases[xi] = _columns(ctx, _rotation(dual, coeffs_from_phase(ctx, conv, xi)))
+    # the recurrence is checked here for every slope; build_V would again
+    for coeffs in _line_coefficients(ctx, conv, range(1, ctx.order)):
+        bases[coeffs.xi] = _columns(ctx, _rotation(dual, coeffs))
     bases[VERTICAL] = [dual_basis_state(ctx, k) for k in ctx.elements()]
     fam = MubFamily(ctx, scheme, bases)
     fam.validate()

@@ -88,22 +88,36 @@ def spin_coherent(ctx: FieldContext, zeta: complex) -> np.ndarray:
 # Pauli monomials
 # ----------------------------------------------------------------------
 
-def build_Z(ctx: FieldContext, alpha: int) -> np.ndarray:
-    """Z_alpha = sum_kappa chi(alpha kappa) |kappa><kappa|."""
-    require_operator_n(ctx)
-    diag = np.empty(ctx.order, dtype=complex)
-    diag[ctx.index_table] = ctx.chi_table[ctx.mul_table[alpha]]
-    return np.diag(diag)
+def _monomials(ctx: FieldContext, gamma, delta, conv=None) -> np.ndarray:
+    """Z_gamma X_delta, times phi(gamma, delta) when a convention is given.
 
-
-def build_X(ctx: FieldContext, beta: int) -> np.ndarray:
-    """X_beta |kappa> = |kappa + beta>."""
+    Column kappa holds one entry, chi(gamma (kappa + delta)) in row
+    kappa + delta.  Ints give one q x q operator, index arrays a stack over
+    their broadcast shape.
+    """
     require_operator_n(ctx)
+    gamma, delta = np.broadcast_arrays(gamma, delta)
     q = ctx.order
-    mat = np.zeros((q, q), dtype=complex)
     k = np.arange(q)
-    mat[ctx.index_table[k ^ beta], ctx.index_table[k]] = 1.0
-    return mat
+    g, d = gamma.reshape(-1, 1), delta.reshape(-1, 1)
+    moved = k ^ d                                            # (P, q)
+    vals = ctx.chi_table[ctx.mul_table[g, moved]]
+    if conv is not None:
+        vals = I4[conv.exponent_table(ctx)[g, d]] * vals
+    out = np.zeros((len(moved), q, q), dtype=complex)
+    out[np.arange(len(moved))[:, None], ctx.index_table[moved], ctx.index_table[k]] = vals
+    return out.reshape(gamma.shape + (q, q))
+
+
+def build_Z(ctx: FieldContext, alpha) -> np.ndarray:
+    """Z_alpha = sum_kappa chi(alpha kappa) |kappa><kappa|; a stack for an
+    index array."""
+    return _monomials(ctx, alpha, 0)
+
+
+def build_X(ctx: FieldContext, beta) -> np.ndarray:
+    """X_beta |kappa> = |kappa + beta>; a stack for an index array."""
+    return _monomials(ctx, 0, beta)
 
 
 # ----------------------------------------------------------------------
@@ -314,17 +328,10 @@ def convention_from_name(name: str) -> PhaseConvention:
 # displacements and fiducials
 # ----------------------------------------------------------------------
 
-def displacement(ctx: FieldContext, conv: PhaseConvention,
-                 gamma: int, delta: int) -> np.ndarray:
-    """D(gamma, delta) = phi(gamma, delta) Z_gamma X_delta."""
-    require_operator_n(ctx)
-    q = ctx.order
-    k = np.arange(q)
-    rows = ctx.index_table[k ^ delta]
-    vals = conv.value(ctx, gamma, delta) * ctx.chi_table[ctx.mul_table[gamma, k ^ delta]]
-    mat = np.zeros((q, q), dtype=complex)
-    mat[rows, ctx.index_table[k]] = vals
-    return mat
+def displacement(ctx: FieldContext, conv: PhaseConvention, gamma, delta) -> np.ndarray:
+    """D(gamma, delta) = phi(gamma, delta) Z_gamma X_delta; a stack over
+    the broadcast shape of index arrays."""
+    return _monomials(ctx, gamma, delta, conv)
 
 
 def displacement_overlaps(ctx: FieldContext, conv: PhaseConvention,
@@ -395,21 +402,25 @@ def permutation_op(ctx: FieldContext, i: int, j: int) -> np.ndarray:
 
 
 def symmetrize(ctx: FieldContext, op: np.ndarray) -> np.ndarray:
-    """Average of P op P^dag over all n! qubit permutations."""
+    """Average of P op P^dag over all n! qubit permutations, for one q x q
+    operator or a (..., q, q) stack."""
     n, q = ctx.n, ctx.order
     if n > MAX_SYMMETRIZE_N:
         raise ConfigurationError(
             f"symmetrize is capped at n <= {MAX_SYMMETRIZE_N}, got n = {n}")
     op = np.asarray(op, dtype=complex)
-    if op.shape != (q, q):
+    if op.shape[-2:] != (q, q):
         raise ConfigurationError(
-            f"symmetrize needs a {q}x{q} operator for n = {n}, got shape {op.shape}")
-    # qubit slot i is row axis i-1 and column axis n+i-1 (slot 1 is the most
-    # significant bit), so P op P^dag is a transpose of those axes
-    tensor = op.reshape((2,) * (2 * n))
+            f"symmetrize needs {q}x{q} operators for n = {n}, got shape {op.shape}")
+    # qubit slot i is row axis i-1 and column axis n+i-1 of each operator
+    # (slot 1 is the most significant bit), so P op P^dag is a transpose of
+    # those axes
+    b = op.ndim - 2
+    tensor = op.reshape(op.shape[:-2] + (2,) * (2 * n))
     acc = np.zeros_like(op)
     for perm in permutations(range(n)):
-        acc += tensor.transpose(perm + tuple(n + p for p in perm)).reshape(q, q)
+        axes = (*range(b), *(b + p for p in perm), *(b + n + p for p in perm))
+        acc += tensor.transpose(axes).reshape(op.shape)
     return acc / math.factorial(n)
 
 

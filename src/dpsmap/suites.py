@@ -20,6 +20,9 @@ from .errors import ConfigurationError
 
 TOL = 1e-10
 
+#: the largest stacked complex temporary a check builds: 4096 entries (64 KB)
+_STACK_ENTRIES = 4096
+
 SUITE_NAMES = ("field", "pauli", "mub", "kernel", "tomographic",
                "symmetric", "theorem", "all")
 
@@ -32,6 +35,17 @@ def _dev(a, b) -> float:
     """Largest entry of |a - b|; a NaN counts as infinitely far."""
     dev = float(np.abs(a - b).max())
     return math.inf if math.isnan(dev) else dev
+
+
+def _chunks(ctx, count):
+    """Slices of ``count`` samples, each small enough that a (P, q, q)
+    complex stack of them holds at most ``_STACK_ENTRIES`` entries."""
+    step = max(1, _STACK_ENTRIES // ctx.order ** 2)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _dagger(ops):
+    return ops.conj().swapaxes(-1, -2)
 
 
 def _report(suite, n, checks):
@@ -116,10 +130,13 @@ def pauli_suite(n: int, seed: int = 0) -> dict:
     unit_dev = comm_dev = 0.0
     eye = np.eye(q)
     sample = pairs if n <= 3 else pairs[:20]
-    for g, d in sample:
+    gs, ds = np.array(sample).T
+    for part in _chunks(ctx, len(sample)):
+        g, d = gs[part], ds[part]
         z, x = pauli.build_Z(ctx, g), pauli.build_X(ctx, d)
-        unit_dev = max(unit_dev, _dev(z @ z.conj().T, eye), _dev(x @ x.conj().T, eye))
-        comm_dev = max(comm_dev, _dev(z @ x, ctx.chi(ctx.mul(g, d)) * (x @ z)))
+        unit_dev = max(unit_dev, _dev(z @ _dagger(z), eye), _dev(x @ _dagger(x), eye))
+        chi = ctx.chi_table[ctx.mul_table[g, d]][:, None, None]
+        comm_dev = max(comm_dev, _dev(z @ x, chi * (x @ z)))
     checks.append(_check("Z_a, X_b unitary", unit_dev < TOL, scope))
     checks.append(_check("Z_a X_b = chi(ab) X_b Z_a", comm_dev < TOL, scope))
 
@@ -135,11 +152,12 @@ def pauli_suite(n: int, seed: int = 0) -> dict:
             herm_pointwise == conv.hermitian,
             f"flag={conv.hermitian}"))
         d_dev = 0.0
-        for g, d in (pairs if n <= 2 else sample)[:40]:
-            dm = pauli.displacement(ctx, conv, g, d)
-            d_dev = max(d_dev, _dev(dm @ dm.conj().T, eye))
+        gs, ds = np.array((pairs if n <= 2 else sample)[:40]).T
+        for part in _chunks(ctx, len(gs)):
+            dm = pauli.displacement(ctx, conv, gs[part], ds[part])
+            d_dev = max(d_dev, _dev(dm @ _dagger(dm), eye))
             if conv.hermitian:
-                d_dev = max(d_dev, _dev(dm, dm.conj().T))
+                d_dev = max(d_dev, _dev(dm, _dagger(dm)))
         checks.append(_check(f"{name}: displacements unitary"
                              + (" and hermitian" if conv.hermitian else ""),
                              d_dev < TOL, scope))
@@ -161,19 +179,20 @@ def mub_suite(n: int, seed: int = 0) -> dict:
             continue
         # rows[xi, kappa] = e(kappa, xi kappa): the convention on slope xi
         rows = conv.exponent_table(ctx)[np.arange(q), ctx.mul_table]
-        ok = all(mubrot.RotationCoefficients(xi, rows[xi]).verify(ctx)
-                 for xi in range(1, q))
+        ok = mubrot.recurrence_holds(ctx, np.arange(1, q), rows[1:]).all()
         label = f"closed form p={conv.p}" if tomographic else scheme
         checks.append(_check(f"recurrence exact, {label}", ok, "all nonzero slopes"))
 
-    slopes = range(1, q) if n <= 3 else rng.integers(1, q, size=6)
+    slopes = np.arange(1, q) if n <= 3 else rng.integers(1, q, size=6)
     tomo = pauli.convention_from_name("tomographic-p1")
+    vs = [mubrot.build_V(ctx, mubrot.coeffs_from_phase(ctx, tomo, int(xi)))
+          for xi in slopes]
+    nus = np.array([rng.integers(0, q) for _ in slopes])
     sq_dev = comm_dev = 0.0
-    for xi in slopes:
-        v = mubrot.build_V(ctx, mubrot.coeffs_from_phase(ctx, tomo, int(xi)))
-        sq_dev = max(sq_dev, _dev(v @ v, pauli.build_X(ctx, ctx.sqrt(int(xi)))))
-        nu = int(rng.integers(0, q))
-        x = pauli.build_X(ctx, nu)
+    for part in _chunks(ctx, len(slopes)):
+        v = np.array(vs[part])
+        sq_dev = max(sq_dev, _dev(v @ v, pauli.build_X(ctx, ctx.sqrt_table[slopes[part]])))
+        x = pauli.build_X(ctx, nus[part])
         comm_dev = max(comm_dev, _dev(v @ x, x @ v))
     checks.append(_check("V_xi^2 = X_sqrt(xi)", sq_dev < TOL, "p=1 family"))
     checks.append(_check("[V_xi, X_nu] = 0", comm_dev < TOL, "one random nu per slope"))
@@ -209,11 +228,12 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
                              k0.hermiticity_residual() < TOL, "s=0, all points"))
 
         cov_dev = 0.0
-        for _ in range(50):
-            ka, la, a, b = (int(x) for x in rng.integers(0, q, size=4))
-            dm = pauli.displacement(ctx, conv, ka, la)
-            lhs = dm @ k0.at(a, b) @ dm.conj().T
-            cov_dev = max(cov_dev, _dev(lhs, k0.at(a ^ ka, b ^ la)))
+        ka, la, a, b = np.array([rng.integers(0, q, size=4) for _ in range(50)]).T
+        for part in _chunks(ctx, 50):
+            dm = pauli.displacement(ctx, conv, ka[part], la[part])
+            lhs = dm @ k0.at(a[part], b[part]) @ _dagger(dm)
+            moved = k0.at(a[part] ^ ka[part], b[part] ^ la[part])
+            cov_dev = max(cov_dev, _dev(lhs, moved))
         checks.append(_check(f"{name}: covariance", cov_dev < TOL, "50 random tuples"))
 
         km = kernels.build_kernel(ctx, -1, conv, fid)
@@ -266,24 +286,28 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
 
     line_dev = 0.0
     slopes = list(family.bases) if n <= 3 else [0, 1, mubrot.VERTICAL]
-    for slope in slopes:
-        for nu in range(q):
-            state = family.bases[slope][nu]
-            w = kernels.forward_map(k0, np.outer(state, state.conj())).grid
-            expect = np.zeros((q, q))
-            for a, b in mubrot.LineSpec(slope, nu).points(ctx):
-                expect[a, b] = 1.0
-            line_dev = max(line_dev, _dev(w, expect))
+    states = np.array([family.bases[slope][nu] for slope in slopes for nu in range(q)])
+    # row of LineSpec(slope, nu) in the line point table; q is the vertical pencil
+    rows = np.array([(q if slope is mubrot.VERTICAL else slope) * q + nu
+                     for slope in slopes for nu in range(q)])
+    points = mubrot.line_point_table(ctx)[rows]
+    for part in _chunks(ctx, len(states)):
+        psi = states[part]
+        w = kernels.forward_map(k0, psi[:, :, None] * psi.conj()[:, None, :]).grid
+        expect = np.zeros((len(psi), q * q))
+        np.put_along_axis(expect, points[part], 1.0, axis=1)
+        line_dev = max(line_dev, _dev(w, expect.reshape(-1, q, q)))
     checks.append(_check("line-state symbols are delta lines", line_dev < TOL,
                          f"slopes checked: {len(slopes)}"))
 
     if n <= 3:
-        wk = kernels.wootters_kernel(ctx, family)
-        dev = max(float(np.max(np.abs(wk[a, b] - k0.at(a, b))))
-                  for a, b in k0.points())
+        wk = kernels.wootters_kernel(ctx, family).reshape(q * q, q, q)
+        a, b = np.divmod(np.arange(q * q), q)
+        dev = max(float(np.max(np.abs(wk[part] - k0.at(a[part], b[part]))))
+                  for part in _chunks(ctx, q * q))
         checks.append(_check("line-projector kernel equals character-sum kernel",
                              dev < TOL, f"max entry dev {dev:.2e}"))
-        tr_ok = all(abs(np.trace(wk[a, b]) - 1) < TOL for a, b in k0.points())
+        tr_ok = bool(np.all(np.abs(np.trace(wk, axis1=1, axis2=2) - 1) < TOL))
         checks.append(_check("Tr of every kernel = 1", tr_ok, ""))
     return _report("tomographic", n, checks)
 
@@ -306,9 +330,9 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
 
     dep_ok = True
     count = 50 if n <= 3 else 20
-    for _ in range(count):
-        op = pauli.symmetrize(ctx, _random_hermitian(rng, q))
-        w = kernels.forward_map(k0, op)
+    ops = [_random_hermitian(rng, q) for _ in range(count)]
+    for part in _chunks(ctx, count):
+        w = kernels.forward_map(k0, pauli.symmetrize(ctx, ops[part]))
         flag, _witness = symproj.symbol_depends_only_on_h(ctx, w)
         dep_ok &= flag
     checks.append(_check("symmetric-operator symbols constant on orbits",

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .gf2n import FieldContext
 from .kernels import KernelSet, PhaseSpaceFunction, SymbolMeta, coefficient_residual
+from .mubrot import recurrence_holds
 from .pauli import I4, TomographicPhase
 
 
@@ -189,17 +190,22 @@ def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction,
                              tol: float = 1e-10):
     """Whether W(alpha, beta) is constant on (m, n, k) orbits.
 
-    Returns (flag, witness); the witness pairs the first point of an orbit
-    (row-major) with a point of that orbit whose value differs by more than
-    ``tol``: the first such point of the orbit that starts first.
+    ``psf.grid`` may be a (..., q, q) stack, every grid of which must pass.
+    Returns (flag, witness); the witness comes from the first grid that
+    fails and pairs the first point of an orbit (row-major) with a point of
+    that orbit whose value differs by more than ``tol``: the first such
+    point of the orbit that starts first.
     """
     q = ctx.order
-    grid = np.asarray(psf.grid).ravel()
+    flat = np.asarray(psf.grid).reshape(-1, q * q)
     orbit = ctx.orbit_index.ravel()
-    first = np.unique(orbit, return_index=True)[1]
-    bad = np.flatnonzero(np.abs(grid - grid[first][orbit]) > tol)
-    if bad.size == 0:
+    order, bounds = ctx.orbit_runs
+    first = order[bounds[:-1]]                  # first point of each orbit
+    bad = np.abs(flat - flat[:, first[orbit]]) > tol
+    failing = np.flatnonzero(bad.any(axis=1))
+    if failing.size == 0:
         return True, None
+    bad = np.flatnonzero(bad[failing[0]])
     point = int(bad[np.argmin(first[orbit[bad]])])
     return False, (divmod(int(first[orbit[point]]), q), divmod(point, q))
 
@@ -343,13 +349,8 @@ def search_invariant_phases(ctx: FieldContext, max_examples: int = 4) -> PhaseSe
         for xi in range(1, ctx.order):
             line = ctx.mul_table[xi]
             flips = (alive[:, None] >> shift[kappa, line]) & 1
-            psi = (base_exp[kappa, line] + 2 * flips).astype(np.int8) % 4
-            # RotationCoefficients.verify for every surviving assignment at once
-            resid = psi[:, ctx.xor_grid]
-            resid -= psi[:, :, None]
-            resid -= psi[:, None, :]
-            resid -= 2 * ctx.trace_table[ctx.mul_table[xi, ctx.mul_table]].astype(np.int8)
-            alive = alive[~(resid % 4).any(axis=(1, 2))]
+            psi = (base_exp[kappa, line] + 2 * flips).astype(np.int8)
+            alive = alive[recurrence_holds(ctx, xi, psi)]
         hits.extend(int(bits) for bits in alive)
     closed_form = TomographicPhase(1).exponent_table(ctx)
     found = any(np.array_equal((base_exp + 2 * ((bits >> shift) & 1)) % 4, closed_form)

@@ -55,6 +55,8 @@ REPORTS = [
                         "n3-perminv-f0-s-1.grid.json"), 1),
     ("diff-proj.json", ("diff", "n3-tomographic-p1-s0.proj.json",
                         "n3-perminv-f0-s-1.proj.json"), 1),
+    ("verify-all-n4-seed0.json", ("verify", "--suite", "all", "--n", "4", "--seed", "0"), 0),
+    ("verify-all-n5-seed1.json", ("verify", "--suite", "all", "--n", "5", "--seed", "1"), 0),
 ]
 
 

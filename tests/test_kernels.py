@@ -383,6 +383,18 @@ def test_non_finite_fiducial_blocks_positive_s():
             KernelSet(ctx, 1.0, TOMO, fiducial)
 
 
+@pytest.mark.parametrize("s", (-1.0, 1.0))
+def test_non_finite_fiducial_is_refused_for_any_nonzero_s(s):
+    ctx = field_context(2)
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        fiducial = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+        fiducial[1] = bad
+        with pytest.raises(FiducialError, match="amplitudes are not finite"):
+            KernelSet(ctx, s, TOMO, fiducial)
+    # the s = 0 kernel never reads the fiducial
+    assert KernelSet(ctx, 0.0, TOMO, fiducial).fiducial_report is None
+
+
 @pytest.mark.parametrize("s", (-1.0, 0.0, 1.0))
 def test_fiducial_of_the_wrong_length_is_refused(s):
     ctx = field_context(3)
@@ -541,3 +553,64 @@ def test_wstate_symbol_is_real_for_hermitian_convention():
         rho = np.outer(w_state(ctx), w_state(ctx).conj())
         psf = forward_map(kern, rho)
         assert np.max(np.abs(psf.grid.imag)) < 1e-12
+
+
+# ---------------------------------------------------------
+# stacks against the one-at-a-time code
+# ---------------------------------------------------------
+
+def _at_oracle(kernel, alpha, beta):
+    """KernelSet.at as it was before it took index arrays."""
+    ctx = kernel.ctx
+    q = ctx.order
+    xg = ctx.xor_grid
+    stable = (ctx.char_matrix_c @ kernel._wphi).T
+    chi_a = ctx.char_matrix_c[alpha]
+    bmu = (np.arange(q) ^ beta)[:, None]
+    vals = chi_a[xg] * stable[xg, bmu] / q
+    out = np.empty((q, q), dtype=complex)
+    out[ctx.index_table[:, None], ctx.index_table[None, :]] = vals
+    return out
+
+
+def _same_bits(got, want):
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
+    return (got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+            and np.array_equal(*bits))
+
+
+def _conventions_at(n):
+    return ([f"tomographic-p{1 << j}" for j in range(n)]
+            + [name for name in ALL_CONVENTIONS if not name.startswith("tomographic")])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_kernels_are_bitwise_the_scalar_at(n):
+    ctx = field_context(n)
+    q = ctx.order
+    rng = np.random.default_rng(70 + n)
+    # every point up to n = 3, 64 sampled points above
+    a, b = (np.divmod(np.arange(q * q), q) if n <= 3
+            else rng.integers(0, q, size=(2, 64)))
+    for name in _conventions_at(n):
+        for s in (-1.0, 0.0, 1.0):
+            kern = KernelSet(ctx, s, convention_from_name(name))
+            want = np.array([_at_oracle(kern, x, y) for x, y in zip(a, b)])
+            assert _same_bits(kern.at(a, b), want), (name, s)
+            assert _same_bits(kern.at(a[:4].reshape(2, 2), b[:4].reshape(2, 2)),
+                              want[:4].reshape(2, 2, q, q)), (name, s)
+            assert _same_bits(kern.at(int(a[-1]), int(b[-1])), want[-1]), (name, s)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_forward_map_is_bitwise_one_operator_at_a_time(n):
+    ctx = field_context(n)
+    q = ctx.order
+    rng = np.random.default_rng(80 + n)
+    ops = rng.normal(size=(2, 3, q, q)) + 1j * rng.normal(size=(2, 3, q, q))
+    for name in ("tomographic-p1", "perminv-f0", "plain"):
+        conv = convention_from_name(name)
+        for s in (-1.0, 0.0, 1.0):
+            fwd = KernelSet(ctx, s, conv)
+            grids = [[forward_map(fwd, op).grid for op in row] for row in ops]
+            assert _same_bits(forward_map(fwd, ops).grid, np.array(grids)), (name, s)

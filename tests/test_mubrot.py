@@ -6,7 +6,7 @@ from dpsmap import (ConfigurationError, GraphPhase, TomographicPhase, VERTICAL,
                     all_lines, build_V, build_X, check_unbiased,
                     coeffs_from_phase, dual_basis_matrix, dual_basis_state,
                     field_context, line_states, mub_family)
-from dpsmap.mubrot import line_point_table
+from dpsmap.mubrot import line_at, line_point_table, recurrence_holds
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -257,24 +257,27 @@ def test_family_structure_and_validation():
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_family_checks_each_slope_recurrence_once(monkeypatch, n):
-    """q - 1 rotated slopes, one recurrence check each, one dual matrix."""
-    from dpsmap import RotationCoefficients, mubrot
-    calls = {"verify": 0, "dual": 0}
-    verify, dual = RotationCoefficients.verify, mubrot.dual_basis_matrix
+    """q - 1 rotated slopes in one recurrence residual, one dual matrix."""
+    from dpsmap import mubrot
+    calls = {"residuals": 0, "slopes": [], "dual": 0}
+    holds, dual = mubrot.recurrence_holds, mubrot.dual_basis_matrix
 
-    def counted(name, func):
-        def wrapper(*args):
-            calls[name] += 1
-            return func(*args)
-        return wrapper
+    def counted_holds(ctx, xi, exponents):
+        calls["residuals"] += 1
+        calls["slopes"].extend(np.ravel(xi).tolist())
+        return holds(ctx, xi, exponents)
 
-    monkeypatch.setattr(RotationCoefficients, "verify", counted("verify", verify))
-    monkeypatch.setattr(mubrot, "dual_basis_matrix", counted("dual", dual))
+    def counted_dual(*args):
+        calls["dual"] += 1
+        return dual(*args)
+
+    monkeypatch.setattr(mubrot, "recurrence_holds", counted_holds)
+    monkeypatch.setattr(mubrot, "dual_basis_matrix", counted_dual)
     ctx = field_context(n)
     for scheme in ("p1", "graph+"):
-        calls.update(verify=0, dual=0)
+        calls.update(residuals=0, slopes=[], dual=0)
         mub_family(ctx, scheme)
-        assert calls == {"verify": ctx.order - 1, "dual": 1}
+        assert calls == {"residuals": 1, "slopes": list(range(1, ctx.order)), "dual": 1}
 
 
 def test_family_mutually_unbiased():
@@ -319,3 +322,42 @@ def test_line_state_lookup():
         assert abs(np.linalg.norm(ket) - 1) < 1e-12
         expect = fam.basis(line.slope)[line.intercept]
         assert np.allclose(ket, expect)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_line_at_is_the_row_of_all_lines(n):
+    ctx = field_context(n)
+    q = ctx.order
+    lines = list(all_lines(ctx))
+    assert [line_at(ctx, row) for row in range(q * (q + 1))] == lines
+
+
+def _verify_oracle(ctx, xi, exponents):
+    """RotationCoefficients.verify as it was before it checked slopes in bulk."""
+    e = np.mod(exponents, 4)
+    tr = ctx.trace_table[ctx.mul_table[xi, ctx.mul_table]]
+    resid = (e[ctx.xor_grid] - e[:, None] - e[None, :] - 2 * tr) % 4
+    return not resid.any()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bulk_recurrence_matches_the_per_slope_check(n):
+    from dpsmap import RotationCoefficients, convention_from_name
+    ctx = field_context(n)
+    q = ctx.order
+    rng = np.random.default_rng(90 + n)
+    slopes = np.arange(1, q)
+    names = ([f"tomographic-p{p}" for p in valid_p_values(n)]
+             + ["perminv-sqrt", "perminv-f0", "perminv-f1", "graph-plus",
+                "graph-minus", "plain"])
+    for name in names:
+        rows = convention_from_name(name).exponent_table(ctx)[np.arange(q), ctx.mul_table]
+        # the convention itself, then with one exponent moved on some slopes
+        bent = rows[slopes].copy()
+        hit = rng.random(q - 1) < 0.5
+        bent[hit, rng.integers(0, q, size=hit.sum())] += rng.integers(1, 4, size=hit.sum())
+        for exps in (rows[slopes], bent, bent - 4, rng.integers(-9, 9, size=(q - 1, q))):
+            want = [_verify_oracle(ctx, int(xi), e) for xi, e in zip(slopes, exps)]
+            assert recurrence_holds(ctx, slopes, exps).tolist() == want, name
+            assert [RotationCoefficients(int(xi), e).verify(ctx)
+                    for xi, e in zip(slopes, exps)] == want, name

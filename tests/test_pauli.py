@@ -326,6 +326,69 @@ def test_single_qubit_displacements():
     assert np.allclose(displacement(ctx, conv("perminv-f0"), 1, 1), -SY)
 
 
+# the scalar builders as they were before they took index arrays
+
+def _build_Z_oracle(ctx, alpha):
+    diag = np.empty(ctx.order, dtype=complex)
+    diag[ctx.index_table] = ctx.chi_table[ctx.mul_table[alpha]]
+    return np.diag(diag)
+
+
+def _build_X_oracle(ctx, beta):
+    q = ctx.order
+    mat = np.zeros((q, q), dtype=complex)
+    k = np.arange(q)
+    mat[ctx.index_table[k ^ beta], ctx.index_table[k]] = 1.0
+    return mat
+
+
+def _displacement_oracle(ctx, c, gamma, delta):
+    q = ctx.order
+    k = np.arange(q)
+    rows = ctx.index_table[k ^ delta]
+    vals = c.value(ctx, gamma, delta) * ctx.chi_table[ctx.mul_table[gamma, k ^ delta]]
+    mat = np.zeros((q, q), dtype=complex)
+    mat[rows, ctx.index_table[k]] = vals
+    return mat
+
+
+def conventions_at(n):
+    """Every named convention that is defined at n."""
+    return ([f"tomographic-p{1 << j}" for j in range(n)]
+            + [name for name in ALL_CONVENTIONS if not name.startswith("tomographic")])
+
+
+def _same_bits(got, want):
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
+    return (got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+            and np.array_equal(*bits))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_operators_are_bitwise_the_scalar_builders(n):
+    ctx = field_context(n)
+    q = ctx.order
+    # every pair up to n = 4, 128 sampled pairs at n = 5
+    g, d = (np.divmod(np.arange(q * q), q) if n <= 4
+            else np.random.default_rng(50).integers(0, q, size=(2, 128)))
+    z_want = np.array([_build_Z_oracle(ctx, a) for a in range(q)])
+    x_want = np.array([_build_X_oracle(ctx, b) for b in range(q)])
+    assert _same_bits(build_Z(ctx, np.arange(q)), z_want)
+    assert _same_bits(build_X(ctx, np.arange(q)), x_want)
+    assert _same_bits(build_Z(ctx, 1), z_want[1])
+    assert _same_bits(build_X(ctx, q - 1), x_want[q - 1])
+    for name in conventions_at(n):
+        c = conv(name)
+        want = np.array([_displacement_oracle(ctx, c, a, b) for a, b in zip(g, d)])
+        assert _same_bits(displacement(ctx, c, g, d), want), name
+        # any index shape, broadcasting; ints give one operator
+        assert _same_bits(displacement(ctx, c, g.reshape(-1, 2), d.reshape(-1, 2)),
+                          want.reshape(-1, 2, q, q)), name
+        assert _same_bits(displacement(ctx, c, g[:3], d[0]),
+                          np.array([_displacement_oracle(ctx, c, a, d[0]) for a in g[:3]])), name
+        assert _same_bits(displacement(ctx, c, int(g[-1]), int(d[-1])), want[-1]), name
+
+
 def test_all_displacements_unitary():
     for n in (1, 2, 3):
         ctx = field_context(n)
@@ -446,6 +509,16 @@ def test_symmetrize_is_bitwise_the_permutation_matrix_loop(n):
         got, want = symmetrize(ctx, op), _symmetrize_oracle(ctx, op)
         assert got.dtype == want.dtype == np.complex128
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetrize_stack_is_bitwise_one_at_a_time(n):
+    ctx = field_context(n)
+    q = ctx.order
+    rng = np.random.default_rng(60 + n)
+    ops = rng.normal(size=(2, 3, q, q)) + 1j * rng.normal(size=(2, 3, q, q))
+    want = np.array([[symmetrize(ctx, op) for op in row] for row in ops])
+    assert _same_bits(symmetrize(ctx, ops), want)
 
 
 def test_symmetrize_rejects_wrong_shape():

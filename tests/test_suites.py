@@ -82,8 +82,8 @@ def test_pauli_suite_catches_non_hermitian_displacement(monkeypatch, n):
 def test_kernel_suite_catches_broken_covariance(monkeypatch, n):
     from dpsmap.kernels import KernelSet
     at = KernelSet.at
-    monkeypatch.setattr(KernelSet, "at",
-                        lambda self, a, b: (1 + 1e-6 * a) * at(self, a, b))
+    monkeypatch.setattr(KernelSet, "at", lambda self, a, b:
+                        (1 + 1e-6 * np.asarray(a))[..., None, None] * at(self, a, b))
     report = run_suite("kernel", n)
     for name in ("tomographic-p1", "perminv-f0"):
         assert not _check_named(report, f"{name}: covariance")["passed"]
@@ -95,12 +95,60 @@ def test_pauli_suite_catches_nan_after_good_pairs(monkeypatch):
 
     def nan_at_one_pair(ctx, conv, g, d):
         dm = displacement(ctx, conv, g, d)
-        return dm * np.nan if (g, d) == (1, 1) else dm
+        dm[(np.asarray(g) == 1) & (np.asarray(d) == 1)] *= np.nan
+        return dm
 
     monkeypatch.setattr(pauli, "displacement", nan_at_one_pair)
     report = run_suite("pauli", 2)
     disp = [c for c in report["checks"] if ": displacements unitary" in c["name"]]
     assert len(disp) == 6 and not any(c["passed"] for c in disp)
+
+
+# at n = 5 a chunk holds 4 operators: a fault in the last one only must count
+
+def _last_chunk_only(samples, fault):
+    from dpsmap import suites
+    step = suites._STACK_ENTRIES // 32 ** 2
+    start = (len(samples) - 1) // step * step
+    assert 0 < start <= samples.index(fault) and fault not in samples[:start]
+
+
+def test_pauli_suite_catches_nan_in_the_last_chunk_only(monkeypatch):
+    from dpsmap import pauli
+    pairs = [tuple(p) for p in np.random.default_rng(0).integers(0, 32, size=(50, 2)).tolist()]
+    fault = pairs[19]                       # the last of the 20 displacement samples
+    _last_chunk_only(pairs[:20], fault)
+    displacement = pauli.displacement
+
+    def nan_at_last_pair(ctx, conv, g, d):
+        dm = displacement(ctx, conv, g, d)
+        dm[(np.asarray(g) == fault[0]) & (np.asarray(d) == fault[1])] *= np.nan
+        return dm
+
+    monkeypatch.setattr(pauli, "displacement", nan_at_last_pair)
+    report = run_suite("pauli", 5, seed=0)
+    disp = [c for c in report["checks"] if ": displacements unitary" in c["name"]]
+    assert len(disp) == 6 and not any(c["passed"] for c in disp)
+
+
+def test_kernel_suite_catches_a_broken_tuple_in_the_last_chunk_only(monkeypatch):
+    from dpsmap import pauli
+    rng = np.random.default_rng(0)
+    # the covariance tuples (ka, la, a, b) of the first convention
+    shifts = [tuple(rng.integers(0, 32, size=4).tolist()[:2]) for _ in range(50)]
+    fault = shifts[-1]
+    _last_chunk_only(shifts, fault)
+    displacement = pauli.displacement
+
+    def bent_at_last_shift(ctx, conv, g, d):
+        dm = displacement(ctx, conv, g, d)
+        dm[(np.asarray(g) == fault[0]) & (np.asarray(d) == fault[1])] *= 1 + 1e-6
+        return dm
+
+    monkeypatch.setattr(pauli, "displacement", bent_at_last_shift)
+    report = run_suite("kernel", 5, seed=0)
+    assert not _check_named(report, "tomographic-p1: covariance")["passed"]
+    assert not report["passed"]
 
 
 @pytest.mark.parametrize("n", range(5, 9))
