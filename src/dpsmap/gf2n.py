@@ -153,6 +153,8 @@ class FieldContext:
         for _ in range(n - 1):
             cur = prod[cur, cur]
         self.sqrt_table = cur
+        # what the lazy tables read, even if an attribute is replaced later
+        self._built = (self.chi_table, prod)
 
     def _find_selfdual_basis(self) -> tuple[int, ...]:
         """Lexicographically smallest ascending tuple with Gram matrix I.
@@ -202,11 +204,45 @@ class FieldContext:
         inverse = np.empty(q, dtype=np.int64)
         inverse[self.index_table] = np.arange(q, dtype=np.int64)
         self.element_of_index = inverse
-        # chi(x*y) for all pairs; the workhorse of every character sum
-        self.char_matrix = self.chi_table[self.mul_table]
-        self.char_matrix_c = self.char_matrix.astype(np.complex128)
-        self.xor_grid = np.bitwise_xor.outer(
-            np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64))
+
+    # -- q x q tables, built on first use ------------------------------------
+
+    @cached_property
+    def char_matrix(self) -> np.ndarray:
+        """chi(x*y) for all pairs; the workhorse of every character sum.
+
+        Like ``char_matrix_c`` and ``xor_grid``, built on first use from the
+        tables as they were at construction.
+        """
+        chi, mul = self._built
+        return chi[mul]
+
+    @cached_property
+    def char_matrix_c(self) -> np.ndarray:
+        return self.char_matrix.astype(np.complex128)
+
+    @cached_property
+    def xor_grid(self) -> np.ndarray:
+        """x ^ y for all pairs."""
+        x = np.arange(self.order, dtype=np.int64)
+        return np.bitwise_xor.outer(x, x)
+
+    @cached_property
+    def line_points(self) -> np.ndarray:
+        """Flat grid indices a q + b of every line's points, shape (q(q+1), q).
+
+        Row xi q + nu holds the line b = xi a + nu and row q^2 + nu the
+        vertical line a = nu (``mubrot.all_lines`` order), each with its
+        points in ``LineSpec.points`` order.  Read-only.
+        """
+        q, mul = self.order, self._built[1]
+        x = np.arange(q)
+        # sloped[xi, nu, a] = a q + (xi a + nu)
+        sloped = x * q + (mul[:, None, :] ^ x[None, :, None])
+        vertical = x[:, None] * q + x[None, :]
+        table = np.concatenate([sloped.reshape(q * q, q), vertical])
+        table.flags.writeable = False
+        return table
 
     # -- orbits under simultaneous qubit permutations --------------------
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FiducialError
 from .gf2n import FieldContext
-from .mubrot import VERTICAL, LineSpec, MubFamily, line_at, line_point_table
+from .mubrot import VERTICAL, LineSpec, MubFamily, line_at
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
                     check_fiducial, displacement_overlaps, require_operator_n,
                     spin_coherent)
@@ -349,14 +349,13 @@ def tomographic_check(kernel: KernelSet, rho: np.ndarray,
     """
     ctx = kernel.ctx
     rho = np.asarray(rho, dtype=complex)
-    values = forward_map(kernel, rho).grid.ravel()[line_point_table(ctx)]
+    values = forward_map(kernel, rho).grid.ravel()[ctx.line_points]
     # added point by point in each line's order, as line_marginal adds them
     lhs = values[:, 0].copy()
     for column in values.T[1:]:
         lhs += column
     lhs /= ctx.order
-    states = np.array([state for slope in (*ctx.elements(), VERTICAL)
-                       for state in family.bases[slope]])
+    states = family.state_table
     rhs = np.sum((states.conj() @ rho) * states, axis=1)
     worst = int(np.argmax(np.abs(lhs - rhs)))
     return TomographicCheckResult(line_at(ctx, worst), complex(lhs[worst]),

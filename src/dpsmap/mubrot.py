@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,20 +79,6 @@ def line_at(ctx: FieldContext, row: int) -> LineSpec:
     q = ctx.order
     slope, nu = divmod(int(row), q)
     return LineSpec(VERTICAL if slope == q else slope, nu)
-
-
-def line_point_table(ctx: FieldContext) -> np.ndarray:
-    """Flat grid indices a q + b of every line's points, shape (q(q+1), q).
-
-    Row r holds the r-th line of ``all_lines``, its points in
-    ``LineSpec.points`` order.
-    """
-    q = ctx.order
-    x = np.arange(q)
-    # sloped[xi, nu, a] = a q + (xi a + nu)
-    sloped = x * q + (ctx.mul_table[:, None, :] ^ x[None, :, None])
-    vertical = x[:, None] * q + x[None, :]
-    return np.concatenate([sloped.reshape(q * q, q), vertical])
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +218,15 @@ class MubFamily:
     ctx: FieldContext
     scheme: str
     bases: dict
+
+    @cached_property
+    def state_table(self) -> np.ndarray:
+        """(q(q+1), q) array whose row r is the state of line r of
+        ``all_lines``.  Built on first use; read-only."""
+        states = np.array([state for slope in (*self.ctx.elements(), VERTICAL)
+                           for state in self.bases[slope]])
+        states.flags.writeable = False
+        return states
 
     def basis(self, slope) -> list[np.ndarray]:
         return self.bases[slope]

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gf2n, kernels, mubrot, pauli, symproj
 from .errors import ConfigurationError
+from .sampling import Sampler
 
 TOL = 1e-10
 
@@ -54,12 +55,12 @@ def _report(suite, n, checks):
 
 
 def _random_hermitian(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = rng.complex((dim, dim))
     return a + a.conj().T
 
 
 def _random_pure(rng, dim):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = rng.complex((dim,))
     return v / np.linalg.norm(v)
 
 
@@ -67,7 +68,7 @@ def _random_pure(rng, dim):
 
 def field_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     q = ctx.order
     checks = []
 
@@ -83,7 +84,7 @@ def field_suite(n: int, seed: int = 0) -> dict:
         distrib = dist_dev == 0
         scope = "exhaustive"
     else:
-        x, y, z = rng.integers(0, q, size=(2000, 3)).T
+        x, y, z = rng.integers(0, q, (2000, 3)).T
         assoc = np.array_equal(mt[mt[x, y], z], mt[x, mt[y, z]])
         distrib = np.array_equal(mt[x, y ^ z], mt[x, y] ^ mt[x, z])
         scope = "sampled 2000 triples"
@@ -118,13 +119,13 @@ CONVENTION_NAMES = ("tomographic-p1", "perminv-sqrt", "perminv-f0",
 
 def pauli_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     q = ctx.order
     checks = []
 
     pairs = ([(g, d) for g in range(q) for d in range(q)] if n <= 3
              else [tuple(int(x) for x in p)
-                   for p in rng.integers(0, q, size=(50, 2))])
+                   for p in rng.integers(0, q, (50, 2))])
     scope = "all 4^n pairs" if n <= 3 else "sampled 50 pairs"
 
     unit_dev = comm_dev = 0.0
@@ -168,7 +169,7 @@ def pauli_suite(n: int, seed: int = 0) -> dict:
 
 def mub_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     q = ctx.order
     checks = []
 
@@ -183,7 +184,7 @@ def mub_suite(n: int, seed: int = 0) -> dict:
         label = f"closed form p={conv.p}" if tomographic else scheme
         checks.append(_check(f"recurrence exact, {label}", ok, "all nonzero slopes"))
 
-    slopes = np.arange(1, q) if n <= 3 else rng.integers(1, q, size=6)
+    slopes = np.arange(1, q) if n <= 3 else rng.integers(1, q, (6,))
     tomo = pauli.convention_from_name("tomographic-p1")
     vs = [mubrot.build_V(ctx, mubrot.coeffs_from_phase(ctx, tomo, int(xi)))
           for xi in slopes]
@@ -214,7 +215,7 @@ def mub_suite(n: int, seed: int = 0) -> dict:
 
 def kernel_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     q = ctx.order
     checks = []
     fid = pauli.spin_coherent(ctx, pauli.DEFAULT_FIDUCIAL_ZETA)
@@ -228,7 +229,7 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
                              k0.hermiticity_residual() < TOL, "s=0, all points"))
 
         cov_dev = 0.0
-        ka, la, a, b = np.array([rng.integers(0, q, size=4) for _ in range(50)]).T
+        ka, la, a, b = np.array([rng.integers(0, q, (4,)) for _ in range(50)]).T
         for part in _chunks(ctx, 50):
             dm = pauli.displacement(ctx, conv, ka[part], la[part])
             lhs = dm @ k0.at(a[part], b[part]) @ _dagger(dm)
@@ -269,7 +270,7 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
 
 def tomographic_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     q = ctx.order
     checks = []
     conv = pauli.convention_from_name("tomographic-p1")
@@ -290,7 +291,7 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
     # row of LineSpec(slope, nu) in the line point table; q is the vertical pencil
     rows = np.array([(q if slope is mubrot.VERTICAL else slope) * q + nu
                      for slope in slopes for nu in range(q)])
-    points = mubrot.line_point_table(ctx)[rows]
+    points = ctx.line_points[rows]
     for part in _chunks(ctx, len(states)):
         psi = states[part]
         w = kernels.forward_map(k0, psi[:, :, None] * psi.conj()[:, None, :]).grid
@@ -316,7 +317,7 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
 
 def symmetric_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     q = ctx.order
     checks = []
     conv = pauli.convention_from_name("perminv-f0")

@@ -193,15 +193,16 @@ def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction,
     ``psf.grid`` may be a (..., q, q) stack, every grid of which must pass.
     Returns (flag, witness); the witness comes from the first grid that
     fails and pairs the first point of an orbit (row-major) with a point of
-    that orbit whose value differs by more than ``tol``: the first such
-    point of the orbit that starts first.
+    that orbit whose value differs by more than ``tol`` (a NaN differs from
+    everything, itself included): the first such point of the orbit that
+    starts first.
     """
     q = ctx.order
     flat = np.asarray(psf.grid).reshape(-1, q * q)
     orbit = ctx.orbit_index.ravel()
     order, bounds = ctx.orbit_runs
     first = order[bounds[:-1]]                  # first point of each orbit
-    bad = np.abs(flat - flat[:, first[orbit]]) > tol
+    bad = ~(np.abs(flat - flat[:, first[orbit]]) <= tol)   # NaN differs
     failing = np.flatnonzero(bad.any(axis=1))
     if failing.size == 0:
         return True, None

@@ -176,6 +176,22 @@ def test_char_matrix_values_and_symmetry():
                               ctx.order * np.eye(ctx.order, dtype=np.int64))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lazy_q_by_q_tables_match_their_formulas(n):
+    ctx = FieldContext(n)
+    built = ctx.mul_table
+    assert not {"char_matrix", "char_matrix_c", "xor_grid"} & set(vars(ctx))
+    ctx.mul_table = built ^ 1           # a table replaced after construction
+    x = np.arange(ctx.order)
+    assert np.array_equal(ctx.char_matrix, ctx.chi_table[built])
+    assert ctx.char_matrix.dtype == ctx.chi_table.dtype
+    assert np.array_equal(ctx.char_matrix_c, ctx.chi_table[built].astype(np.complex128))
+    assert ctx.char_matrix_c.dtype == np.complex128
+    assert np.array_equal(ctx.xor_grid, x[:, None] ^ x[None, :])
+    assert ctx.xor_grid.dtype == np.int64
+    assert ctx.char_matrix_c is ctx.char_matrix_c
+
+
 # ---------------------------------------------------------
 # self-dual basis and coordinates
 # ---------------------------------------------------------

@@ -512,6 +512,34 @@ def test_tomographic_check_reports_the_perturbed_line(monkeypatch, n):
         assert abs(res.deviation - 1e-3) < 1e-12
 
 
+def test_tomographic_tables_are_built_once_and_read_only():
+    ctx = field_context(3)
+    fam = mub_family(ctx)
+    assert ctx.line_points is ctx.line_points
+    assert fam.state_table is fam.state_table
+    assert not ctx.line_points.flags.writeable
+    assert not fam.state_table.flags.writeable
+    # row r of the state table is the state of line r of all_lines
+    assert np.array_equal(fam.state_table,
+                          [fam.state(line) for line in all_lines(ctx)])
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_tomographic_report_is_the_same_without_the_caches(monkeypatch, capsys, n):
+    from dpsmap import cli, gf2n, mubrot
+    argv = ["verify", "--suite", "tomographic", "--n", str(n), "--seed", "7"]
+    assert cli.main(argv) == 0
+    cached = capsys.readouterr().out
+    # plain properties rebuild both tables on every read
+    for cls, name in ((gf2n.FieldContext, "line_points"),
+                      (mubrot.MubFamily, "state_table")):
+        monkeypatch.setattr(cls, name, property(vars(cls)[name].func))
+    ctx = field_context(n)
+    assert ctx.line_points is not ctx.line_points
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cached
+
+
 def test_line_marginal_equals_born_probability():
     ctx = field_context(2)
     kern = build_kernel(ctx, 0.0, TOMO)

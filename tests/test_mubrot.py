@@ -6,7 +6,7 @@ from dpsmap import (ConfigurationError, GraphPhase, TomographicPhase, VERTICAL,
                     all_lines, build_V, build_X, check_unbiased,
                     coeffs_from_phase, dual_basis_matrix, dual_basis_state,
                     field_context, line_states, mub_family)
-from dpsmap.mubrot import line_at, line_point_table, recurrence_holds
+from dpsmap.mubrot import line_at, recurrence_holds
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -88,7 +88,7 @@ def test_line_point_table_lists_every_line_in_order():
         ctx = field_context(n)
         q = ctx.order
         expect = [[a * q + b for a, b in line.points(ctx)] for line in all_lines(ctx)]
-        assert line_point_table(ctx).tolist() == expect
+        assert ctx.line_points.tolist() == expect
 
 
 # ---------------------------------------------------------

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from dpsmap import ConfigurationError, SUITE_NAMES, run_suite
+from dpsmap.sampling import Sampler
 
 
 def test_every_named_suite_passes_at_n2():
@@ -115,7 +116,7 @@ def _last_chunk_only(samples, fault):
 
 def test_pauli_suite_catches_nan_in_the_last_chunk_only(monkeypatch):
     from dpsmap import pauli
-    pairs = [tuple(p) for p in np.random.default_rng(0).integers(0, 32, size=(50, 2)).tolist()]
+    pairs = [tuple(p) for p in Sampler(0).integers(0, 32, (50, 2)).tolist()]
     fault = pairs[19]                       # the last of the 20 displacement samples
     _last_chunk_only(pairs[:20], fault)
     displacement = pauli.displacement
@@ -133,9 +134,9 @@ def test_pauli_suite_catches_nan_in_the_last_chunk_only(monkeypatch):
 
 def test_kernel_suite_catches_a_broken_tuple_in_the_last_chunk_only(monkeypatch):
     from dpsmap import pauli
-    rng = np.random.default_rng(0)
+    rng = Sampler(0)
     # the covariance tuples (ka, la, a, b) of the first convention
-    shifts = [tuple(rng.integers(0, 32, size=4).tolist()[:2]) for _ in range(50)]
+    shifts = [tuple(rng.integers(0, 32, (4,)).tolist()[:2]) for _ in range(50)]
     fault = shifts[-1]
     _last_chunk_only(shifts, fault)
     displacement = pauli.displacement
@@ -165,7 +166,7 @@ def test_sampled_field_check_matches_scalar_loop(monkeypatch, n):
         ctx.mul_table = mt
         monkeypatch.setattr(gf2n, "field_context", lambda n, poly=None: ctx)
         report = run_suite("field", n, seed=3)
-        trips = np.random.default_rng(3).integers(0, q, size=(2000, 3))
+        trips = Sampler(3).integers(0, q, (2000, 3))
         assoc = all(ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
                     for x, y, z in trips)
         distrib = all(ctx.mul(x, y ^ z) == (ctx.mul(x, y) ^ ctx.mul(x, z))
@@ -177,3 +178,48 @@ def test_sampled_field_check_matches_scalar_loop(monkeypatch, n):
             assert check["detail"] == "sampled 2000 triples"
             flagged += not want
     assert flagged >= 4
+
+
+# the suites' seeded generator
+
+def test_generator_first_draws_are_pinned():
+    """Drawn from ``random.Random(7)``: any drift across platforms or
+    Python versions fails here."""
+    rng = Sampler(7)
+    assert rng.integers(0, 32, (2, 3)).tolist() == [[30, 12, 1], [26, 3, 18]]
+    assert rng.integers(1, 32, (3,)).tolist() == [2, 30, 17]
+    assert rng.integers(0, 4) == 0
+    assert rng.complex((2,)).tolist() == [complex(*map(float.fromhex, pair)) for pair in (
+        ("-0x1.0fc98a5e9ff60p-3", "-0x1.a31c209b098fcp-1"),
+        ("-0x1.b877d1c253cacp-1", "-0x1.352b5d972eea0p-3"))]
+
+
+def test_generator_draws_stay_in_range():
+    rng = Sampler(0)
+    for lo, hi in ((0, 2), (0, 16), (1, 8), (3, 4), (1, 2)):
+        x = rng.integers(lo, hi, (400, 2))
+        assert x.dtype == np.int64 and x.shape == (400, 2)
+        assert set(x.ravel().tolist()) == set(range(lo, hi))
+    z = rng.complex((300, 4))
+    assert z.shape == (300, 4)
+    for part in (z.real, z.imag):
+        assert -1 <= part.min() and part.max() < 1
+        # every part is a multiple of 2^-51: exact on every platform
+        assert np.array_equal(np.ldexp(part, 51), np.round(np.ldexp(part, 51)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_suite_passes_for_seeds_0_to_9(n):
+    for seed in range(10):
+        report = run_suite("all", n, seed=seed)
+        assert report["passed"], (seed, [c for r in report["suites"]
+                                         for c in r["checks"] if not c["passed"]])
+
+
+def test_symmetric_suite_orbit_check_fails_on_a_nan_symbol(monkeypatch):
+    from dpsmap import pauli
+    symmetrize = pauli.symmetrize
+    monkeypatch.setattr(pauli, "symmetrize",
+                        lambda ctx, op: symmetrize(ctx, op) * np.nan)
+    report = run_suite("symmetric", 3)
+    assert not _check_named(report, "symmetric-operator symbols constant")["passed"]

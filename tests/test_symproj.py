@@ -361,6 +361,31 @@ def test_h_dependence_matches_bucket_loop(n):
         assert symbol_depends_only_on_h(ctx, psf) == h_dependence_by_buckets(ctx, grid)
 
 
+def test_h_dependence_reads_nan_as_a_difference():
+    ctx = field_context(3)
+    q = ctx.order
+
+    def check(grid):
+        return symbol_depends_only_on_h(ctx, PhaseSpaceFunction(
+            n=3, s=0.0, grid=grid, convention="plain"))
+
+    assert check(np.full((q, q), np.nan, complex)) == (False, ((0, 0), (0, 0)))
+    order, bounds = ctx.orbit_runs
+    for orbit in range(len(bounds) - 1):
+        run = order[bounds[orbit]:bounds[orbit + 1]]
+        first = divmod(int(run[0]), q)
+        for point in {int(run[0]), int(run[-1])}:
+            grid = np.zeros((q, q), complex)
+            grid[divmod(point, q)] = np.nan
+            # a NaN differs even from itself, so a one-point orbit fails too
+            assert check(grid) == (False, (first, divmod(point, q)))
+    # a stack fails on its one NaN grid
+    grids = np.zeros((3, q, q), complex)
+    grids[2, 5, 6] = complex(0, np.nan)
+    ok, witness = check(grids)
+    assert not ok and witness[1] == (5, 6)
+
+
 # ---------------------------------------------------------
 # the incompatibility witness
 # ---------------------------------------------------------
