@@ -27,12 +27,11 @@ from .gf2n import IRREDUCIBLE_POLYS, MAX_N, FieldContext, field_context
 from .kernels import (MAX_DENSE_N, KernelSet, OverlapReport,
                       PhaseSpaceFunction, TomographicCheckResult, build_kernel,
                       convolution_prefactor, forward_map, inverse_map,
-                      line_marginal, overlap_check, tomographic_check,
-                      trace_convolution, wootters_kernel)
+                      overlap_check, tomographic_check, trace_convolution,
+                      wootters_kernel)
 from .mubrot import (VERTICAL, LineSpec, MubFamily, RotationCoefficients,
-                     all_lines, build_V, check_unbiased, coeffs_from_phase,
-                     dual_basis_matrix, dual_basis_state, line_states,
-                     mub_family)
+                     build_V, check_unbiased, coeffs_from_phase,
+                     dual_basis_matrix, dual_basis_state, mub_family)
 from .serialize import (DiffReport, diff_grids, diff_projected, load_symbol,
                         mub_to_json, proj_to_csv, proj_to_gnuplot,
                         proj_to_json, psf_to_csv, psf_to_gnuplot, psf_to_json)
@@ -40,17 +39,14 @@ from .suites import SUITE_NAMES, run_suite
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, FactorizedPhase, FiducialReport,
                     GraphPhase, PhaseConvention, PlainPhase, SqrtPhase,
                     TomographicPhase, build_X, build_Z, check_fiducial,
-                    collective_spin, convention_from_name, displacement,
-                    displacement_overlaps, ghz_state, logical_state,
-                    permutation_matrix, permutation_op, spin_coherent,
-                    su2_group_element, symmetrize, w_state)
-from .symproj import (REFERENCE_IDS, InvarianceReport, PhaseSearchReport,
-                      ProjectedFunction, TheoremWitness,
-                      check_kernel_invariance, find_theorem_witness,
-                      fit_constant, pair_counts, project, r_factor,
-                      reference_symbol, search_invariant_phases,
-                      symbol_depends_only_on_h, symmetric_average,
-                      theorem_witness, valid_triples)
+                    convention_from_name, displacement, displacement_overlaps,
+                    ghz_state, logical_state, permutation_matrix,
+                    permutation_op, spin_coherent, symmetrize, w_state)
+from .symproj import (InvarianceReport, PhaseSearchReport, ProjectedFunction,
+                      TheoremWitness, check_kernel_invariance,
+                      find_theorem_witness, pair_counts, project, r_factor,
+                      search_invariant_phases, symbol_depends_only_on_h,
+                      symmetric_average, theorem_witness, valid_triples)
 
 __all__ = [
     "__version__",
@@ -58,22 +54,20 @@ __all__ = [
     "IRREDUCIBLE_POLYS", "MAX_N", "FieldContext", "field_context",
     "MAX_DENSE_N", "KernelSet", "OverlapReport",
     "PhaseSpaceFunction", "TomographicCheckResult", "build_kernel",
-    "convolution_prefactor", "forward_map", "inverse_map", "line_marginal",
-    "overlap_check", "tomographic_check", "trace_convolution",
-    "wootters_kernel",
-    "VERTICAL", "LineSpec", "MubFamily", "RotationCoefficients", "all_lines",
-    "build_V", "check_unbiased", "coeffs_from_phase", "dual_basis_matrix",
-    "dual_basis_state", "line_states", "mub_family",
+    "convolution_prefactor", "forward_map", "inverse_map", "overlap_check",
+    "tomographic_check", "trace_convolution", "wootters_kernel",
+    "VERTICAL", "LineSpec", "MubFamily", "RotationCoefficients", "build_V",
+    "check_unbiased", "coeffs_from_phase", "dual_basis_matrix",
+    "dual_basis_state", "mub_family",
     "DEFAULT_FIDUCIAL_ZETA", "FactorizedPhase", "FiducialReport", "GraphPhase",
     "PhaseConvention", "PlainPhase", "SqrtPhase", "TomographicPhase",
-    "build_X", "build_Z", "check_fiducial", "collective_spin",
-    "convention_from_name", "displacement", "displacement_overlaps",
-    "ghz_state", "logical_state", "permutation_matrix", "permutation_op",
-    "spin_coherent", "su2_group_element", "symmetrize", "w_state",
-    "REFERENCE_IDS", "InvarianceReport", "PhaseSearchReport",
-    "ProjectedFunction", "TheoremWitness", "check_kernel_invariance",
-    "find_theorem_witness", "fit_constant", "pair_counts", "project",
-    "r_factor", "reference_symbol", "search_invariant_phases",
+    "build_X", "build_Z", "check_fiducial", "convention_from_name",
+    "displacement", "displacement_overlaps", "ghz_state", "logical_state",
+    "permutation_matrix", "permutation_op", "spin_coherent", "symmetrize",
+    "w_state",
+    "InvarianceReport", "PhaseSearchReport", "ProjectedFunction",
+    "TheoremWitness", "check_kernel_invariance", "find_theorem_witness",
+    "pair_counts", "project", "r_factor", "search_invariant_phases",
     "symbol_depends_only_on_h", "symmetric_average", "theorem_witness",
     "valid_triples",
     "DiffReport", "diff_grids", "diff_projected", "load_symbol",

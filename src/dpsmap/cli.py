@@ -265,6 +265,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigurationError(f"--tol must be finite and >= 0, got {args.tol!r}")
     sym_a, sym_b = (serialize.load_symbol(Path(path).read_text())
                     for path in (args.a, args.b))
     if type(sym_a) is not type(sym_b):

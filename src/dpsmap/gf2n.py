@@ -43,17 +43,6 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[x]) product of two polynomials."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
 def poly_mod(p: int, mod: int) -> int:
     """Remainder of p modulo mod in GF(2)[x]."""
     dm = poly_degree(mod)
@@ -232,8 +221,10 @@ class FieldContext:
         """Flat grid indices a q + b of every line's points, shape (q(q+1), q).
 
         Row xi q + nu holds the line b = xi a + nu and row q^2 + nu the
-        vertical line a = nu (``mubrot.all_lines`` order), each with its
-        points in ``LineSpec.points`` order.  Read-only.
+        vertical line a = nu: slopes in increasing order, the vertical
+        pencil last, intercepts increasing within a slope.  A sloped line
+        lists its points by increasing a, a vertical one by increasing b.
+        Read-only.
         """
         q, mul = self.order, self._built[1]
         x = np.arange(q)
@@ -285,9 +276,6 @@ class FieldContext:
     def elements(self) -> range:
         return range(self.order)
 
-    def add(self, x: int, y: int) -> int:
-        return x ^ y
-
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[x, y])
 
@@ -295,18 +283,6 @@ class FieldContext:
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[x])
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def frobenius(self, x: int, k: int = 1) -> int:
-        """x^(2^k)."""
-        for _ in range(k % self.n):
-            x = int(self.mul_table[x, x])
-        return x
-
-    def sqrt(self, x: int) -> int:
-        return int(self.sqrt_table[x])
 
     def trace(self, x: int) -> int:
         return int(self.trace_table[x])
@@ -330,10 +306,6 @@ class FieldContext:
             if c:
                 x ^= th
         return x
-
-    def hweight(self, x: int) -> int:
-        """Hamming weight of the self-dual coordinate string."""
-        return int(self.hweight_table[x])
 
     def basis_index(self, x: int) -> int:
         """Position of |x> in the 2^n-dimensional amplitude vector."""
@@ -375,10 +347,6 @@ class FieldContext:
         # accepts any basis that passes the Gram check, not just ours
         return cls(int(record["n"]), int(record["poly"]), selfdual_basis=tuple(
             int(x) for x in record.get("selfdual_basis", ())))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FieldContext":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
         return f"FieldContext(n={self.n}, poly=0b{self.poly:b})"

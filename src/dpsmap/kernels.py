@@ -118,10 +118,6 @@ class KernelSet:
         out = tab[np.arange(len(tab))[:, None, None], ctx.xor_grid, rows[:, :, None]]
         return out.reshape(alpha.shape + (q, q))
 
-    def points(self):
-        q = self.ctx.order
-        return [(a, b) for a in range(q) for b in range(q)]
-
     @property
     def convention_invariant(self) -> bool:
         return self.conv.permutation_invariant
@@ -320,13 +316,6 @@ def wootters_kernel(ctx: FieldContext, family: MubFamily) -> np.ndarray:
     return table
 
 
-def line_marginal(ctx: FieldContext, psf: PhaseSpaceFunction,
-                  line: LineSpec) -> complex:
-    """2^-n sum of the symbol over the points of one line."""
-    total = sum(psf.grid[a, b] for a, b in line.points(ctx))
-    return complex(total / ctx.order)
-
-
 @dataclass
 class TomographicCheckResult:
     line: LineSpec
@@ -342,15 +331,17 @@ def tomographic_check(kernel: KernelSet, rho: np.ndarray,
                       family: MubFamily) -> TomographicCheckResult:
     """The worst line of the tomographic condition for one state.
 
-    Every line sum of W_rho (``line_marginal``) is compared with the Born
-    probability <psi|rho|psi> of the line's state in ``family``; the result
-    is the line with the largest deviation, the first in ``all_lines``
-    order on ties; its ``LineSpec`` is the only one built.
+    Every line sum 2^-n sum W_rho(a, b) over the line's points is compared
+    with the Born probability <psi|rho|psi> of the line's state in
+    ``family``; the result is the line with the largest deviation, the
+    first in the row order of ``ctx.line_points`` on ties; its ``LineSpec``
+    is the only one built.
     """
     ctx = kernel.ctx
     rho = np.asarray(rho, dtype=complex)
     values = forward_map(kernel, rho).grid.ravel()[ctx.line_points]
-    # added point by point in each line's order, as line_marginal adds them
+    # added one point at a time in each row's order, so that every sum is
+    # bitwise the plain sum over that line's points
     lhs = values[:, 0].copy()
     for column in values.T[1:]:
         lhs += column

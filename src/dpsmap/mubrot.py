@@ -52,29 +52,9 @@ class LineSpec:
     slope: int | None
     intercept: int
 
-    def points(self, ctx: FieldContext) -> list[tuple[int, int]]:
-        if self.slope is VERTICAL:
-            return [(self.intercept, b) for b in ctx.elements()]
-        row = ctx.mul_table[self.slope]
-        return [(a, int(row[a]) ^ self.intercept) for a in ctx.elements()]
-
-    def contains(self, ctx: FieldContext, a: int, b: int) -> bool:
-        if self.slope is VERTICAL:
-            return a == self.intercept
-        return b == (ctx.mul(self.slope, a) ^ self.intercept)
-
-
-def all_lines(ctx: FieldContext):
-    """All 2^n (2^n + 1) lines: every slope plus the vertical pencil."""
-    for xi in ctx.elements():
-        for nu in ctx.elements():
-            yield LineSpec(xi, nu)
-    for nu in ctx.elements():
-        yield LineSpec(VERTICAL, nu)
-
 
 def line_at(ctx: FieldContext, row: int) -> LineSpec:
-    """Line ``row`` of ``all_lines``: slope row // q (q stands for the
+    """Line ``row`` of ``ctx.line_points``: slope row // q (q stands for the
     vertical pencil) and intercept row % q."""
     q = ctx.order
     slope, nu = divmod(int(row), q)
@@ -187,20 +167,8 @@ def build_V(ctx: FieldContext, coeffs: RotationCoefficients) -> np.ndarray:
     return _rotation(dual_basis_matrix(ctx), coeffs)
 
 
-def line_states(ctx: FieldContext, coeffs: RotationCoefficients) -> list[np.ndarray]:
-    """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu."""
-    return _columns(ctx, build_V(ctx, coeffs))
-
-
-def check_unbiased(ctx: FieldContext, states_a, states_b,
-                   slope_a=-1, slope_b=-2) -> float:
-    """Max deviation of |<a|b>|^2 from 1/2^n across the two bases.
-
-    Pass the slopes when known; identical slopes are rejected since
-    unbiasedness only holds across different pencils.
-    """
-    if slope_a == slope_b:
-        raise ConfigurationError("unbiasedness check needs two different slopes")
+def check_unbiased(ctx: FieldContext, states_a, states_b) -> float:
+    """Max deviation of |<a|b>|^2 from 1/2^n across the two bases."""
     a = np.column_stack(states_a)
     b = np.column_stack(states_b)
     overlaps = np.abs(a.conj().T @ b) ** 2
@@ -221,18 +189,12 @@ class MubFamily:
 
     @cached_property
     def state_table(self) -> np.ndarray:
-        """(q(q+1), q) array whose row r is the state of line r of
-        ``all_lines``.  Built on first use; read-only."""
+        """(q(q+1), q) array whose row r is the state of the line in row r
+        of ``ctx.line_points``.  Built on first use; read-only."""
         states = np.array([state for slope in (*self.ctx.elements(), VERTICAL)
                            for state in self.bases[slope]])
         states.flags.writeable = False
         return states
-
-    def basis(self, slope) -> list[np.ndarray]:
-        return self.bases[slope]
-
-    def state(self, line: LineSpec) -> np.ndarray:
-        return self.bases[line.slope][line.intercept]
 
     def validate(self):
         q = self.ctx.order

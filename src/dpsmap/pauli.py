@@ -30,11 +30,6 @@ MAX_OPERATOR_N = 6
 #: fourth roots of unity, indexed by exponent of i
 I4 = np.array([1, 1j, -1, -1j], dtype=complex)
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI_1Q = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
 DEFAULT_FIDUCIAL_ZETA = 0.5 * np.exp(1j * np.pi / 4)
 
 
@@ -156,12 +151,6 @@ class PhaseConvention:
 
     def value_table(self, ctx: FieldContext) -> np.ndarray:
         return I4[self.exponent_table(ctx)]
-
-    def exponent(self, ctx: FieldContext, gamma: int, delta: int) -> int:
-        return int(self.exponent_table(ctx)[gamma, delta])
-
-    def value(self, ctx: FieldContext, gamma: int, delta: int) -> complex:
-        return complex(I4[self.exponent(ctx, gamma, delta)])
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -369,7 +358,7 @@ def check_fiducial(ctx: FieldContext, conv: PhaseConvention, ket: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# permutations and collective operators
+# qubit permutations
 # ----------------------------------------------------------------------
 
 MAX_SYMMETRIZE_N = 5
@@ -422,36 +411,3 @@ def symmetrize(ctx: FieldContext, op: np.ndarray) -> np.ndarray:
         axes = (*range(b), *(b + p for p in perm), *(b + n + p for p in perm))
         acc += tensor.transpose(axes).reshape(op.shape)
     return acc / math.factorial(n)
-
-
-def collective_spin(ctx: FieldContext, axis: str) -> np.ndarray:
-    """S_axis = sum_i sigma_axis^(i)."""
-    require_operator_n(ctx)
-    sigma = PAULI_1Q[axis]
-    total = np.zeros((ctx.order, ctx.order), dtype=complex)
-    for i in range(ctx.n):
-        ops = [np.eye(2, dtype=complex)] * ctx.n
-        ops[i] = sigma
-        term = ops[0]
-        for o in ops[1:]:
-            term = np.kron(term, o)
-        total += term
-    return total
-
-
-def su2_group_element(ctx: FieldContext, phi: float, theta: float,
-                      psi: float) -> np.ndarray:
-    """exp(i phi S_z) exp(i theta S_x) exp(i psi S_z).
-
-    The collective rotation factorizes over qubits, so this is a tensor
-    power of a single-qubit element.
-    """
-    require_operator_n(ctx)
-    eye = np.eye(2, dtype=complex)
-    g1 = ((math.cos(phi) * eye + 1j * math.sin(phi) * SIGMA_Z)
-          @ (math.cos(theta) * eye + 1j * math.sin(theta) * SIGMA_X)
-          @ (math.cos(psi) * eye + 1j * math.sin(psi) * SIGMA_Z))
-    g = g1
-    for _ in range(ctx.n - 1):
-        g = np.kron(g, g1)
-    return g

@@ -14,9 +14,8 @@ of the R_mnk identical grid values).
 This module provides the projection, the R_mnk orbit sizes, invariance
 checks for kernels and symbols, the constructive witness showing that the
 line-sum (tomographic) property and permutation invariance are incompatible
-for n >= 4, an exhaustive search over invariant hermitian phases for small
-n, and the closed-form benchmark symbols used to cross-check the numerical
-pipeline.
+for n >= 4, and an exhaustive search over invariant hermitian phases for
+small n.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .errors import ConfigurationError
 from .gf2n import FieldContext
 from .kernels import KernelSet, PhaseSpaceFunction, SymbolMeta, coefficient_residual
 from .mubrot import recurrence_holds
-from .pauli import I4, TomographicPhase
+from .pauli import TomographicPhase
 
 
 # ----------------------------------------------------------------------
@@ -89,15 +88,6 @@ class ProjectedFunction(SymbolMeta):
 
     def total(self) -> complex:
         return complex(sum(self.entries.values()))
-
-    def support(self) -> list[tuple[int, int, int]]:
-        return sorted(self.entries)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n + 1,) * 3, dtype=complex)
-        for (m, nn, k), v in self.entries.items():
-            out[m, nn, k] = v
-        return out
 
 
 def project(ctx: FieldContext, psf: PhaseSpaceFunction) -> ProjectedFunction:
@@ -361,145 +351,3 @@ def search_invariant_phases(ctx: FieldContext, max_examples: int = 4) -> PhaseSe
     return PhaseSearchReport(
         n=ctx.n, free_orbits=free, assignments=1 << nfree, hits=len(hits),
         hit_signs=hit_signs, includes_closed_form_p1=found)
-
-
-def fit_constant(reference, numeric) -> tuple[complex, float]:
-    """Least-squares scale c in ``numeric ~ c * reference``.
-
-    Returns (c, max residual); used to compare printed closed forms with
-    the numerical transform without ever hardcoding their normalization.
-    """
-    ref = np.asarray(reference, dtype=complex).ravel()
-    num = np.asarray(numeric, dtype=complex).ravel()
-    if ref.shape != num.shape:
-        raise ConfigurationError("fit requires same-shape arrays")
-    denom = np.vdot(ref, ref)
-    c = complex(np.vdot(ref, num) / denom) if abs(denom) > 0 else 0j
-    return c, float(np.max(np.abs(num - c * ref)))
-
-
-# ----------------------------------------------------------------------
-# closed-form benchmark symbols
-# ----------------------------------------------------------------------
-
-REFERENCE_IDS = ("equatorial_w0", "ghz_w0", "wstate_w0", "ghz_q_proj",
-                 "su2_element", "ghz_w0_proj")
-
-
-def _ghz_w0_grid(ctx: FieldContext) -> np.ndarray:
-    q = ctx.order
-    n = ctx.n
-    grid = np.zeros((q, q), dtype=complex)
-    grid[:, 1] += 0.5
-    grid[:, 0] += 0.5
-    chi_a = ctx.chi_table.astype(float)
-    hroot = ctx.hweight_table[ctx.sqrt_table]
-    interference = np.real((1 - 1j) ** n * I4[hroot % 4]) / q
-    grid += chi_a[:, None] * interference[None, :]
-    return grid
-
-
-def _wstate_w0_grid(ctx: FieldContext) -> np.ndarray:
-    q = ctx.order
-    n = ctx.n
-    th = ctx.selfdual_basis
-    grid = np.zeros((q, q), dtype=complex)
-    for t in th:
-        grid[:, t] += 1.0 / n
-    coords = ctx.coords_table
-    pref = (1 - 1j) ** n / (q * n)
-    beta = np.arange(q)
-    for p_i in range(n):
-        for q_i in range(n):
-            if p_i == q_i:
-                continue
-            denom_inv = ctx.inv(th[p_i] ^ th[q_i])
-            ratio = ctx.mul_table[beta ^ th[p_i], denom_inv]
-            hterm = I4[ctx.hweight_table[ctx.sqrt_table[ratio]] % 4]
-            sign = 1.0 - 2.0 * ((coords[:, p_i] + coords[:, q_i]) % 2)
-            grid += pref * sign[:, None] * hterm[None, :]
-    return grid
-
-
-def _su2_element_grid(ctx: FieldContext, euler) -> np.ndarray:
-    phi, theta, psi = euler
-    n = ctx.n
-    tan = np.tan(theta)
-    a = np.exp(1j * (phi + psi)) + 1j * np.sqrt(2) * tan * np.cos(phi - psi - np.pi / 4)
-    b = np.exp(-1j * (phi + psi)) + 1j * np.sqrt(2) * tan * np.cos(phi - psi + np.pi / 4)
-    c = np.exp(1j * (phi + psi)) - 1j * np.sqrt(2) * tan * np.cos(phi - psi - np.pi / 4)
-    d = np.exp(-1j * (phi + psi)) - 1j * np.sqrt(2) * tan * np.cos(phi - psi + np.pi / 4)
-    counts = np.array([pair_counts(n, *t) for t in valid_triples(n)])
-    n11, n10, n01, n00 = np.moveaxis(counts[ctx.orbit_index], -1, 0)
-    return (np.cos(theta) ** n * a ** n00 * b ** n01 * c ** n10 * d ** n11)
-
-
-def _ghz_q_proj_entries(n: int, zeta_abs: float) -> dict:
-    z = float(zeta_abs)
-    pref = z ** n / (2 * (1 + z * z) ** n)
-    entries = {}
-    for m, nn, k in valid_triples(n):
-        r = r_factor(n, m, nn, k)
-        body = (z ** (n - 2 * nn) + z ** (2 * nn - n)
-                + 2 * (-1) ** m * np.cos(np.pi / 4 * (n - 2 * nn)))
-        entries[(m, nn, k)] = complex(r * pref * body)
-    return entries
-
-
-def _ghz_w0_proj_entries(n: int, normalized: bool) -> dict:
-    scale = 2.0 ** -n if normalized else 1.0
-    entries = {}
-    for m, nn, k in valid_triples(n):
-        val = 0j
-        if nn == 0 and m == k:
-            val += 0.5 * math.comb(n, k)
-        if nn == n and m == n - k:
-            val += 0.5 * math.comb(n, m)
-        interference = (r_factor(n, m, nn, k) * (-1) ** (m + nn)
-                        * np.real((1 + 1j) ** n * 1j ** nn))
-        val += scale * interference
-        entries[(m, nn, k)] = complex(val)
-    return entries
-
-
-def reference_symbol(ctx: FieldContext, which: str, *, zeta_abs: float = 0.5,
-                     euler=(0.0, 0.0, 0.0), normalized: bool = False):
-    """Closed-form benchmark symbol, as printed or rescaled to the oracle.
-
-    Grid symbols (PhaseSpaceFunction): ``equatorial_w0`` (spin coherent with
-    zeta = 1, any hermitian convention), ``ghz_w0`` and ``wstate_w0``
-    (line-compatible p = 1 convention), ``su2_element`` (factorized
-    invariant convention, f = 0).  Projected symbols (ProjectedFunction):
-    ``ghz_q_proj`` (s = -1, fiducial argument pi/4 implied) and
-    ``ghz_w0_proj`` (factorized invariant convention).
-
-    ``normalized`` rescales the one term known to disagree with the
-    numerical transform: the ghz_w0_proj interference term, which as
-    printed is 2^n times the projected value.  All other symbols are exact
-    as printed, so the flag has no effect on them.
-    """
-    q = ctx.order
-    provenance = f"closed-form[{which}] {'normalized' if normalized else 'as-printed'}"
-    if which == "ghz_q_proj":
-        provenance += f" zeta_abs={zeta_abs} arg=pi/4"
-    tomographic = dict(n=ctx.n, s=0.0, convention="tomographic-p1", provenance=provenance)
-    invariant = dict(n=ctx.n, convention="perminv-f0", convention_invariant=True,
-                     provenance=provenance)
-    if which == "equatorial_w0":
-        grid = np.zeros((q, q), dtype=complex)
-        grid[0, :] = 1.0
-        return PhaseSpaceFunction(grid=grid, **tomographic)
-    if which == "ghz_w0":
-        return PhaseSpaceFunction(grid=_ghz_w0_grid(ctx), **tomographic)
-    if which == "wstate_w0":
-        return PhaseSpaceFunction(grid=_wstate_w0_grid(ctx), **tomographic)
-    if which == "su2_element":
-        return PhaseSpaceFunction(s=0.0, grid=_su2_element_grid(ctx, euler), **invariant)
-    if which == "ghz_q_proj":
-        return ProjectedFunction(s=-1.0, entries=_ghz_q_proj_entries(ctx.n, zeta_abs),
-                                 **invariant)
-    if which == "ghz_w0_proj":
-        return ProjectedFunction(s=0.0, entries=_ghz_w0_proj_entries(ctx.n, normalized),
-                                 **invariant)
-    raise ConfigurationError(
-        f"unknown reference symbol {which!r}; choose from {REFERENCE_IDS}")

@@ -1,0 +1,275 @@
+"""Reference implementations the tests compare the library with.
+
+None of these is reachable from the ``dpsmap`` command line, so they live
+here rather than in the package:
+
+* the paper's closed-form symbols (``reference_symbol``) and the
+  least-squares scale fit used to compare them with the numerical pipeline;
+* the collective spin operators and the SU(2) group element whose symbol
+  one of those closed forms gives;
+* the per-line oracles of ``FieldContext.line_points`` and
+  ``MubFamily.state_table``: the lines one at a time, their points, their
+  states and the line sums of a symbol;
+* schoolbook carry-less multiplication, the oracle of the field tables.
+
+Tests import them with ``from oracles import ...``; pytest puts ``tests/``
+on ``sys.path`` because the directory has no ``__init__.py``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
+                    PhaseSpaceFunction, ProjectedFunction, build_V,
+                    pair_counts, r_factor, valid_triples)
+from dpsmap.pauli import I4, require_operator_n
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_1Q = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+
+
+# ----------------------------------------------------------------------
+# field arithmetic
+# ----------------------------------------------------------------------
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less (GF(2)[x]) product of two polynomials."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+# ----------------------------------------------------------------------
+# lines, one at a time
+# ----------------------------------------------------------------------
+
+def all_lines(ctx: FieldContext):
+    """All 2^n (2^n + 1) lines: every slope plus the vertical pencil, in the
+    row order of ``ctx.line_points``."""
+    for xi in ctx.elements():
+        for nu in ctx.elements():
+            yield LineSpec(xi, nu)
+    for nu in ctx.elements():
+        yield LineSpec(VERTICAL, nu)
+
+
+def line_points_of(ctx: FieldContext, line: LineSpec) -> list[tuple[int, int]]:
+    """The points (a, b) of ``line``, in the order of increasing a (of
+    increasing b on a vertical line)."""
+    if line.slope is VERTICAL:
+        return [(line.intercept, b) for b in ctx.elements()]
+    row = ctx.mul_table[line.slope]
+    return [(a, int(row[a]) ^ line.intercept) for a in ctx.elements()]
+
+
+def line_states(ctx: FieldContext, coeffs) -> list[np.ndarray]:
+    """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu."""
+    v = build_V(ctx, coeffs)
+    return [v[:, ctx.basis_index(nu)].copy() for nu in ctx.elements()]
+
+
+def line_marginal(ctx: FieldContext, psf: PhaseSpaceFunction,
+                  line: LineSpec) -> complex:
+    """2^-n sum of the symbol over the points of one line."""
+    total = sum(psf.grid[a, b] for a, b in line_points_of(ctx, line))
+    return complex(total / ctx.order)
+
+
+# ----------------------------------------------------------------------
+# collective operators
+# ----------------------------------------------------------------------
+
+def collective_spin(ctx: FieldContext, axis: str) -> np.ndarray:
+    """S_axis = sum_i sigma_axis^(i)."""
+    require_operator_n(ctx)
+    sigma = PAULI_1Q[axis]
+    total = np.zeros((ctx.order, ctx.order), dtype=complex)
+    for i in range(ctx.n):
+        ops = [np.eye(2, dtype=complex)] * ctx.n
+        ops[i] = sigma
+        term = ops[0]
+        for o in ops[1:]:
+            term = np.kron(term, o)
+        total += term
+    return total
+
+
+def su2_group_element(ctx: FieldContext, phi: float, theta: float,
+                      psi: float) -> np.ndarray:
+    """exp(i phi S_z) exp(i theta S_x) exp(i psi S_z).
+
+    The collective rotation factorizes over qubits, so this is a tensor
+    power of a single-qubit element.
+    """
+    require_operator_n(ctx)
+    eye = np.eye(2, dtype=complex)
+    g1 = ((math.cos(phi) * eye + 1j * math.sin(phi) * SIGMA_Z)
+          @ (math.cos(theta) * eye + 1j * math.sin(theta) * SIGMA_X)
+          @ (math.cos(psi) * eye + 1j * math.sin(psi) * SIGMA_Z))
+    g = g1
+    for _ in range(ctx.n - 1):
+        g = np.kron(g, g1)
+    return g
+
+
+# ----------------------------------------------------------------------
+# projected symbols as dense cubes, and scale fits
+# ----------------------------------------------------------------------
+
+def dense(proj: ProjectedFunction) -> np.ndarray:
+    """The (n+1, n+1, n+1) cube of a projected symbol; zero off support."""
+    out = np.zeros((proj.n + 1,) * 3, dtype=complex)
+    for (m, nn, k), v in proj.entries.items():
+        out[m, nn, k] = v
+    return out
+
+
+def fit_constant(reference, numeric) -> tuple[complex, float]:
+    """Least-squares scale c in ``numeric ~ c * reference``.
+
+    Returns (c, max residual); used to compare printed closed forms with
+    the numerical transform without ever hardcoding their normalization.
+    """
+    ref = np.asarray(reference, dtype=complex).ravel()
+    num = np.asarray(numeric, dtype=complex).ravel()
+    if ref.shape != num.shape:
+        raise ConfigurationError("fit requires same-shape arrays")
+    denom = np.vdot(ref, ref)
+    c = complex(np.vdot(ref, num) / denom) if abs(denom) > 0 else 0j
+    return c, float(np.max(np.abs(num - c * ref)))
+
+
+# ----------------------------------------------------------------------
+# the paper's closed-form symbols
+# ----------------------------------------------------------------------
+
+REFERENCE_IDS = ("equatorial_w0", "ghz_w0", "wstate_w0", "ghz_q_proj",
+                 "su2_element", "ghz_w0_proj")
+
+
+def _ghz_w0_grid(ctx: FieldContext) -> np.ndarray:
+    q = ctx.order
+    n = ctx.n
+    grid = np.zeros((q, q), dtype=complex)
+    grid[:, 1] += 0.5
+    grid[:, 0] += 0.5
+    chi_a = ctx.chi_table.astype(float)
+    hroot = ctx.hweight_table[ctx.sqrt_table]
+    interference = np.real((1 - 1j) ** n * I4[hroot % 4]) / q
+    grid += chi_a[:, None] * interference[None, :]
+    return grid
+
+
+def _wstate_w0_grid(ctx: FieldContext) -> np.ndarray:
+    q = ctx.order
+    n = ctx.n
+    th = ctx.selfdual_basis
+    grid = np.zeros((q, q), dtype=complex)
+    for t in th:
+        grid[:, t] += 1.0 / n
+    coords = ctx.coords_table
+    pref = (1 - 1j) ** n / (q * n)
+    beta = np.arange(q)
+    for p_i in range(n):
+        for q_i in range(n):
+            if p_i == q_i:
+                continue
+            denom_inv = ctx.inv(th[p_i] ^ th[q_i])
+            ratio = ctx.mul_table[beta ^ th[p_i], denom_inv]
+            hterm = I4[ctx.hweight_table[ctx.sqrt_table[ratio]] % 4]
+            sign = 1.0 - 2.0 * ((coords[:, p_i] + coords[:, q_i]) % 2)
+            grid += pref * sign[:, None] * hterm[None, :]
+    return grid
+
+
+def _su2_element_grid(ctx: FieldContext, euler) -> np.ndarray:
+    phi, theta, psi = euler
+    n = ctx.n
+    tan = np.tan(theta)
+    a = np.exp(1j * (phi + psi)) + 1j * np.sqrt(2) * tan * np.cos(phi - psi - np.pi / 4)
+    b = np.exp(-1j * (phi + psi)) + 1j * np.sqrt(2) * tan * np.cos(phi - psi + np.pi / 4)
+    c = np.exp(1j * (phi + psi)) - 1j * np.sqrt(2) * tan * np.cos(phi - psi - np.pi / 4)
+    d = np.exp(-1j * (phi + psi)) - 1j * np.sqrt(2) * tan * np.cos(phi - psi + np.pi / 4)
+    counts = np.array([pair_counts(n, *t) for t in valid_triples(n)])
+    n11, n10, n01, n00 = np.moveaxis(counts[ctx.orbit_index], -1, 0)
+    return (np.cos(theta) ** n * a ** n00 * b ** n01 * c ** n10 * d ** n11)
+
+
+def _ghz_q_proj_entries(n: int, zeta_abs: float) -> dict:
+    z = float(zeta_abs)
+    pref = z ** n / (2 * (1 + z * z) ** n)
+    entries = {}
+    for m, nn, k in valid_triples(n):
+        r = r_factor(n, m, nn, k)
+        body = (z ** (n - 2 * nn) + z ** (2 * nn - n)
+                + 2 * (-1) ** m * np.cos(np.pi / 4 * (n - 2 * nn)))
+        entries[(m, nn, k)] = complex(r * pref * body)
+    return entries
+
+
+def _ghz_w0_proj_entries(n: int, normalized: bool) -> dict:
+    scale = 2.0 ** -n if normalized else 1.0
+    entries = {}
+    for m, nn, k in valid_triples(n):
+        val = 0j
+        if nn == 0 and m == k:
+            val += 0.5 * math.comb(n, k)
+        if nn == n and m == n - k:
+            val += 0.5 * math.comb(n, m)
+        interference = (r_factor(n, m, nn, k) * (-1) ** (m + nn)
+                        * np.real((1 + 1j) ** n * 1j ** nn))
+        val += scale * interference
+        entries[(m, nn, k)] = complex(val)
+    return entries
+
+
+def reference_symbol(ctx: FieldContext, which: str, *, zeta_abs: float = 0.5,
+                     euler=(0.0, 0.0, 0.0), normalized: bool = False):
+    """Closed-form benchmark symbol, as printed or rescaled to the oracle.
+
+    Grid symbols (PhaseSpaceFunction): ``equatorial_w0`` (spin coherent with
+    zeta = 1, any hermitian convention), ``ghz_w0`` and ``wstate_w0``
+    (line-compatible p = 1 convention), ``su2_element`` (factorized
+    invariant convention, f = 0).  Projected symbols (ProjectedFunction):
+    ``ghz_q_proj`` (s = -1, fiducial argument pi/4 implied) and
+    ``ghz_w0_proj`` (factorized invariant convention).
+
+    ``normalized`` rescales the one term known to disagree with the
+    numerical transform: the ghz_w0_proj interference term, which as
+    printed is 2^n times the projected value.  All other symbols are exact
+    as printed, so the flag has no effect on them.
+    """
+    q = ctx.order
+    provenance = f"closed-form[{which}] {'normalized' if normalized else 'as-printed'}"
+    if which == "ghz_q_proj":
+        provenance += f" zeta_abs={zeta_abs} arg=pi/4"
+    tomographic = dict(n=ctx.n, s=0.0, convention="tomographic-p1", provenance=provenance)
+    invariant = dict(n=ctx.n, convention="perminv-f0", convention_invariant=True,
+                     provenance=provenance)
+    if which == "equatorial_w0":
+        grid = np.zeros((q, q), dtype=complex)
+        grid[0, :] = 1.0
+        return PhaseSpaceFunction(grid=grid, **tomographic)
+    if which == "ghz_w0":
+        return PhaseSpaceFunction(grid=_ghz_w0_grid(ctx), **tomographic)
+    if which == "wstate_w0":
+        return PhaseSpaceFunction(grid=_wstate_w0_grid(ctx), **tomographic)
+    if which == "su2_element":
+        return PhaseSpaceFunction(s=0.0, grid=_su2_element_grid(ctx, euler), **invariant)
+    if which == "ghz_q_proj":
+        return ProjectedFunction(s=-1.0, entries=_ghz_q_proj_entries(ctx.n, zeta_abs),
+                                 **invariant)
+    if which == "ghz_w0_proj":
+        return ProjectedFunction(s=0.0, entries=_ghz_w0_proj_entries(ctx.n, normalized),
+                                 **invariant)
+    raise ConfigurationError(
+        f"unknown reference symbol {which!r}; choose from {REFERENCE_IDS}")

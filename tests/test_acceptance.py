@@ -8,17 +8,17 @@ is 1e-10 unless a criterion states otherwise.
 import math
 
 import numpy as np
+from oracles import (all_lines, dense, fit_constant, line_points_of,
+                     reference_symbol, su2_group_element)
 
-from dpsmap import (all_lines, build_kernel, check_fiducial,
-                    check_kernel_invariance, coeffs_from_phase,
+from dpsmap import (build_kernel, check_kernel_invariance, coeffs_from_phase,
                     convention_from_name, convolution_prefactor, displacement,
-                    field_context, find_theorem_witness, fit_constant,
-                    forward_map, ghz_state, inverse_map, logical_state,
-                    mub_family, overlap_check, project, r_factor,
-                    reference_symbol, run_suite, search_invariant_phases,
-                    spin_coherent, su2_group_element, symbol_depends_only_on_h,
-                    symmetric_average, symmetrize, tomographic_check,
-                    trace_convolution, valid_triples, build_V, build_X,
+                    field_context, find_theorem_witness, forward_map,
+                    ghz_state, inverse_map, logical_state, mub_family,
+                    overlap_check, project, run_suite,
+                    search_invariant_phases, spin_coherent,
+                    symbol_depends_only_on_h, symmetric_average, symmetrize,
+                    tomographic_check, trace_convolution, build_V, build_X,
                     check_unbiased, wootters_kernel)
 
 TOL = 1e-10
@@ -70,6 +70,7 @@ def test_criterion_02_displacement_suite():
         eye = np.eye(ctx.order)
         for name in ALL_CONVENTIONS:
             conv = convention_from_name(name)
+            phis = conv.value_table(ctx)
             herm_all = True
             square_all = True
             for g in ctx.elements():
@@ -77,10 +78,10 @@ def test_criterion_02_displacement_suite():
                     D = displacement(ctx, conv, g, d)
                     worst = max(worst, float(np.max(np.abs(D @ D.conj().T - eye))))
                     herm_all &= bool(np.max(np.abs(D - D.conj().T)) < TOL)
-                    phi = conv.value(ctx, g, d)
+                    phi = phis[g, d]
                     square_all &= abs(phi ** 2 - ctx.chi(ctx.mul(g, d))) < TOL
-                boundary_ok &= conv.value(ctx, g, 0) == 1
-                boundary_ok &= conv.value(ctx, 0, g) == 1
+                boundary_ok &= phis[g, 0] == 1
+                boundary_ok &= phis[0, g] == 1
             # hermitian displacements exactly when the phase squares to chi
             flags_ok &= (herm_all == square_all == conv.hermitian)
     ok = worst < TOL and flags_ok and boundary_ok
@@ -99,7 +100,7 @@ def test_criterion_03_kernel_suite():
         for conv in (TOMO, PERMINV):
             kern = build_kernel(ctx, 0.0, conv)
             total = np.zeros((q, q), dtype=complex)
-            for a, b in kern.points():
+            for a, b in np.ndindex(q, q):
                 K = kern.at(a, b)
                 total += K
                 worst = max(worst, float(np.max(np.abs(K - K.conj().T))))
@@ -170,7 +171,7 @@ def test_criterion_05_mub_suite():
                 recurrence_ok &= coeffs.verify(ctx)
             V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
             worst = max(worst, float(np.max(np.abs(
-                V @ V - build_X(ctx, ctx.sqrt(xi))))))
+                V @ V - build_X(ctx, ctx.sqrt_table[xi])))))
             for nu in (1, q - 1):
                 X = build_X(ctx, nu)
                 worst = max(worst, float(np.max(np.abs(V @ X - X @ V))))
@@ -183,7 +184,7 @@ def test_criterion_05_mub_suite():
         for i, ka in enumerate(keys):
             for kb in keys[i + 1:]:
                 unbiased_dev = max(unbiased_dev,
-                                   check_unbiased(ctx, fam.basis(ka), fam.basis(kb)))
+                                   check_unbiased(ctx, fam.bases[ka], fam.bases[kb]))
     ok = recurrence_ok and worst < TOL and unbiased_dev < TOL
     _verdict(5, "rotation recurrence (exact), V^2 and commutation, "
                 "full-family unbiasedness", ok,
@@ -206,10 +207,10 @@ def test_criterion_06_tomography_suite():
         kern = build_kernel(ctx, 0.0, TOMO)
         fam = mub_family(ctx)
         for line in all_lines(ctx):
-            ket = fam.state(line)
+            ket = fam.bases[line.slope][line.intercept]
             psf = forward_map(kern, np.outer(ket, ket.conj()))
             expect = np.zeros((ctx.order, ctx.order))
-            for a, b in line.points(ctx):
+            for a, b in line_points_of(ctx, line):
                 expect[a, b] = 1.0
             worst_line = max(worst_line, float(np.max(np.abs(psf.grid - expect))))
     worst_w = 0.0
@@ -217,7 +218,7 @@ def test_criterion_06_tomography_suite():
         ctx = field_context(n)
         kern = build_kernel(ctx, 0.0, TOMO)
         woot = wootters_kernel(ctx, mub_family(ctx))
-        for a, b in kern.points():
+        for a, b in np.ndindex(ctx.order, ctx.order):
             worst_w = max(worst_w, float(np.max(np.abs(
                 woot[a, b] - kern.at(a, b)))))
     ok = worst_tc < TOL and worst_line < TOL and worst_w < TOL
@@ -305,8 +306,8 @@ def test_criterion_09_closed_form_reproduction():
         for zeta_abs in (0.5, 1.0, 2.0):
             fid = spin_coherent(ctx, zeta_abs * np.exp(1j * np.pi / 4))
             kq = build_kernel(ctx, -1.0, PERMINV, fiducial=fid)
-            num = project(ctx, forward_map(kq, rho)).dense()
-            ref = reference_symbol(ctx, "ghz_q_proj", zeta_abs=zeta_abs).dense()
+            num = dense(project(ctx, forward_map(kq, rho)))
+            ref = dense(reference_symbol(ctx, "ghz_q_proj", zeta_abs=zeta_abs))
             c, resid = fit_constant(ref, num)
             worst_q_resid = max(worst_q_resid, resid, abs(c - 1))
             q_consts.append(c.real)
@@ -321,11 +322,11 @@ def test_criterion_09_closed_form_reproduction():
         for k in range(n + 1):
             comb[k, 0, k] += 0.5 * math.comb(n, k)
             comb[n - k, n, k] += 0.5 * math.comb(n, n - k)
-        raw = reference_symbol(ctx, "ghz_w0_proj").dense()
+        raw = dense(reference_symbol(ctx, "ghz_w0_proj"))
         interference_printed = raw - comb
         kern = build_kernel(ctx, 0.0, PERMINV)
         rho = np.outer(ghz_state(ctx), ghz_state(ctx).conj())
-        num = project(ctx, forward_map(kern, rho)).dense()
+        num = dense(project(ctx, forward_map(kern, rho)))
         c, resid = fit_constant(interference_printed, num - comb)
         worst_int_resid = max(worst_int_resid, resid)
         int_consts.append(c.real)
@@ -364,8 +365,8 @@ def test_criterion_10_interference_contrast():
     rho_cross = 0.5 * (np.outer(zero, ones.conj()) + np.outer(ones, zero.conj()))
 
     def peak_ratio(kern):
-        diag = project(ctx, forward_map(kern, rho_diag)).dense()
-        cross = project(ctx, forward_map(kern, rho_cross)).dense()
+        diag = dense(project(ctx, forward_map(kern, rho_diag)))
+        cross = dense(project(ctx, forward_map(kern, rho_cross)))
         return float(np.max(np.abs(cross)) / np.max(np.abs(diag)))
 
     # |zeta| sets the Q-side smoothing scale: the cross-term peak is bounded

@@ -107,7 +107,7 @@ def test_field_prints_and_exports(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "GF(2^3)" in out
     assert "gram check: ok" in out
-    restored = FieldContext.from_json((tmp_path / "ctx.json").read_text())
+    restored = FieldContext.from_json_dict(json.loads((tmp_path / "ctx.json").read_text()))
     assert restored.n == 3
 
 
@@ -379,6 +379,24 @@ def test_diff_exit_codes(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["max_deviation"] > 0.1
     assert run("diff", "x.grid.json", "missing.json") == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])
+def test_diff_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+        tmp_path, monkeypatch, capsys, tol):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--out", "x") == 0
+    capsys.readouterr()
+    assert run("diff", "x.grid.json", "x.grid.json", f"--tol={tol}") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --tol must be finite and >= 0, got {float(tol)!r}\n"
+
+
+def test_diff_zero_tolerance_passes_identical_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--out", "x") == 0
+    assert run("diff", "x.grid.json", "x.grid.json", "--tol", "0") == 0
 
 
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"kind": "grid"}'])

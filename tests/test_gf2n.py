@@ -1,9 +1,12 @@
 # tests/test_gf2n.py
+import json
+
 import numpy as np
 import pytest
+from oracles import clmul
 
 from dpsmap import ConfigurationError, FieldContext, field_context
-from dpsmap.gf2n import IRREDUCIBLE_POLYS, clmul, is_irreducible, poly_degree, poly_mod
+from dpsmap.gf2n import IRREDUCIBLE_POLYS, is_irreducible, poly_degree, poly_mod
 
 
 # ---------------------------------------------------------
@@ -58,10 +61,12 @@ def test_frozen_small_products():
 # ---------------------------------------------------------
 
 def test_add_is_xor():
+    """Adding self-dual coordinate strings mod 2 is xor of the elements."""
     ctx = field_context(3)
     for a in ctx.elements():
         for b in ctx.elements():
-            assert ctx.add(a, b) == a ^ b
+            coords = [x ^ y for x, y in zip(ctx.to_coords(a), ctx.to_coords(b))]
+            assert ctx.from_coords(coords) == a ^ b
 
 
 def test_mul_commutative_table_symmetric():
@@ -84,8 +89,8 @@ def test_distributive_exhaustive_small():
     for a in ctx.elements():
         for b in ctx.elements():
             for c in ctx.elements():
-                left = ctx.mul(a, ctx.add(b, c))
-                right = ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+                left = ctx.mul(a, b ^ c)
+                right = ctx.mul(a, b) ^ ctx.mul(a, c)
                 assert left == right
 
 
@@ -103,24 +108,26 @@ def test_div_and_inv_consistent():
     for a, b in rng.integers(0, 16, size=(50, 2)):
         a, b = int(a), int(b)
         if b:
-            assert ctx.div(a, b) == ctx.mul(a, ctx.inv(b))
+            assert ctx.mul(ctx.mul(a, ctx.inv(b)), b) == a
     with pytest.raises(ZeroDivisionError):
-        ctx.div(1, 0)
+        ctx.inv(0)
 
 
 def test_frobenius_is_squaring():
     ctx = field_context(5)
     for a in ctx.elements():
-        assert ctx.frobenius(a) == ctx.mul(a, a)
-        # n-fold Frobenius is the identity
-        assert ctx.frobenius(a, ctx.n) == a
+        # the n-fold Frobenius x -> x^(2^n) is the identity
+        y = a
+        for _ in range(ctx.n):
+            y = int(ctx.mul_table[y, y])
+        assert y == a
 
 
 def test_sqrt_squares_back():
     for n in range(1, 7):
         ctx = field_context(n)
         for a in ctx.elements():
-            r = ctx.sqrt(a)
+            r = int(ctx.sqrt_table[a])
             assert ctx.mul(r, r) == a
 
 
@@ -232,8 +239,7 @@ def test_hweight_table_counts_coords():
     for n in range(1, 6):
         ctx = field_context(n)
         for x in ctx.elements():
-            assert ctx.hweight(x) == sum(ctx.to_coords(x))
-            assert ctx.hweight_table[x] == ctx.hweight(x)
+            assert ctx.hweight_table[x] == sum(ctx.to_coords(x))
 
 
 def test_index_table_bijection():
@@ -307,7 +313,7 @@ def test_listed_polys_are_irreducible():
 
 def test_json_roundtrip():
     ctx = field_context(3)
-    restored = FieldContext.from_json(ctx.to_json())
+    restored = FieldContext.from_json_dict(json.loads(ctx.to_json()))
     assert restored.n == 3
     assert restored.poly == ctx.poly
     assert restored.selfdual_basis == ctx.selfdual_basis
@@ -323,7 +329,8 @@ def test_stored_basis_is_used_without_a_search(monkeypatch):
     ctx = FieldContext.from_json_dict(record)
     assert ctx.selfdual_basis == (9, 10, 12, 14)
     assert np.array_equal(ctx.gram_matrix(), np.eye(4, dtype=np.int64))
-    assert FieldContext.from_json(ctx.to_json()).selfdual_basis == ctx.selfdual_basis
+    restored = FieldContext.from_json_dict(json.loads(ctx.to_json()))
+    assert restored.selfdual_basis == ctx.selfdual_basis
     # not self-dual; out of range; -7 would index element 9 of the tables
     for bad in ([1, 2, 4, 8], [99, 10, 12, 14], [-7, 10, 12, 14]):
         with pytest.raises(ConfigurationError, match="self-duality"):

@@ -4,13 +4,14 @@ sums explicit displacement matrices -- no shared code with the vectorized
 builder beyond the displacement definition itself."""
 import numpy as np
 import pytest
+from oracles import all_lines, line_marginal, line_points_of
 
 from dpsmap import kernels, pauli
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FiducialError,
-                    KernelSet, all_lines, build_kernel, convention_from_name,
+                    KernelSet, build_kernel, convention_from_name,
                     convolution_prefactor, displacement, field_context,
-                    forward_map, ghz_state, inverse_map, line_marginal,
-                    logical_state, mub_family, overlap_check, spin_coherent,
+                    forward_map, ghz_state, inverse_map, logical_state,
+                    mub_family, overlap_check, spin_coherent,
                     tomographic_check, trace_convolution, w_state,
                     wootters_kernel)
 
@@ -83,7 +84,7 @@ def test_unit_trace_and_completeness():
         for s in (-1.0, 0.0, 1.0):
             kern = build_kernel(ctx, s, TOMO)
             total = np.zeros((q, q), dtype=complex)
-            for a, b in kern.points():
+            for a, b in np.ndindex(q, q):
                 K = kern.at(a, b)
                 assert abs(np.trace(K) - 1) < 1e-12
                 total += K
@@ -97,7 +98,7 @@ def test_hermiticity_follows_convention():
         conv = convention_from_name(name)
         kern = build_kernel(ctx, 0.0, conv)
         devs = [np.max(np.abs(kern.at(a, b) - kern.at(a, b).conj().T))
-                for a, b in kern.points()]
+                for a, b in np.ndindex(ctx.order, ctx.order)]
         if conv.hermitian:
             assert max(devs) < 1e-12
         else:
@@ -209,7 +210,7 @@ def _flat_tables(kernel):
     q = kernel.ctx.order
     flat = np.empty((q * q, q * q), dtype=complex)
     flat_t = np.empty((q * q, q * q), dtype=complex)
-    for i, (a, b) in enumerate(kernel.points()):
+    for i, (a, b) in enumerate(np.ndindex(q, q)):
         op = kernel.at(a, b)
         flat[i] = op.reshape(-1)
         flat_t[i] = op.T.reshape(-1)
@@ -241,7 +242,7 @@ def test_table_checks_match_operator_oracle(n, name, s):
     assert abs(rep.constant - constant) < 1e-12
     assert np.max(np.abs(diag - constant)) < 1e-12
     assert abs(rep.max_offdiag - np.max(np.abs(gram - np.diag(diag)))) < 1e-12
-    total = sum(ka.at(a, b) for a, b in ka.points())
+    total = sum(ka.at(a, b) for a, b in np.ndindex(q, q))
     assert abs(ka.normalization_residual()
                - np.max(np.abs(total - q * np.eye(q)))) < 1e-12
 
@@ -251,7 +252,7 @@ def point_residuals(kernel, conv, fid):
     of Delta - Delta^dagger and of Delta(a, b) - D(a, b)|xi><xi|D(a, b)^dagger."""
     ctx = kernel.ctx
     herm = proj = 0.0
-    for a, b in kernel.points():
+    for a, b in np.ndindex(ctx.order, ctx.order):
         op = kernel.at(a, b)
         coh = displacement(ctx, conv, a, b) @ fid
         herm = max(herm, np.max(np.abs(op - op.conj().T)))
@@ -441,9 +442,9 @@ def test_line_state_symbols_are_delta_lines():
         kern = build_kernel(ctx, 0.0, TOMO)
         fam = mub_family(ctx)
         for line in all_lines(ctx):
-            ket = fam.state(line)
+            ket = fam.bases[line.slope][line.intercept]
             psf = forward_map(kern, np.outer(ket, ket.conj()))
-            on = set(line.points(ctx))
+            on = set(line_points_of(ctx, line))
             for a in ctx.elements():
                 for b in ctx.elements():
                     expect = 1.0 if (a, b) in on else 0.0
@@ -457,7 +458,7 @@ def per_line_tomographic_check(kern, rho, fam):
     worst = None
     for line in all_lines(ctx):
         lhs = line_marginal(ctx, kernels.forward_map(kern, rho), line)
-        ket = fam.state(line)
+        ket = fam.bases[line.slope][line.intercept]
         rhs = complex(ket.conj() @ rho @ ket)
         if worst is None or abs(lhs - rhs) > abs(worst[1] - worst[2]):
             worst = (line, lhs, rhs)
@@ -480,7 +481,7 @@ def test_tomographic_check_on_random_states():
             assert res.deviation < 1e-10
             assert abs(res.deviation - abs(lhs - rhs)) < 1e-15
             # the reported line sum is the one line_marginal adds, bit for bit
-            ket = fam.state(res.line)
+            ket = fam.bases[res.line.slope][res.line.intercept]
             assert res.lhs == line_marginal(ctx, forward_map(kern, rho), res.line)
             assert abs(res.rhs - ket.conj() @ rho @ ket) < 1e-15
 
@@ -500,7 +501,7 @@ def test_tomographic_check_reports_the_perturbed_line(monkeypatch, n):
     for target in (lines[0], lines[q + 1], lines[q * q - 1], lines[-1]):
         def bent(kernel, op, provenance="", target=target):
             psf = unbent(kernel, op, provenance)
-            for a, b in target.points(ctx):
+            for a, b in line_points_of(ctx, target):
                 psf.grid[a, b] += 1e-3 * np.trace(op)
             return psf
         monkeypatch.setattr(kernels, "forward_map", bent)
@@ -520,8 +521,8 @@ def test_tomographic_tables_are_built_once_and_read_only():
     assert not ctx.line_points.flags.writeable
     assert not fam.state_table.flags.writeable
     # row r of the state table is the state of line r of all_lines
-    assert np.array_equal(fam.state_table,
-                          [fam.state(line) for line in all_lines(ctx)])
+    assert np.array_equal(fam.state_table, [fam.bases[line.slope][line.intercept]
+                                            for line in all_lines(ctx)])
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -547,7 +548,7 @@ def test_line_marginal_equals_born_probability():
     rho = np.outer(ghz_state(ctx), ghz_state(ctx).conj())
     psf = forward_map(kern, rho)
     for line in all_lines(ctx):
-        ket = fam.state(line)
+        ket = fam.bases[line.slope][line.intercept]
         born = np.vdot(ket, rho @ ket)
         assert abs(line_marginal(ctx, psf, line) - born) < 1e-10
 

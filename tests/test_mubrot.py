@@ -1,11 +1,12 @@
 # tests/test_mubrot.py
 import numpy as np
 import pytest
+from oracles import all_lines, line_points_of, line_states
 
 from dpsmap import (ConfigurationError, GraphPhase, TomographicPhase, VERTICAL,
-                    all_lines, build_V, build_X, check_unbiased,
-                    coeffs_from_phase, dual_basis_matrix, dual_basis_state,
-                    field_context, line_states, mub_family)
+                    build_V, build_X, check_unbiased, coeffs_from_phase,
+                    dual_basis_matrix, dual_basis_state, field_context,
+                    mub_family)
 from dpsmap.mubrot import line_at, recurrence_holds
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -21,7 +22,12 @@ def valid_p_values(n):
 def closed_form_oracle(ctx, xi, p):
     """Exponents of c_(alpha, xi) = (-i)^h(alpha^p xi^(p/2)), written out
     per slope, with xi^(1/2) the field square root."""
-    half = ctx.sqrt(xi) if p == 1 else ctx.frobenius(xi, p.bit_length() - 2)
+    if p == 1:
+        half = int(ctx.sqrt_table[xi])
+    else:
+        half = xi
+        for _ in range(p.bit_length() - 2):    # xi^(p/2) by squaring
+            half = int(ctx.mul_table[half, half])
     ap = np.arange(ctx.order)
     for _ in range(p.bit_length() - 1):
         ap = ctx.mul_table[ap, ap]
@@ -41,6 +47,13 @@ def graph_oracle(ctx, xi, sign):
 # line geometry
 # ---------------------------------------------------------
 
+def on_line(ctx, line, a, b):
+    """Whether (a, b) solves the equation of ``line``."""
+    if line.slope is VERTICAL:
+        return a == line.intercept
+    return b == (ctx.mul(line.slope, a) ^ line.intercept)
+
+
 def test_line_count_and_size():
     for n in (1, 2, 3):
         ctx = field_context(n)
@@ -48,9 +61,9 @@ def test_line_count_and_size():
         lines = list(all_lines(ctx))
         assert len(lines) == q * (q + 1)
         for line in lines:
-            pts = line.points(ctx)
+            pts = line_points_of(ctx, line)
             assert len(pts) == q
-            assert all(line.contains(ctx, a, b) for a, b in pts)
+            assert all(on_line(ctx, line, a, b) for a, b in pts)
 
 
 def test_parallel_lines_partition_the_grid():
@@ -61,7 +74,7 @@ def test_parallel_lines_partition_the_grid():
         covered = set()
         for line in all_lines(ctx):
             if line.slope == slope:
-                covered.update(line.points(ctx))
+                covered.update(line_points_of(ctx, line))
         assert len(covered) == q * q
 
 
@@ -72,7 +85,7 @@ def test_nonparallel_lines_meet_once():
         for lb in lines:
             if la.slope == lb.slope:
                 continue
-            common = set(la.points(ctx)) & set(lb.points(ctx))
+            common = set(line_points_of(ctx, la)) & set(line_points_of(ctx, lb))
             assert len(common) == 1
 
 
@@ -80,14 +93,15 @@ def test_vertical_lines_fix_alpha():
     ctx = field_context(3)
     for line in all_lines(ctx):
         if line.slope is VERTICAL:
-            assert {a for a, _ in line.points(ctx)} == {line.intercept}
+            assert {a for a, _ in line_points_of(ctx, line)} == {line.intercept}
 
 
 def test_line_point_table_lists_every_line_in_order():
     for n in (1, 2, 3, 4):
         ctx = field_context(n)
         q = ctx.order
-        expect = [[a * q + b for a, b in line.points(ctx)] for line in all_lines(ctx)]
+        expect = [[a * q + b for a, b in line_points_of(ctx, line)]
+                  for line in all_lines(ctx)]
         assert ctx.line_points.tolist() == expect
 
 
@@ -219,7 +233,7 @@ def test_V_unitary_and_square_relation():
         for xi in range(1, ctx.order):
             V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
             assert np.allclose(V @ V.conj().T, np.eye(ctx.order))
-            assert np.allclose(V @ V, build_X(ctx, ctx.sqrt(xi)))
+            assert np.allclose(V @ V, build_X(ctx, ctx.sqrt_table[xi]))
 
 
 def test_V_commutes_with_shifts():
@@ -287,7 +301,7 @@ def test_family_mutually_unbiased():
         keys = list(fam.bases)
         for i, ka in enumerate(keys):
             for kb in keys[i + 1:]:
-                assert check_unbiased(ctx, fam.basis(ka), fam.basis(kb)) < 1e-10
+                assert check_unbiased(ctx, fam.bases[ka], fam.bases[kb]) < 1e-10
 
 
 def test_family_schemes_agree_on_unbiasedness():
@@ -295,7 +309,7 @@ def test_family_schemes_agree_on_unbiasedness():
     for scheme in ("p1", "p2", "p4", "graph+", "graph-"):
         fam = mub_family(ctx, scheme)
         fam.validate()
-        assert check_unbiased(ctx, fam.basis(1), fam.basis(None)) < 1e-10
+        assert check_unbiased(ctx, fam.bases[1], fam.bases[None]) < 1e-10
 
 
 def test_scheme_validity_depends_on_n():
@@ -309,18 +323,18 @@ def test_logical_basis_is_slope_zero():
     ctx = field_context(2)
     fam = mub_family(ctx)
     for nu in ctx.elements():
-        ket = fam.basis(0)[nu]
+        ket = fam.bases[0][nu]
         assert abs(abs(ket[ctx.index_table[nu]]) - 1) < 1e-12
 
 
 def test_line_state_lookup():
-    """family.state(line) gives the basis vector labelled by the intercept."""
+    """Row r of family.state_table is the basis vector of line r, labelled by
+    its intercept."""
     ctx = field_context(2)
     fam = mub_family(ctx)
-    for line in all_lines(ctx):
-        ket = fam.state(line)
+    for ket, line in zip(fam.state_table, all_lines(ctx), strict=True):
         assert abs(np.linalg.norm(ket) - 1) < 1e-12
-        expect = fam.basis(line.slope)[line.intercept]
+        expect = fam.bases[line.slope][line.intercept]
         assert np.allclose(ket, expect)
 
 

@@ -1,7 +1,9 @@
 # tests/test_package.py
 """The public API: every exported name exists, and each is exported once;
 importing the package pins BLAS to one thread unless told otherwise; a CLI
-run loads no more than it uses."""
+run loads no more than it uses; the package holds no function the CLI never
+runs; the CI workflow's smoke steps pass."""
+import json
 import os
 import subprocess
 import sys
@@ -96,3 +98,106 @@ def test_field_dump_builds_no_q_by_q_character_table():
     assert _loaded_after(["field", "--n", "8"],
                          ("char_matrix", "char_matrix_c", "xor_grid"),
                          "vars(gf2n.field_context(8))") == "0 []"
+
+
+# a fixed CLI sweep run in-process under sys.setprofile; prints every function
+# defined in the package that no command entered, as "module.qualname"
+_SWEEP = r"""
+import contextlib, inspect, io, json, os, sys, tempfile
+from pathlib import Path
+from dpsmap import cli, mubrot
+
+pkg = Path(cli.__file__).parent
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+os.chdir(tempfile.mkdtemp())
+Path("amps.json").write_text(json.dumps({"amplitudes": [[0.5, 0]] * 4}))
+sweep = [["map", "--n", "2", "--state", state, "--format", fmt, "--project"]
+         for state in ("ghz", "w", "coherent", "logical:01", "@amps.json")
+         for fmt in ("json", "csv", "gnuplot")]
+sweep += [["map", "--n", "2", "--s", "1", "--format", "csv", "--project", "--out", "p"],
+          ["map", "--n", "2", "--s", "-1", "--project", "--out", "m"],
+          ["verify", "--suite", "all", "--n", "3"],
+          ["verify", "--suite", "all", "--n", "4"],
+          ["field", "--n", "3", "--out", "field.json"]]
+sweep += [["mub", "--n", "3", "--scheme", scheme] for scheme in mubrot.SCHEMES]
+sweep += [["diff", f"dpsmap-ghz-n2-s0-tomographic-p1.{kind}.json",
+           f"dpsmap-w-n2-s0-tomographic-p1.{kind}.json"] for kind in ("grid", "proj")]
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in sweep]
+sys.setprofile(None)
+assert codes == [0] * (len(codes) - 2) + [1, 1], codes
+
+never = []
+for path in sorted(pkg.glob("*.py")):
+    stack = [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                stack.append(const)
+                func = const.co_flags & inspect.CO_OPTIMIZED
+                key = (const.co_filename, const.co_firstlineno)
+                if func and not const.co_name.startswith("<") and key not in entered:
+                    never.append(f"{path.stem}.{const.co_qualname}")
+print(json.dumps(sorted(never)))
+"""
+
+# function -> why it stays in the package although the sweep never runs it
+_NOT_ON_A_CLI_PATH = {
+    "gf2n.FieldContext.__repr__": "debugging aid; no output prints a context",
+    "gf2n.FieldContext.from_json_dict": "reads back what to_json_dict writes, "
+                                        "for symbol files that embed their field",
+    "pauli.PhaseConvention.__repr__": "debugging aid; no output prints a convention",
+    "pauli.PhaseConvention._exponent_table": "abstract; every convention overrides it",
+    "pauli.permutation_op": "traced by bench/tracing.py, which looks it up",
+    "pauli.permutation_matrix": "what permutation_op builds its matrix with",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code.co_qualname")
+def test_every_function_in_the_package_runs_on_a_cli_path(tmp_path):
+    """Test-only code belongs in tests/oracles.py, not in the package."""
+    never = json.loads(_child_output(_SWEEP, TMPDIR=str(tmp_path)))
+    assert never == sorted(_NOT_ON_A_CLI_PATH)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ci_workflow_smoke_steps_pass(tmp_path):
+    """Every ``run:`` step of the CI workflow but the install and tier-1
+    steps, run from the repository root in the shell GitHub uses."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((_ROOT / ".github/workflows/tests.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]
+             if "run" in step]
+    smoke = [step for step in steps
+             if "pip install" not in step["run"] and "pytest" not in step["run"]]
+    assert len(smoke) == len(steps) - 2
+    # the steps call ``python``: make it this interpreter; their mktemp
+    # directories go under tmp_path
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "bin" / "python").symlink_to(sys.executable)
+    env = dict(os.environ, PATH=f"{tmp_path / 'bin'}{os.pathsep}{os.environ['PATH']}",
+               TMPDIR=str(tmp_path))
+    running = []
+    for i, step in enumerate(smoke):
+        script = tmp_path / f"step{i}.sh"
+        script.write_text(step["run"])
+        # the steps share no files, so they run side by side
+        running.append((step["name"], subprocess.Popen(
+            ["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
+            cwd=_ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)))
+    failed = []
+    for name, proc in running:
+        out, err = proc.communicate()
+        if proc.returncode:
+            failed.append((name, proc.returncode, out[-2000:], err[-2000:]))
+    assert failed == []
