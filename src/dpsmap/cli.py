@@ -8,21 +8,28 @@ mub       dump a full MUB family as JSON amplitude lists
 verify    run a named verification suite, exit 1 on failure
 diff      compare two exported symbol files
 
-Exit codes: 0 success, 1 verification/comparison failure, 2 bad
-configuration or input file.  A JSON file mirroring RunConfig can seed any
-run via ``--config`` (explicit flags win).  ``map`` takes n <= 5, and n = 5
-only at s = 0; ``--mode`` only narrows that rule: dense to n <= 4, lazy to
-s = 0.
+Arguments are read from one option table, ``build_parser()``, which also
+writes the ``-h``/``--help`` text.  A flag is written ``--flag value`` or
+``--flag=value`` with its name in full; its value token is taken as it is,
+so ``--zeta -0.5,0.2`` works.
+
+Exit codes: 0 success (also for ``--help`` and ``--version``), 1
+verification/comparison failure, 2 bad usage, configuration or input file,
+reported as one ``error:`` line on stderr.  A JSON file mirroring RunConfig
+can seed any run via ``--config`` (explicit flags win).  ``map`` takes
+n <= 5, and n = 5 only at s = 0; ``--mode`` only narrows that rule: dense
+to n <= 4, lazy to s = 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
+from types import SimpleNamespace
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .errors import ConfigurationError, FiducialError
 
 STATE_SPECS = "ghz | w | coherent | logical:<bits> | @<file.json>"
 FORMATS = ("json", "csv", "gnuplot")
+MODES = ("dense", "lazy")
 MUB_SCHEMES = tuple(mubrot.SCHEMES)
 
 
@@ -69,7 +77,7 @@ class RunConfig:
     seed: int = 0
 
     @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
+    def from_args(cls, args: SimpleNamespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
             stored = serialize.parse_json(Path(args.config).read_text(),
@@ -104,13 +112,17 @@ class RunConfig:
             raise ConfigurationError("the CLI restricts s to -1, 0, or +1")
         if self.format not in FORMATS:
             raise ConfigurationError(f"format must be one of {FORMATS}")
-        if self.mode not in (None, "dense", "lazy"):
+        if self.mode not in (None, *MODES):
             raise ConfigurationError("mode must be dense or lazy")
         if self.suite not in suites.SUITE_NAMES:
             raise ConfigurationError(f"suite must be one of {suites.SUITE_NAMES}")
         if self.scheme not in MUB_SCHEMES:
             raise ConfigurationError(f"scheme must be one of {MUB_SCHEMES}")
         pauli.convention_from_name(self.conv)
+
+    def as_dict(self) -> dict:
+        """The fields by name; a shallow copy, as every field is a scalar."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_state(ctx: gf2n.FieldContext, spec: str, zeta: complex) -> np.ndarray:
@@ -213,7 +225,7 @@ def _map_pipeline(cfg: RunConfig):
 
 
 def _export_symbol(cfg: RunConfig, ctx, psf, constants) -> int:
-    meta = (asdict(cfg), constants)
+    meta = (cfg.as_dict(), constants)
     base = cfg.out or (f"dpsmap-{_state_slug(cfg.state)}-n{cfg.n}"
                        f"-s{cfg.s:g}-{cfg.conv}")
     ext = {"json": "json", "csv": "csv", "gnuplot": "dat"}[cfg.format]
@@ -243,7 +255,7 @@ def cmd_mub(args) -> int:
     cfg = RunConfig.from_args(args)
     ctx = gf2n.field_context(cfg.n)
     family = mubrot.mub_family(ctx, cfg.scheme)
-    text = serialize.mub_to_json(family, asdict(cfg))
+    text = serialize.mub_to_json(family, cfg.as_dict())
     if cfg.out:
         _write(cfg.out, text)
     else:
@@ -255,7 +267,7 @@ def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
     report = suites.run_suite(cfg.suite, cfg.n, cfg.seed)
     report["version"] = __version__
-    report["config"] = asdict(cfg)
+    report["config"] = cfg.as_dict()
     text = serialize._dumps(report)
     if cfg.out:
         _write(cfg.out, text + "\n")
@@ -280,63 +292,148 @@ def cmd_diff(args) -> int:
 
 
 # ----------------------------------------------------------------------
+# argument parsing
+# ----------------------------------------------------------------------
 
-def _add_common(sub, *names):
-    if "n" in names:
-        sub.add_argument("--n", type=int, default=None, help="number of qubits")
-    if "config" in names:
-        sub.add_argument("--config", default=None,
-                         help="JSON file with RunConfig defaults")
-    if "out" in names:
-        sub.add_argument("--out", default=None, help="output path (or prefix)")
-    if "seed" in names:
-        sub.add_argument("--seed", type=int, default=None, help="RNG seed")
+class Flag(NamedTuple):
+    """One ``--name`` option.  ``kind`` is the type its value converts with
+    (int, float or str), a tuple of the values it allows, or bool for a
+    flag that takes no value and stores True."""
+
+    kind: type | tuple
+    help: str
+    default: object = None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dpsmap",
-        description="Discrete phase-space mappings for n qubits over GF(2^n).")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    """A subcommand: its handler, help line, flags and positionals."""
 
-    p = subs.add_parser("field", help="print a field context")
-    _add_common(p, "n", "config", "out")
-    p.set_defaults(func=cmd_field)
+    func: Callable[[SimpleNamespace], int]
+    help: str
+    flags: dict[str, Flag]
+    positionals: tuple[str, ...] = ()
 
-    p = subs.add_parser("map", help="map: compute a state symbol")
-    _add_common(p, "n", "config", "out")
-    p.add_argument("--state", default=None, help=STATE_SPECS)
-    p.add_argument("--s", type=float, default=None,
-                   help="kernel parameter, one of -1, 0, 1")
-    p.add_argument("--conv", default=None, help="phase convention name")
-    p.add_argument("--zeta", default=None,
-                   help="coherent-state parameter (re,im or mag@deg)")
-    p.add_argument("--fiducial", default=None,
-                   help="fiducial zeta (re,im or mag@deg); default 0.5@45")
-    p.add_argument("--project", action="store_true", default=None,
-                   help="also export the (m,n,k) projection")
-    p.add_argument("--mode", default=None, choices=("dense", "lazy"),
-                   help="narrow the size rule: dense to n <= 4, lazy to s = 0")
-    p.add_argument("--format", default=None, choices=FORMATS)
-    p.set_defaults(func=cmd_map)
 
-    p = subs.add_parser("mub", help="dump a MUB family as JSON")
-    _add_common(p, "n", "config", "out")
-    p.add_argument("--scheme", default=None, choices=MUB_SCHEMES)
-    p.set_defaults(func=cmd_mub)
+def build_parser() -> dict[str, Command]:
+    """The option table: each subcommand's handler, flags and positionals.
 
-    p = subs.add_parser("verify", help="run a verification suite")
-    _add_common(p, "n", "config", "out", "seed")
-    p.add_argument("--suite", default=None, choices=suites.SUITE_NAMES)
-    p.set_defaults(func=cmd_verify)
+    Parsing and ``--help`` both read it; see ``parse_args``.
+    """
+    common = {"n": Flag(int, "number of qubits"),
+              "config": Flag(str, "JSON file with RunConfig defaults"),
+              "out": Flag(str, "output path (or prefix)")}
+    return {
+        "field": Command(cmd_field, "print a field context", common),
+        "map": Command(cmd_map, "compute a state's phase-space symbol", {
+            **common,
+            "state": Flag(str, STATE_SPECS),
+            "s": Flag(float, "kernel parameter, one of -1, 0, 1"),
+            "conv": Flag(str, "phase convention name"),
+            "zeta": Flag(str, "coherent-state parameter (re,im or mag@deg)"),
+            "fiducial": Flag(str, "fiducial zeta (re,im or mag@deg); default 0.5@45"),
+            "project": Flag(bool, "also export the (m,n,k) projection"),
+            "mode": Flag(MODES, "narrow the size rule: dense to n <= 4, lazy to s = 0"),
+            "format": Flag(FORMATS, "output format")}),
+        "mub": Command(cmd_mub, "dump a MUB family as JSON",
+                       {**common, "scheme": Flag(MUB_SCHEMES, "rotation scheme")}),
+        "verify": Command(cmd_verify, "run a verification suite", {
+            **common, "seed": Flag(int, "RNG seed"),
+            "suite": Flag(suites.SUITE_NAMES, "suite to run")}),
+        "diff": Command(cmd_diff, "compare two exported symbol files",
+                        {"tol": Flag(float, "largest deviation that still matches",
+                                     1e-10)},
+                        ("a", "b")),
+    }
 
-    p = subs.add_parser("diff", help="compare two exported symbol files")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_diff)
-    return parser
+
+def _help(table: dict[str, Command], name: str | None) -> str:
+    if name is None:
+        return "\n".join([
+            "usage: dpsmap [-h] [--version] COMMAND [options]", "",
+            "Discrete phase-space mappings for n qubits over GF(2^n).", "",
+            "commands:",
+            *(f"  {cmd:<8}{spec.help}" for cmd, spec in table.items()), "",
+            "Flags are written --flag value or --flag=value;",
+            "'dpsmap COMMAND --help' lists a command's flags."])
+    spec = table[name]
+    rows = [(f"--{flag}" if f.kind is bool else
+             f"--{flag} {{{','.join(f.kind)}}}" if isinstance(f.kind, tuple) else
+             f"--{flag} {flag.upper()}",
+             f.help + ("" if f.default is None else f" (default {f.default:g})"))
+            for flag, f in spec.flags.items()]
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([
+        f"usage: dpsmap {name} {''.join(p.upper() + ' ' for p in spec.positionals)}"
+        "[options]", "", spec.help, "", "options:",
+        *(f"  {left:<{width}}{text}" for left, text in rows)])
+
+
+def parse_args(table: dict[str, Command], argv: list[str]) -> SimpleNamespace | str:
+    """``argv`` as a namespace of the command's flags (their default, mostly
+    None, when absent), positionals, ``command`` and ``func``; or, for
+    ``--help`` and ``--version``, the text to print.
+
+    A flag's value is the rest of its token after ``=``, else the next
+    token taken as it is, even when it starts with ``-``.  Names must be
+    spelled out.  Every mistake raises ConfigurationError.
+    """
+    if argv and argv[0] in ("-h", "--help", "--version"):
+        return __version__ if argv[0] == "--version" else _help(table, None)
+    if not argv:
+        raise ConfigurationError(f"missing command; choose from {', '.join(table)}")
+    name, *rest = argv
+    if name not in table:
+        raise ConfigurationError(
+            f"invalid command {name!r}; choose from {', '.join(table)}")
+    spec = table[name]
+    values = {flag: f.default for flag, f in spec.flags.items()}
+    positionals = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--":   # every later token is a positional
+            positionals += tokens
+            break
+        if token in ("-h", "--help"):
+            return _help(table, name)
+        if not token.startswith("--"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token[2:].partition("=")
+        f = spec.flags.get(flag)
+        if f is None:
+            raise ConfigurationError(f"unrecognized arguments: {token}")
+        if f.kind is bool:
+            if eq:
+                raise ConfigurationError(f"argument --{flag}: takes no value")
+            values[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigurationError(f"argument --{flag}: expected one argument")
+        if isinstance(f.kind, tuple):
+            if value not in f.kind:
+                raise ConfigurationError(
+                    f"argument --{flag}: invalid choice {value!r} "
+                    f"(choose from {', '.join(f.kind)})")
+        else:
+            try:
+                value = f.kind(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"argument --{flag}: invalid {f.kind.__name__} value: {value!r}"
+                ) from None
+        values[flag] = value
+    if len(positionals) > len(spec.positionals):
+        raise ConfigurationError(
+            f"unrecognized arguments: {positionals[len(spec.positionals)]}")
+    missing = spec.positionals[len(positionals):]
+    if missing:
+        raise ConfigurationError(
+            f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=name, func=spec.func, **values,
+                           **dict(zip(spec.positionals, positionals)))
 
 
 _PARSER = None
@@ -346,8 +443,11 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:   # built once per process; parse_args keeps no state in it
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
     try:
+        args = parse_args(_PARSER, sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return 0
         return args.func(args)
     except (ConfigurationError, FiducialError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ here rather than in the package:
 * the per-line oracles of ``FieldContext.line_points`` and
   ``MubFamily.state_table``: the lines one at a time, their points, their
   states and the line sums of a symbol;
-* schoolbook carry-less multiplication, the oracle of the field tables.
+* schoolbook carry-less multiplication, the oracle of the field tables;
+* the argparse parser the command line used before its option table.
 
 Tests import them with ``from oracles import ...``; pytest puts ``tests/``
 on ``sys.path`` because the directory has no ``__init__.py``.
@@ -18,13 +19,15 @@ on ``sys.path`` because the directory has no ``__init__.py``.
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import numpy as np
 
 from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
-                    PhaseSpaceFunction, ProjectedFunction, build_V,
-                    pair_counts, r_factor, valid_triples)
+                    PhaseSpaceFunction, ProjectedFunction, build_V, cli,
+                    pair_counts, r_factor, suites, valid_triples)
+from dpsmap._version import __version__
 from dpsmap.pauli import I4, require_operator_n
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -273,3 +276,66 @@ def reference_symbol(ctx: FieldContext, which: str, *, zeta_abs: float = 0.5,
                                  **invariant)
     raise ConfigurationError(
         f"unknown reference symbol {which!r}; choose from {REFERENCE_IDS}")
+
+
+# ----------------------------------------------------------------------
+# command line
+# ----------------------------------------------------------------------
+
+def _add_common(sub, *names):
+    if "n" in names:
+        sub.add_argument("--n", type=int, default=None, help="number of qubits")
+    if "config" in names:
+        sub.add_argument("--config", default=None,
+                         help="JSON file with RunConfig defaults")
+    if "out" in names:
+        sub.add_argument("--out", default=None, help="output path (or prefix)")
+    if "seed" in names:
+        sub.add_argument("--seed", type=int, default=None, help="RNG seed")
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The parser ``cli.main`` used before ``cli.build_parser``'s option table."""
+    parser = argparse.ArgumentParser(
+        prog="dpsmap",
+        description="Discrete phase-space mappings for n qubits over GF(2^n).")
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p = subs.add_parser("field", help="print a field context")
+    _add_common(p, "n", "config", "out")
+    p.set_defaults(func=cli.cmd_field)
+
+    p = subs.add_parser("map", help="map: compute a state symbol")
+    _add_common(p, "n", "config", "out")
+    p.add_argument("--state", default=None, help=cli.STATE_SPECS)
+    p.add_argument("--s", type=float, default=None,
+                   help="kernel parameter, one of -1, 0, 1")
+    p.add_argument("--conv", default=None, help="phase convention name")
+    p.add_argument("--zeta", default=None,
+                   help="coherent-state parameter (re,im or mag@deg)")
+    p.add_argument("--fiducial", default=None,
+                   help="fiducial zeta (re,im or mag@deg); default 0.5@45")
+    p.add_argument("--project", action="store_true", default=None,
+                   help="also export the (m,n,k) projection")
+    p.add_argument("--mode", default=None, choices=("dense", "lazy"),
+                   help="narrow the size rule: dense to n <= 4, lazy to s = 0")
+    p.add_argument("--format", default=None, choices=cli.FORMATS)
+    p.set_defaults(func=cli.cmd_map)
+
+    p = subs.add_parser("mub", help="dump a MUB family as JSON")
+    _add_common(p, "n", "config", "out")
+    p.add_argument("--scheme", default=None, choices=cli.MUB_SCHEMES)
+    p.set_defaults(func=cli.cmd_mub)
+
+    p = subs.add_parser("verify", help="run a verification suite")
+    _add_common(p, "n", "config", "out", "seed")
+    p.add_argument("--suite", default=None, choices=suites.SUITE_NAMES)
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = subs.add_parser("diff", help="compare two exported symbol files")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.set_defaults(func=cli.cmd_diff)
+    return parser

@@ -82,19 +82,46 @@ def test_main_reuses_its_parser(tmp_path, monkeypatch, capsys):
         outputs.append(capsys.readouterr())
         monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
     assert outputs[0] == outputs[1]
-    with pytest.raises(SystemExit) as exc:
-        run("verify", "--n", "2", "--bogus")
-    assert exc.value.code == 2
+    assert run("verify", "--n", "2", "--bogus") == 2
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert run("verify", "--n", "2", "--suite", "field") == 0
     assert capsys.readouterr() == outputs[0]
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run("--version")
-    assert exc.value.code == 0
+    assert run("--version") == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--bogus"), ("map", "--proj"), ("map", "--threads", "2"),
+    ("frobnicate",), ("--bogus",), (),
+    ("map", "--n", "x"), ("map", "--s", "x"), ("diff", "a", "b", "--tol", "x"),
+    ("map", "--format", "xml"), ("verify", "--suite", "nope"), ("mub", "--scheme=p9"),
+    ("map", "--n"), ("map", "--format"), ("map", "--project=1"),
+    ("diff",), ("diff", "onlyone"), ("diff", "a", "b", "c"),
+])
+def test_usage_errors_are_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [(), ("field",), ("map",), ("mub",), ("verify",),
+                                  ("diff",)])
+def test_help_lists_every_flag_of_the_table(capsys, argv):
+    table = cli.build_parser()
+    names = [f"--{flag}" for flag in table[argv[0]].flags] if argv else list(table)
+    for flag in ("-h", "--help"):
+        assert run(*argv, flag) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(" ".join(("usage: dpsmap",) + argv))
+        assert all(name in out for name in names)
 
 
 # ---------------------------------------------------------
@@ -212,6 +239,20 @@ def test_map_fiducial_gate(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "q.grid.json").exists()
 
 
+@pytest.mark.parametrize("flag, head", [("zeta", ("--state", "coherent")),
+                                        ("fiducial", ("--s", "1"))])
+def test_negative_complex_values_are_flag_values(tmp_path, monkeypatch, flag, head):
+    """A value token starting with '-' is the flag's value, as with '='."""
+    exports = []
+    for form in ((f"--{flag}", "-0.5,0.2"), (f"--{flag}=-0.5,0.2",)):
+        workdir = tmp_path / str(len(exports))
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert run("map", *head, *form, "--out", "x") == 0
+        exports.append((workdir / "x.grid.json").read_bytes())
+    assert exports[0] == exports[1]
+
+
 @pytest.mark.parametrize("argv, line", [
     (("--s", "1", "--fiducial", "nan,0"), "complex number 'nan,0' is not finite"),
     (("--s", "-1", "--fiducial", "1e309@0"), "complex number '1e309@0' is not finite"),
@@ -281,9 +322,8 @@ def test_config_rejects_unknown_keys(tmp_path, monkeypatch, capsys):
 def test_threads_env_and_override(tmp_path, monkeypatch, capsys):
     """The worker-count knob is gone: no flag, no config key, no env var."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        run("map", "--threads", "2", "--out", "flag")
-    assert exc.value.code == 2
+    assert run("map", "--threads", "2", "--out", "flag") == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --threads\n"
     (tmp_path / "cfg.json").write_text(json.dumps({"threads": 2}))
     assert run("map", "--config", "cfg.json") == 2
     assert "unknown config keys: ['threads']" in capsys.readouterr().err

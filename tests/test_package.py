@@ -94,6 +94,12 @@ def test_verify_loads_neither_numpy_random_nor_openssl():
                          "sys.modules") == "0 []"
 
 
+def test_map_loads_neither_argparse_nor_gettext(tmp_path):
+    """The CLI parses its arguments from its own option table."""
+    assert _loaded_after(["map", "--n", "2", "--out", str(tmp_path / "x")],
+                         ("argparse", "gettext"), "sys.modules") == "0 []"
+
+
 def test_field_dump_builds_no_q_by_q_character_table():
     assert _loaded_after(["field", "--n", "8"],
                          ("char_matrix", "char_matrix_c", "xor_grid"),
@@ -127,11 +133,12 @@ sweep += [["map", "--n", "2", "--s", "1", "--format", "csv", "--project", "--out
 sweep += [["mub", "--n", "3", "--scheme", scheme] for scheme in mubrot.SCHEMES]
 sweep += [["diff", f"dpsmap-ghz-n2-s0-tomographic-p1.{kind}.json",
            f"dpsmap-w-n2-s0-tomographic-p1.{kind}.json"] for kind in ("grid", "proj")]
+sweep += [["--help"], ["map", "--help"]]
 sys.setprofile(profile)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in sweep]
 sys.setprofile(None)
-assert codes == [0] * (len(codes) - 2) + [1, 1], codes
+assert codes == [0] * (len(codes) - 4) + [1, 1, 0, 0], codes
 
 never = []
 for path in sorted(pkg.glob("*.py")):
