@@ -44,8 +44,8 @@ from .pauli import (DEFAULT_FIDUCIAL_ZETA, FactorizedPhase, FiducialReport,
                     permutation_op, spin_coherent, symmetrize, w_state)
 from .symproj import (InvarianceReport, PhaseSearchReport, ProjectedFunction,
                       TheoremWitness, check_kernel_invariance,
-                      find_theorem_witness, pair_counts, project, r_factor,
-                      search_invariant_phases, symbol_depends_only_on_h,
+                      find_theorem_witness, orbit_sizes, pair_counts, project,
+                      r_factor, search_invariant_phases, symbol_depends_only_on_h,
                       symmetric_average, theorem_witness, valid_triples)
 
 __all__ = [
@@ -67,9 +67,9 @@ __all__ = [
     "w_state",
     "InvarianceReport", "PhaseSearchReport", "ProjectedFunction",
     "TheoremWitness", "check_kernel_invariance", "find_theorem_witness",
-    "pair_counts", "project", "r_factor", "search_invariant_phases",
-    "symbol_depends_only_on_h", "symmetric_average", "theorem_witness",
-    "valid_triples",
+    "orbit_sizes", "pair_counts", "project", "r_factor",
+    "search_invariant_phases", "symbol_depends_only_on_h", "symmetric_average",
+    "theorem_witness", "valid_triples",
     "DiffReport", "diff_grids", "diff_projected", "load_symbol",
     "mub_to_json", "proj_to_csv", "proj_to_gnuplot", "proj_to_json",
     "psf_to_csv", "psf_to_gnuplot", "psf_to_json",

@@ -207,6 +207,17 @@ class FieldContext:
         return chi[mul]
 
     @cached_property
+    def trace_form(self) -> np.ndarray:
+        """tr(x*y) for all pairs, as int8; built on first use, read-only.
+
+        The GF(2)-bilinear trace form that every rotation-coefficient
+        recurrence reads, and the exponents of the phase i^tr(xy).
+        """
+        table = (self.char_matrix < 0).astype(np.int8)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def char_matrix_c(self) -> np.ndarray:
         return self.char_matrix.astype(np.complex128)
 

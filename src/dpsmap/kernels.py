@@ -203,10 +203,10 @@ def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
     """Reconstruct f = 2^-n sum W(alpha, beta) Delta^(-s)(alpha, beta).
 
     ``kernel`` must be the dual of the kernel that produced ``psf``: s
-    values opposite, same convention and same fiducial.
+    values opposite, same convention and same fiducial.  A stacked grid
+    gives the (..., q, q) stack of operators.
     """
     ctx = kernel.ctx
-    q = ctx.order
     if psf.n != ctx.n:
         raise ConfigurationError("dimension mismatch between symbol and kernel")
     if abs(psf.s + kernel.s) > 1e-12:
@@ -221,11 +221,11 @@ def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
         raise ConfigurationError("fiducial mismatch between symbol and kernel")
     w = np.asarray(psf.grid, dtype=complex)
     c = ctx.char_matrix_c
-    bracket = ((c @ w @ c).T) / (q * q)                      # [gamma, delta]
-    g = bracket * kernel._wphi
-    coef = c @ g                                             # coef[mu, delta]
-    out = np.zeros((q, q), dtype=complex)
-    out[ctx.index_table[:, None], ctx.index_table[ctx.xor_grid]] = coef
+    # each stage replaces the last, so a stack's earlier stages are freed early
+    t = (c @ w @ c).swapaxes(-1, -2) / ctx.order ** 2        # [gamma, delta]
+    t = c @ (t * kernel._wphi)                               # [mu, delta]
+    out = np.zeros(w.shape, complex)
+    out[..., ctx.index_table[:, None], ctx.index_table[ctx.xor_grid]] = t
     return out
 
 

@@ -87,20 +87,25 @@ def dual_basis_matrix(ctx: FieldContext) -> np.ndarray:
 # rotation coefficients
 # ----------------------------------------------------------------------
 
-def recurrence_holds(ctx: FieldContext, xi, exponents) -> np.ndarray:
-    """Whether c = i^exponents solves the recurrence on slope xi, exactly.
+def recurrence_residual(ctx: FieldContext, xi, exponents) -> np.ndarray:
+    """e[kappa + alpha] - e[kappa] - e[alpha] - 2 tr(xi alpha kappa) mod 4.
 
     ``exponents`` is (..., q) and ``xi`` broadcasts against its leading
-    axes: one bool per leading index, from one int8 residual
-    e[kappa + alpha] - e[kappa] - e[alpha] - 2 tr(xi alpha kappa) mod 4.
+    axes; the int8 result is (..., q, q), indexed [kappa, alpha], and is
+    zero exactly where c = i^exponents solves the recurrence on slope xi.
     """
     e = np.mod(exponents, 4).astype(np.int8)
-    trace_form = ctx.trace_table[ctx.mul_table].astype(np.int8)   # tr(x y)
     resid = e[..., ctx.xor_grid]
     resid -= e[..., :, None]
     resid -= e[..., None, :]
-    resid -= 2 * trace_form[xi][..., ctx.mul_table]
-    return ~(resid % 4).any(axis=(-2, -1))
+    resid -= 2 * ctx.trace_form[xi][..., ctx.mul_table]
+    return resid % 4
+
+
+def recurrence_holds(ctx: FieldContext, xi, exponents) -> np.ndarray:
+    """Whether c = i^exponents solves the recurrence on slope xi, exactly:
+    one bool per leading index of ``recurrence_residual``."""
+    return ~recurrence_residual(ctx, xi, exponents).any(axis=(-2, -1))
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """The seeded random samples of the `verify` suites.
 
-The suites need uniform integers and uniform complex entries only, so they
-draw them from the standard library's Mersenne Twister instead of
-``numpy.random``, whose import loads OpenSSL through ``secrets`` and
-``hashlib`` and adds about 6 MB to a `verify` process.
+The suites need uniform integers and uniform complex entries only, and the
+hermitian operators and pure states made of them, so they draw them from
+the standard library's Mersenne Twister instead of ``numpy.random``, whose
+import loads OpenSSL through ``secrets`` and ``hashlib`` and adds about
+6 MB to a `verify` process.
 """
 
 from __future__ import annotations
@@ -42,5 +43,28 @@ class Sampler:
     def complex(self, shape):
         """Real and imaginary parts uniform in [-1, 1): the top 52 bits of
         a word each, scaled exactly."""
-        re, im = (self._words((2, *shape)) >> np.uint64(12)) * 2.0 ** -51 - 1.0
-        return re + 1j * im
+        return self.complex_draws(1, shape)[0][0]
+
+    def complex_draws(self, count, *shapes):
+        """``count`` rounds of one ``complex(shape)`` draw per shape, read at
+        once: a (count, *shape) stack per shape, bitwise equal to the draws
+        made one at a time."""
+        sizes = [2 * math.prod(shape) for shape in shapes]
+        units = (self._words((count, sum(sizes))) >> np.uint64(12)) * 2.0 ** -51 - 1.0
+        out, start = [], 0
+        for shape, size in zip(shapes, sizes):
+            re, im = units[:, start:start + size].reshape(count, 2, *shape).swapaxes(0, 1)
+            out.append(re + 1j * im)
+            start += size
+        return out
+
+    def hermitian(self, dim, count):
+        """``count`` draws of a + a^dagger with a = ``complex((dim, dim))``,
+        as a (count, dim, dim) stack."""
+        a, = self.complex_draws(count, (dim, dim))
+        return a + a.conj().swapaxes(-1, -2)
+
+    def pure(self, dim):
+        """A normalized ``complex((dim,))`` vector."""
+        v = self.complex((dim,))
+        return v / np.linalg.norm(v)

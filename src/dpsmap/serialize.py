@@ -31,7 +31,7 @@ from ._version import __version__
 from .errors import ConfigurationError
 from .gf2n import MAX_N, FieldContext
 from .kernels import PhaseSpaceFunction, SymbolMeta
-from .symproj import ProjectedFunction, r_factor, valid_triples
+from .symproj import ProjectedFunction, orbit_sizes, valid_triples
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -214,7 +214,7 @@ def _entry_frame(n: int, key) -> tuple[str, str]:
     after its value pair, at the depth ``proj_to_json`` writes it."""
     pad = "\n" + "  " * 3
     return (f"[{pad}{_json_list(list(map(str, key)), 3)},{pad}",
-            f",{pad}{r_factor(n, *key)}\n    ]")
+            f",{pad}{orbit_sizes(n).get(key, 0)}\n    ]")
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +238,8 @@ def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
 def _proj_rows(proj: ProjectedFunction, sep: str) -> list:
     keys = sorted(proj.entries)
     z = np.array([proj.entries[key] for key in keys], dtype=complex)
-    return [sep.join([*map(str, key), re, im, str(r_factor(proj.n, *key))])
+    sizes = orbit_sizes(proj.n)
+    return [sep.join([*map(str, key), re, im, str(sizes.get(key, 0))])
             for key, re, im in zip(keys, _reprs(z.real), _reprs(z.imag))]
 
 

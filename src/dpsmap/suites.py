@@ -12,6 +12,7 @@ are deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def _chunks(ctx, count):
     """Slices of ``count`` samples, each small enough that a (P, q, q)
     complex stack of them holds at most ``_STACK_ENTRIES`` entries."""
     step = max(1, _STACK_ENTRIES // ctx.order ** 2)
-    return [slice(start, start + step) for start in range(0, count, step)]
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _dagger(ops):
@@ -52,16 +53,6 @@ def _dagger(ops):
 def _report(suite, n, checks):
     return {"suite": suite, "n": n, "passed": all(c["passed"] for c in checks),
             "checks": checks}
-
-
-def _random_hermitian(rng, dim):
-    a = rng.complex((dim, dim))
-    return a + a.conj().T
-
-
-def _random_pure(rng, dim):
-    v = rng.complex((dim,))
-    return v / np.linalg.norm(v)
 
 
 # ----------------------------------------------------------------------
@@ -244,11 +235,10 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
 
         rt_dev = 0.0
         for fwd, dual in ((k0, k0), (km, kp), (kp, km)):
-            for _ in range(6):
-                op = _random_hermitian(rng, q)
-                w = kernels.forward_map(fwd, op)
-                rt_dev = max(rt_dev, float(np.max(np.abs(
-                    kernels.inverse_map(dual, w) - op))))
+            for part in _chunks(ctx, 6):
+                ops = rng.hermitian(q, part.stop - part.start)
+                back = kernels.inverse_map(dual, kernels.forward_map(fwd, ops))
+                rt_dev = max(rt_dev, _dev(back, ops))
         checks.append(_check(f"{name}: inverse(forward) = identity",
                              rt_dev < TOL, f"max dev {rt_dev:.2e}, s in {{-1,0,1}}"))
 
@@ -257,7 +247,7 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
             f"{name}: overlap diagonal",
             rep.max_offdiag < TOL,
             f"fitted constant {rep.constant.real:.6g}"))
-        f, g = _random_hermitian(rng, q), _random_hermitian(rng, q)
+        f, g = rng.hermitian(q, 2)
         tc = kernels.trace_convolution(kernels.forward_map(kp, f),
                                        kernels.forward_map(km, g), pref)
         checks.append(_check(f"{name}: trace convolution matches Tr(fg)",
@@ -279,7 +269,7 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
 
     worst = 0.0
     for _ in range(10):
-        psi = _random_pure(rng, q)
+        psi = rng.pure(q)
         rho = np.outer(psi, psi.conj())
         worst = max(worst, kernels.tomographic_check(k0, rho, family).deviation)
     checks.append(_check("line sums = Born probabilities", worst < TOL,
@@ -331,9 +321,9 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
 
     dep_ok = True
     count = 50 if n <= 3 else 20
-    ops = [_random_hermitian(rng, q) for _ in range(count)]
     for part in _chunks(ctx, count):
-        w = kernels.forward_map(k0, pauli.symmetrize(ctx, ops[part]))
+        ops = rng.hermitian(q, part.stop - part.start)
+        w = kernels.forward_map(k0, pauli.symmetrize(ctx, ops))
         flag, _witness = symproj.symbol_depends_only_on_h(ctx, w)
         dep_ok &= flag
     checks.append(_check("symmetric-operator symbols constant on orbits",
@@ -341,18 +331,22 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
 
     pref, _rep = kernels.convolution_prefactor(k0, k0)
     conv_dev = 0.0
-    for _ in range(10):
-        psi = _random_pure(rng, q)
-        rho = np.outer(psi, psi.conj())
-        s_op = pauli.symmetrize(ctx, _random_hermitian(rng, q))
-        wr = symproj.project(ctx, kernels.forward_map(k0, rho))
-        ws = symproj.project(ctx, kernels.forward_map(k0, s_op))
-        got = symproj.symmetric_average(wr, ws, pref)
-        conv_dev = max(conv_dev, abs(got - np.trace(rho @ s_op)))
+    for part in _chunks(ctx, 10):
+        psi, a = rng.complex_draws(part.stop - part.start, (q,), (q, q))
+        # one norm per state: np.linalg.norm(axis=) rounds differently
+        psi = np.array([v / np.linalg.norm(v) for v in psi])
+        rho = psi[:, :, None] * psi.conj()[:, None, :]
+        s_op = pauli.symmetrize(ctx, a + _dagger(a))
+        wr, ws = (kernels.forward_map(k0, ops) for ops in (rho, s_op))
+        for i, prod in enumerate(rho @ s_op):
+            got = symproj.symmetric_average(
+                *(symproj.project(ctx, replace(w, grid=w.grid[i])) for w in (wr, ws)), pref)
+            # abs() of the complex scalar, which np.abs does not round alike
+            conv_dev = max(conv_dev, _dev(abs(got - np.trace(prod)), 0))
     checks.append(_check("projected convolution reproduces Tr(rho S)",
                          conv_dev < TOL, f"max dev {conv_dev:.2e}"))
 
-    psi = _random_pure(rng, q)
+    psi = rng.pure(q)
     w = kernels.forward_map(k0, np.outer(psi, psi.conj()))
     proj = symproj.project(ctx, w)
     mass = abs(proj.total() - w.total())

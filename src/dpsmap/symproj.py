@@ -14,8 +14,8 @@ of the R_mnk identical grid values).
 This module provides the projection, the R_mnk orbit sizes, invariance
 checks for kernels and symbols, the constructive witness showing that the
 line-sum (tomographic) property and permutation invariance are incompatible
-for n >= 4, and an exhaustive search over invariant hermitian phases for
-small n.
+for n >= 4, and for small n the count of invariant hermitian phases with
+that property, solved for over GF(2).
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .gf2n import FieldContext
 from .kernels import KernelSet, PhaseSpaceFunction, SymbolMeta, coefficient_residual
-from .mubrot import recurrence_holds
-from .pauli import TomographicPhase
+from .mubrot import recurrence_residual
+from .pauli import SqrtPhase, TomographicPhase
 
 
 # ----------------------------------------------------------------------
@@ -68,13 +69,16 @@ def r_factor(n: int, m: int, nn: int, k: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(t for t in itertools.product(range(n + 1), repeat=3) if r_factor(n, *t))
+def orbit_sizes(n: int) -> MappingProxyType:
+    """R_mnk of every (m, n, k) orbit of the n-qubit grid, keyed by the
+    triple in lexicographic order; built once per n and read-only."""
+    sizes = {t: r_factor(n, *t) for t in itertools.product(range(n + 1), repeat=3)}
+    return MappingProxyType({t: r for t, r in sizes.items() if r})
 
 
 def valid_triples(n: int) -> list[tuple[int, int, int]]:
     """All (m, n, k) with nonzero orbit size, in lexicographic order."""
-    return list(_triples(n))
+    return list(orbit_sizes(n))
 
 
 @dataclass(eq=False, kw_only=True)
@@ -127,10 +131,10 @@ def symmetric_average(wtilde_rho: ProjectedFunction, wtilde_s: ProjectedFunction
         raise ConfigurationError(
             "projection loses information for non-permutation-invariant "
             "conventions; refusing to average")
-    n = wtilde_rho.n
+    sizes = orbit_sizes(wtilde_rho.n)
     total = 0j
     for key in wtilde_rho.entries:
-        r = r_factor(n, *key)
+        r = sizes.get(key)
         if r:
             total += wtilde_rho.entries[key] * wtilde_s.value(*key) / r
     return complex(prefactor * total)
@@ -285,16 +289,16 @@ def find_theorem_witness(ctx: FieldContext) -> TheoremWitness:
 
 
 # ----------------------------------------------------------------------
-# exhaustive search over invariant hermitian phases (small n)
+# search over invariant hermitian phases (small n)
 # ----------------------------------------------------------------------
 
 @dataclass
 class PhaseSearchReport:
-    """Outcome of enumerating permutation-invariant hermitian phases.
+    """Outcome of the search over permutation-invariant hermitian phases.
 
     Every such phase is sigma(m,n,k) * i^(n11 mod 2) with per-orbit signs
-    sigma, fixed to +1 on the axes; the search tests the line-sum recurrence
-    on every nonzero slope for each sign assignment.
+    sigma, fixed to +1 on the axes; the hits are the sign assignments whose
+    phase satisfies the line-sum recurrence on every nonzero slope.
     """
 
     n: int
@@ -306,43 +310,85 @@ class PhaseSearchReport:
 
 
 def _invariant_phase_tables(ctx: FieldContext):
-    """Orbit labels and the fixed i^tr(alpha beta) factor for the search."""
-    base_exp = ctx.trace_table[ctx.mul_table] % 4
+    """Orbit labels and the fixed i^tr(alpha beta) factor for the search:
+    the exponents of the unsigned ``SqrtPhase``, cached on ``ctx``."""
     triples = valid_triples(ctx.n)
     free = [t for t in triples if t[0] >= 1 and t[1] >= 1]
     lookup = {t: i for i, t in enumerate(free)}
     orbit_id = np.array([lookup.get(t, -1) for t in triples])[ctx.orbit_index]
-    return free, orbit_id, base_exp
+    return free, orbit_id, SqrtPhase().exponent_table(ctx)
+
+
+def _sign_solutions(ctx: FieldContext, base_exp, orbit_id, nfree: int) -> list[int]:
+    """Every sign assignment whose phase i^(base_exp + 2 f) solves the
+    recurrence on every nonzero slope, as ints in increasing order.
+
+    Bit i of an assignment is the sign bit f of the points with
+    ``orbit_id`` i; points with orbit id -1 keep f = 0.  On the line of
+    slope xi, psi = base + 2 f has the residual R0 + 2 (f(kappa + alpha) +
+    f(kappa) + f(alpha)) mod 4, with R0 the residual of the base alone, so
+    an odd R0 leaves no solution and otherwise each (xi, kappa, alpha)
+    is the GF(2) equation f(kappa + alpha) ^ f(kappa) ^ f(alpha) = R0 / 2
+    on the sign bits.  The equations are eliminated and the solutions, an
+    affine subspace, are listed instead of searched for.
+    """
+    q = ctx.order
+    lines = ctx.mul_table[1:]                       # lines[xi - 1, kappa] = xi kappa
+    kappa = np.arange(q)
+    resid = recurrence_residual(ctx, np.arange(1, q), base_exp[kappa, lines])
+    if (resid % 2).any():
+        return []
+    # one bitmask per equation: the sign bits it adds, the right-hand side at bit nfree
+    labels = orbit_id[kappa, lines]
+    mask = np.where(labels >= 0, 1 << labels.clip(0), 0)
+    rows = mask[:, ctx.xor_grid] ^ mask[:, :, None] ^ mask[:, None, :]
+    rows = {row | (rhs >> 1 << nfree)
+            for row, rhs in zip(rows.ravel().tolist(), resid.ravel().tolist())}
+    # Gauss-Jordan elimination: pivots[p] is the one row holding bit p, its lowest
+    pivots = {}
+    for row in rows:
+        for p, r in pivots.items():
+            if row >> p & 1:
+                row ^= r
+        if not row:
+            continue
+        low = (row & -row).bit_length() - 1
+        if low == nfree:                            # 0 = 1
+            return []
+        for p, r in pivots.items():
+            if r >> low & 1:
+                pivots[p] = r ^ row
+        pivots[low] = row
+    # the free bits set to 0 give the first solution; each free bit j adds the
+    # null vector whose highest bit is j, so doubling the list over the free
+    # bits in increasing order keeps it sorted
+    solutions = [sum(1 << p for p, r in pivots.items() if r >> nfree & 1)]
+    for j in range(nfree):
+        if j not in pivots:
+            null = sum(1 << p for p, r in pivots.items() if r >> j & 1) | 1 << j
+            solutions += [x ^ null for x in solutions]
+    return solutions
 
 
 def search_invariant_phases(ctx: FieldContext, max_examples: int = 4) -> PhaseSearchReport:
-    """Enumerate all invariant hermitian phases; count line-compatible ones.
+    """Count the invariant hermitian phases that satisfy every line recurrence.
 
-    Exhaustive for n <= 3 (32 and 8192 sign assignments); each candidate is
-    accepted when phi(kappa, xi kappa) satisfies the rotation-coefficient
-    recurrence for every nonzero slope xi, which is exactly the condition
-    for every line sum of the s = 0 kernel to be a rank-1 projector.  The
-    assignments are tested in batches, one slope at a time, on int8
-    exponents; only the survivors of a slope go on to the next.
+    Exact for n <= 3 (32 and 8192 sign assignments): a candidate counts
+    when phi(kappa, xi kappa) satisfies the rotation-coefficient recurrence
+    for every nonzero slope xi, which is exactly the condition for every
+    line sum of the s = 0 kernel to be a rank-1 projector.  Because tr(xy)
+    is GF(2)-bilinear, that condition is affine in the orbit signs, so the
+    hits are solved for by elimination over GF(2) (``_sign_solutions``)
+    rather than enumerated; ``hit_signs`` holds the first ``max_examples``
+    in increasing bit order.
     """
     if ctx.n > 3:
         raise ConfigurationError("exhaustive phase search is limited to n <= 3")
     free, orbit_id, base_exp = _invariant_phase_tables(ctx)
     nfree = len(free)
-    # bit shift[a, b] of an assignment is the sign bit of point (a, b); the
-    # fixed orbits (id -1) read bit nfree, which is 0 in every assignment
+    hits = _sign_solutions(ctx, base_exp, orbit_id, nfree)
+    # the fixed orbits (id -1) read bit nfree, which is 0 in every hit
     shift = np.where(orbit_id >= 0, orbit_id, nfree)
-    kappa = np.arange(ctx.order)
-    hits = []
-    # 1024 assignments at a time keeps every temporary under 64 kB
-    for start in range(0, 1 << nfree, 1024):
-        alive = np.arange(start, min(start + 1024, 1 << nfree))
-        for xi in range(1, ctx.order):
-            line = ctx.mul_table[xi]
-            flips = (alive[:, None] >> shift[kappa, line]) & 1
-            psi = (base_exp[kappa, line] + 2 * flips).astype(np.int8)
-            alive = alive[recurrence_holds(ctx, xi, psi)]
-        hits.extend(int(bits) for bits in alive)
     closed_form = TomographicPhase(1).exponent_table(ctx)
     found = any(np.array_equal((base_exp + 2 * ((bits >> shift) & 1)) % 4, closed_form)
                 for bits in hits)

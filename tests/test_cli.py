@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,37 @@ def test_map_malformed_state_file(tmp_path, monkeypatch, capsys, text):
     assert run("map", "--state", "@bad.json") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("amps", ["[[NaN, 0], [1, 0], [0, 0], [0, 0]]",
+                                  '{"amplitudes": [[1, 0], [0, Infinity], [0, 0], [0, 0]]}',
+                                  "[[1, 0], [-Infinity, 0], [0, 0], [0, 0]]",
+                                  "[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]",
+                                  "[[1e200, 1e200], [0, 0], [0, 0], [0, 0]]"])
+def test_map_non_finite_state_file(tmp_path, monkeypatch, capsys, amps):
+    """Amplitudes, or a norm, that are not finite: one error line, exit 2,
+    no numpy warning and no output file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(amps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("map", "--n", "2", "--state", "@bad.json", "--out", "x") == 2
+    err = capsys.readouterr().err
+    assert err == ("error: amplitude file 'bad.json' holds amplitudes that are "
+                   "not finite or whose norm overflows\n")
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_map_large_finite_state_file_is_normalized(tmp_path, monkeypatch):
+    """Large amplitudes whose norm is finite map as their normalized state."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text("[[1e150, 0], [1e150, 0], [0, 0], [0, 0]]")
+    (tmp_path / "unit.json").write_text("[[1, 0], [1, 0], [0, 0], [0, 0]]")
+    assert run("map", "--n", "2", "--state", "@big.json", "--out", "big") == 0
+    assert run("map", "--n", "2", "--state", "@unit.json", "--out", "unit") == 0
+    big, unit = (np.array(json.loads((tmp_path / f"{stem}.grid.json").read_text())["grid"])
+                 for stem in ("big", "unit"))
+    assert np.allclose(big, unit, rtol=0, atol=1e-12)
 
 
 def test_map_size_and_mode_rules(tmp_path, monkeypatch, capsys):

@@ -187,7 +187,7 @@ def test_char_matrix_values_and_symmetry():
 def test_lazy_q_by_q_tables_match_their_formulas(n):
     ctx = FieldContext(n)
     built = ctx.mul_table
-    assert not {"char_matrix", "char_matrix_c", "xor_grid"} & set(vars(ctx))
+    assert not {"char_matrix", "char_matrix_c", "xor_grid", "trace_form"} & set(vars(ctx))
     ctx.mul_table = built ^ 1           # a table replaced after construction
     x = np.arange(ctx.order)
     assert np.array_equal(ctx.char_matrix, ctx.chi_table[built])
@@ -197,6 +197,9 @@ def test_lazy_q_by_q_tables_match_their_formulas(n):
     assert np.array_equal(ctx.xor_grid, x[:, None] ^ x[None, :])
     assert ctx.xor_grid.dtype == np.int64
     assert ctx.char_matrix_c is ctx.char_matrix_c
+    assert np.array_equal(ctx.trace_form, ctx.trace_table[built])
+    assert ctx.trace_form.dtype == np.int8 and not ctx.trace_form.flags.writeable
+    assert ctx.trace_form is ctx.trace_form
 
 
 # ---------------------------------------------------------

@@ -2,6 +2,8 @@
 """Kernel construction is cross-checked against a from-scratch assembly that
 sums explicit displacement matrices -- no shared code with the vectorized
 builder beyond the displacement definition itself."""
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import all_lines, line_marginal, line_points_of
@@ -643,3 +645,20 @@ def test_stacked_forward_map_is_bitwise_one_operator_at_a_time(n):
             fwd = KernelSet(ctx, s, conv)
             grids = [[forward_map(fwd, op).grid for op in row] for row in ops]
             assert _same_bits(forward_map(fwd, ops).grid, np.array(grids)), (name, s)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_inverse_map_is_bitwise_one_symbol_at_a_time(n):
+    ctx = field_context(n)
+    q = ctx.order
+    rng = np.random.default_rng(90 + n)
+    ops = rng.normal(size=(2, 3, q, q)) + 1j * rng.normal(size=(2, 3, q, q))
+    fid = spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA)
+    for name in ("tomographic-p1", "perminv-f0", "plain"):
+        conv = convention_from_name(name)
+        for s in (-1.0, 0.0, 1.0):
+            fwd, dual = KernelSet(ctx, s, conv, fid), KernelSet(ctx, -s, conv, fid)
+            w = forward_map(fwd, ops)
+            want = [[inverse_map(dual, dataclasses.replace(w, grid=grid)) for grid in row]
+                    for row in w.grid]
+            assert _same_bits(inverse_map(dual, w), np.array(want)), (name, s)

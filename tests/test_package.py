@@ -102,7 +102,7 @@ def test_map_loads_neither_argparse_nor_gettext(tmp_path):
 
 def test_field_dump_builds_no_q_by_q_character_table():
     assert _loaded_after(["field", "--n", "8"],
-                         ("char_matrix", "char_matrix_c", "xor_grid"),
+                         ("char_matrix", "char_matrix_c", "xor_grid", "trace_form"),
                          "vars(gf2n.field_context(8))") == "0 []"
 
 

@@ -208,6 +208,26 @@ def test_generator_draws_stay_in_range():
         assert np.array_equal(np.ldexp(part, 51), np.round(np.ldexp(part, 51)))
 
 
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_stacked_draws_are_bitwise_the_single_draws(seed):
+    one, stacked = Sampler(seed), Sampler(seed)
+    psi, a = stacked.complex_draws(5, (4,), (4, 4))
+    herm = stacked.hermitian(4, 3)
+    tail = stacked.integers(0, 16, (3,))
+    assert psi.shape == (5, 4) and a.shape == (5, 4, 4) and herm.shape == (3, 4, 4)
+    for i in range(5):
+        assert _bits(one.complex((4,))) == _bits(psi[i])
+        assert _bits(one.complex((4, 4))) == _bits(a[i])
+    for i in range(3):
+        h = one.complex((4, 4))
+        assert _bits(h + h.conj().T) == _bits(herm[i])
+    assert one.integers(0, 16, (3,)).tolist() == tail.tolist()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_suite_passes_for_seeds_0_to_9(n):
     for seed in range(10):
@@ -223,3 +243,20 @@ def test_symmetric_suite_orbit_check_fails_on_a_nan_symbol(monkeypatch):
                         lambda ctx, op: symmetrize(ctx, op) * np.nan)
     report = run_suite("symmetric", 3)
     assert not _check_named(report, "symmetric-operator symbols constant")["passed"]
+    assert not _check_named(report, "projected convolution")["passed"]
+
+
+def test_kernel_round_trip_catches_nan_in_the_last_chunk_only(monkeypatch):
+    from dpsmap import kernels
+    inverse_map = kernels.inverse_map
+
+    def nan_in_a_short_stack(kernel, psf):
+        out = inverse_map(kernel, psf)
+        if len(out) < 4:                    # the second of the two chunks of 6
+            out[-1, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(kernels, "inverse_map", nan_in_a_short_stack)
+    report = run_suite("kernel", 5, seed=0)
+    for name in ("tomographic-p1", "perminv-f0"):
+        assert not _check_named(report, f"{name}: inverse(forward)")["passed"]

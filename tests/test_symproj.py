@@ -9,7 +9,7 @@ from oracles import (REFERENCE_IDS, dense, fit_constant, reference_symbol,
 from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     check_kernel_invariance, convention_from_name,
                     convolution_prefactor, displacement, field_context,
-                    find_theorem_witness, forward_map, ghz_state,
+                    find_theorem_witness, forward_map, ghz_state, orbit_sizes,
                     pair_counts, permutation_op, project, r_factor,
                     search_invariant_phases, spin_coherent,
                     symbol_depends_only_on_h, symmetric_average, symmetrize,
@@ -92,6 +92,16 @@ def test_r_factor_frozen_values():
 def test_orbit_sizes_cover_the_grid():
     for n in range(1, 6):
         assert sum(r_factor(n, *t) for t in valid_triples(n)) == 4 ** n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_size_map_is_r_factor_once_per_n(n):
+    sizes = orbit_sizes(n)
+    assert list(sizes) == valid_triples(n)
+    assert dict(sizes) == {t: r_factor(n, *t) for t in valid_triples(n)}
+    assert orbit_sizes(n) is sizes
+    with pytest.raises(TypeError):
+        sizes[(0, 0, 0)] = 2
 
 
 @pytest.mark.parametrize("n", range(1, 7))
