@@ -31,7 +31,7 @@ from .kernels import (MAX_DENSE_N, KernelSet, OverlapReport,
                       wootters_kernel)
 from .mubrot import (VERTICAL, LineSpec, MubFamily, RotationCoefficients,
                      build_V, check_unbiased, coeffs_from_phase,
-                     dual_basis_matrix, dual_basis_state, mub_family)
+                     dual_basis_matrix, mub_family)
 from .serialize import (DiffReport, diff_grids, diff_projected, load_symbol,
                         mub_to_json, proj_to_csv, proj_to_gnuplot,
                         proj_to_json, psf_to_csv, psf_to_gnuplot, psf_to_json)
@@ -44,9 +44,9 @@ from .pauli import (DEFAULT_FIDUCIAL_ZETA, FactorizedPhase, FiducialReport,
                     permutation_op, spin_coherent, symmetrize, w_state)
 from .symproj import (InvarianceReport, PhaseSearchReport, ProjectedFunction,
                       TheoremWitness, check_kernel_invariance,
-                      find_theorem_witness, orbit_sizes, pair_counts, project,
-                      r_factor, search_invariant_phases, symbol_depends_only_on_h,
-                      symmetric_average, theorem_witness, valid_triples)
+                      find_theorem_witness, project, search_invariant_phases,
+                      symbol_depends_only_on_h, symmetric_average,
+                      theorem_witness)
 
 __all__ = [
     "__version__",
@@ -57,8 +57,7 @@ __all__ = [
     "convolution_prefactor", "forward_map", "inverse_map", "overlap_check",
     "tomographic_check", "trace_convolution", "wootters_kernel",
     "VERTICAL", "LineSpec", "MubFamily", "RotationCoefficients", "build_V",
-    "check_unbiased", "coeffs_from_phase", "dual_basis_matrix",
-    "dual_basis_state", "mub_family",
+    "check_unbiased", "coeffs_from_phase", "dual_basis_matrix", "mub_family",
     "DEFAULT_FIDUCIAL_ZETA", "FactorizedPhase", "FiducialReport", "GraphPhase",
     "PhaseConvention", "PlainPhase", "SqrtPhase", "TomographicPhase",
     "build_X", "build_Z", "check_fiducial", "convention_from_name",
@@ -67,9 +66,8 @@ __all__ = [
     "w_state",
     "InvarianceReport", "PhaseSearchReport", "ProjectedFunction",
     "TheoremWitness", "check_kernel_invariance", "find_theorem_witness",
-    "orbit_sizes", "pair_counts", "project", "r_factor",
-    "search_invariant_phases", "symbol_depends_only_on_h", "symmetric_average",
-    "theorem_witness", "valid_triples",
+    "project", "search_invariant_phases", "symbol_depends_only_on_h",
+    "symmetric_average", "theorem_witness",
     "DiffReport", "diff_grids", "diff_projected", "load_symbol",
     "mub_to_json", "proj_to_csv", "proj_to_gnuplot", "proj_to_json",
     "psf_to_csv", "psf_to_gnuplot", "psf_to_json",

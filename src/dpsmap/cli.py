@@ -150,12 +150,16 @@ def build_state(ctx: gf2n.FieldContext, spec: str, zeta: complex) -> np.ndarray:
         if vec.shape != (ctx.order,):
             raise ConfigurationError(
                 f"amplitude file must hold {ctx.order} entries for n={ctx.n}")
+        if not np.isfinite(vec).all():
+            raise ConfigurationError(
+                f"amplitude file {spec[1:]!r} holds amplitudes that are not finite")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(vec)
-        if not (np.isfinite(vec).all() and np.isfinite(norm)):
-            raise ConfigurationError(
-                f"amplitude file {spec[1:]!r} holds amplitudes that are not "
-                f"finite or whose norm overflows")
+        if np.isinf(norm):
+            # the sum of squares overflowed, not the norm: scale by the
+            # largest real or imaginary part first
+            vec = vec / np.abs(vec.view(float)).max()
+            norm = np.linalg.norm(vec)
         if norm < 1e-12:
             raise ConfigurationError("amplitude vector is numerically zero")
         return vec / norm

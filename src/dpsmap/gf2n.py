@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -282,10 +283,15 @@ class FieldContext:
         i, in row-major order, as the run ``bounds[i]:bounds[i + 1]``."""
         return self._orbits[2:]
 
-    # -- scalar operations ----------------------------------------------
+    @cached_property
+    def orbit_sizes(self) -> MappingProxyType:
+        """R_mnk, the number of grid points of each orbit, keyed by its
+        (m, n, k) weights in the order of ``orbit_weights``; read-only."""
+        bounds = self._orbits[3]
+        return MappingProxyType({tuple(t): b - a for t, a, b in zip(
+            self.orbit_weights.tolist(), bounds, bounds[1:])})
 
-    def elements(self) -> range:
-        return range(self.order)
+    # -- scalar operations ----------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[x, y])

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FiducialError
 from .gf2n import FieldContext
-from .mubrot import VERTICAL, LineSpec, MubFamily, line_at
+from .mubrot import LineSpec, MubFamily, line_at
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
                     check_fiducial, displacement_overlaps, require_operator_n,
                     spin_coherent)
@@ -299,20 +299,15 @@ def wootters_kernel(ctx: FieldContext, family: MubFamily) -> np.ndarray:
     require_operator_n(ctx)
     if ctx.n > MAX_DENSE_N:
         raise ConfigurationError(f"line-projector tables are capped at n <= {MAX_DENSE_N}")
-    family.validate()
     q = ctx.order
-    eye = np.eye(q, dtype=complex)
-    proj = {}
-    for slope, states in family.bases.items():
-        proj[slope] = np.stack([np.outer(s, s.conj()) for s in states])
-    table = np.empty((q, q, q, q), dtype=complex)
-    for a in range(q):
-        mul_row = ctx.mul_table[:, a]
-        for b in range(q):
-            acc = proj[VERTICAL][a] - eye
-            for xi in range(q):
-                acc = acc + proj[xi][b ^ mul_row[xi]]
-            table[a, b] = acc
+    states = family.states
+    # proj[slope, nu] = |psi><psi| of the line's state; slope q is vertical
+    proj = (states[:, :, None] * states.conj()[:, None, :]).reshape(q + 1, q, q, q)
+    table = np.repeat((proj[q] - np.eye(q))[:, None], q, axis=1)
+    b = np.arange(q)
+    # the slopes in increasing order, as the per-point sum adds them
+    for xi in range(q):
+        table += proj[xi][ctx.mul_table[xi][:, None] ^ b]
     return table
 
 
@@ -346,7 +341,7 @@ def tomographic_check(kernel: KernelSet, rho: np.ndarray,
     for column in values.T[1:]:
         lhs += column
     lhs /= ctx.order
-    states = family.state_table
+    states = family.states
     rhs = np.sum((states.conj() @ rho) * states, axis=1)
     worst = int(np.argmax(np.abs(lhs - rhs)))
     return TomographicCheckResult(line_at(ctx, worst), complex(lhs[worst]),

@@ -15,21 +15,21 @@ exactly when that restriction solves the recurrence.  Each MUB scheme in
 ``pauli`` only.  Phases are fourth roots of unity kept as integer
 exponents of i, so the recurrence is checked exactly.  Line states
 |psi_nu^xi> = V_xi X_nu |0> label the points of the line
-beta = xi alpha + nu.
+beta = xi alpha + nu, the dual states |nu~> the vertical line alpha = nu.
+A ``MubFamily`` holds every line's state as one row of a single array, in
+the row order of ``FieldContext.line_points``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .gf2n import FieldContext
-from .pauli import (I4, PhaseConvention, convention_from_name, logical_state,
-                    require_operator_n)
+from .pauli import I4, PhaseConvention, convention_from_name, require_operator_n
 
 #: slope tag for vertical lines alpha = const (the dual basis)
 VERTICAL = None
@@ -65,17 +65,10 @@ def line_at(ctx: FieldContext, row: int) -> LineSpec:
 # dual basis
 # ----------------------------------------------------------------------
 
-def dual_basis_state(ctx: FieldContext, kappa: int) -> np.ndarray:
-    """|kappa~> = 2^(-n/2) sum_nu chi(kappa nu) |nu>; X_beta eigenstate
-    with eigenvalue chi(beta kappa)."""
-    require_operator_n(ctx)
-    vec = np.empty(ctx.order, dtype=complex)
-    vec[ctx.index_table] = ctx.char_matrix[kappa]
-    return vec / math.sqrt(ctx.order)
-
-
 def dual_basis_matrix(ctx: FieldContext) -> np.ndarray:
-    """Columns are |kappa~> for kappa in field order."""
+    """Columns are the dual states |kappa~> = 2^(-n/2) sum_nu chi(kappa nu) |nu>,
+    for kappa in field order; |kappa~> is the X_beta eigenstate with
+    eigenvalue chi(beta kappa)."""
     require_operator_n(ctx)
     q = ctx.order
     mat = np.empty((q, q), dtype=complex)
@@ -159,11 +152,6 @@ def _rotation(dual: np.ndarray, coeffs: RotationCoefficients) -> np.ndarray:
     return (dual * coeffs.values()[None, :]) @ dual.conj().T
 
 
-def _columns(ctx: FieldContext, v: np.ndarray) -> list[np.ndarray]:
-    """V X_nu |0> for every intercept nu, in field order."""
-    return [v[:, ctx.basis_index(nu)].copy() for nu in ctx.elements()]
-
-
 def build_V(ctx: FieldContext, coeffs: RotationCoefficients) -> np.ndarray:
     """V_xi = sum_kappa c_kappa |kappa~><kappa~|; rejects bad coefficients."""
     require_operator_n(ctx)
@@ -184,31 +172,19 @@ def check_unbiased(ctx: FieldContext, states_a, states_b) -> float:
 # full MUB family
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class MubFamily:
-    """2^n + 1 bases: one per slope (0 = logical) plus the vertical/dual."""
+    """2^n + 1 bases: one per slope (0 = logical) plus the vertical/dual.
+
+    ``states`` is the read-only (q(q+1), q) array whose row r is the state
+    of the line in row r of ``ctx.line_points``: row xi q + nu holds
+    |psi_nu^xi> = V_xi X_nu |0> (|nu> on slope 0) and row q^2 + nu the
+    dual state |nu~>.
+    """
 
     ctx: FieldContext
     scheme: str
-    bases: dict
-
-    @cached_property
-    def state_table(self) -> np.ndarray:
-        """(q(q+1), q) array whose row r is the state of the line in row r
-        of ``ctx.line_points``.  Built on first use; read-only."""
-        states = np.array([state for slope in (*self.ctx.elements(), VERTICAL)
-                           for state in self.bases[slope]])
-        states.flags.writeable = False
-        return states
-
-    def validate(self):
-        q = self.ctx.order
-        expected = set(self.ctx.elements()) | {VERTICAL}
-        if set(self.bases) != expected:
-            raise ConfigurationError("incomplete MUB family: missing slopes")
-        for slope, states in self.bases.items():
-            if len(states) != q:
-                raise ConfigurationError(f"slope {slope}: expected {q} states")
+    states: np.ndarray
 
 
 def mub_family(ctx: FieldContext, scheme: str = "p1") -> MubFamily:
@@ -218,12 +194,13 @@ def mub_family(ctx: FieldContext, scheme: str = "p1") -> MubFamily:
         raise ConfigurationError(
             f"unknown MUB scheme {scheme!r}; choose from {tuple(SCHEMES)}")
     conv = convention_from_name(SCHEMES[scheme])
-    dual = dual_basis_matrix(ctx)
-    bases = {0: [logical_state(ctx, nu) for nu in ctx.elements()]}
+    dual, index = dual_basis_matrix(ctx), ctx.index_table
+    # row nu of each block is the state of intercept nu: the column of its
+    # operator at |nu> = X_nu |0>
+    blocks = [np.eye(ctx.order, dtype=complex)[index]]
     # the recurrence is checked here for every slope; build_V would again
-    for coeffs in _line_coefficients(ctx, conv, range(1, ctx.order)):
-        bases[coeffs.xi] = _columns(ctx, _rotation(dual, coeffs))
-    bases[VERTICAL] = [dual_basis_state(ctx, k) for k in ctx.elements()]
-    fam = MubFamily(ctx, scheme, bases)
-    fam.validate()
-    return fam
+    blocks += [_rotation(dual, coeffs)[:, index].T
+               for coeffs in _line_coefficients(ctx, conv, range(1, ctx.order))]
+    states = np.concatenate([*blocks, dual.T])
+    states.flags.writeable = False
+    return MubFamily(ctx, scheme, states)

@@ -29,9 +29,9 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigurationError
-from .gf2n import MAX_N, FieldContext
+from .gf2n import MAX_N, FieldContext, field_context
 from .kernels import PhaseSpaceFunction, SymbolMeta
-from .symproj import ProjectedFunction, orbit_sizes, valid_triples
+from .symproj import ProjectedFunction
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -163,7 +163,7 @@ def _from_record(record: dict, kind: str):
                 f"grid must be {1 << n}x{1 << n} for n = {n}, got shape {grid.shape}")
         return PhaseSpaceFunction(grid=grid, **meta)
     entries = {tuple(key): complex(re, im) for key, (re, im), _r in record["entries"]}
-    bad = set(entries) - set(valid_triples(n))
+    bad = entries.keys() - field_context(n).orbit_sizes.keys()
     if bad:
         raise ConfigurationError(
             f"projection keys {sorted(bad)} are not (m, n, k) orbits for n = {n}")
@@ -209,18 +209,18 @@ def psf_to_gnuplot(psf: PhaseSpaceFunction) -> str:
 # projected symbols
 # ----------------------------------------------------------------------
 
-def _entry_frame(n: int, key) -> tuple[str, str]:
+def _entry_frame(key, r: int) -> tuple[str, str]:
     """The JSON text of the entry ``[[m, n, k], [re, im], R]`` before and
     after its value pair, at the depth ``proj_to_json`` writes it."""
     pad = "\n" + "  " * 3
     return (f"[{pad}{_json_list(list(map(str, key)), 3)},{pad}",
-            f",{pad}{orbit_sizes(n).get(key, 0)}\n    ]")
+            f",{pad}{r}\n    ]")
 
 
 @lru_cache(maxsize=None)
 def _entry_frames(n: int) -> dict:
     """``_entry_frame`` of every (m, n, k) orbit of n qubits."""
-    return {key: _entry_frame(n, key) for key in valid_triples(n)}
+    return {key: _entry_frame(key, r) for key, r in field_context(n).orbit_sizes.items()}
 
 
 def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
@@ -229,7 +229,7 @@ def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
     frames = _entry_frames(proj.n)
     entries = []
     for key, pair in zip(keys, pairs):
-        head, tail = frames.get(key) or _entry_frame(proj.n, key)
+        head, tail = frames.get(key) or _entry_frame(key, 0)
         entries.append(head + pair + tail)
     return _splice(dict(_metadata(proj, config, constants), kind="projected"),
                    "entries", _json_list(entries, 1))
@@ -238,7 +238,7 @@ def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
 def _proj_rows(proj: ProjectedFunction, sep: str) -> list:
     keys = sorted(proj.entries)
     z = np.array([proj.entries[key] for key in keys], dtype=complex)
-    sizes = orbit_sizes(proj.n)
+    sizes = field_context(proj.n).orbit_sizes
     return [sep.join([*map(str, key), re, im, str(sizes.get(key, 0))])
             for key, re, im in zip(keys, _reprs(z.real), _reprs(z.imag))]
 
@@ -316,7 +316,8 @@ def load_symbol(text: str):
 
 def mub_to_json(family, config=None) -> str:
     """A MUB family as JSON arrays of amplitude pairs, one list per basis."""
-    bases = {"vertical" if slope is None else str(slope): np.asarray(states)
-             for slope, states in family.bases.items()}
+    q = family.ctx.order
+    bases = dict(zip([*map(str, range(q)), "vertical"],
+                     family.states.reshape(q + 1, q, q)))
     return _dumps({"version": __version__, "kind": "mub", "n": family.ctx.n,
                    "scheme": family.scheme, "config": config, "bases": bases}) + "\n"

@@ -190,13 +190,11 @@ def mub_suite(n: int, seed: int = 0) -> dict:
     checks.append(_check("[V_xi, X_nu] = 0", comm_dev < TOL, "one random nu per slope"))
 
     if n <= 3:
-        family = mubrot.mub_family(ctx, "p1")
+        bases = mubrot.mub_family(ctx, "p1").states.reshape(q + 1, q, q)
         worst = 0.0
-        slopes_list = list(family.bases)
-        for i, sa in enumerate(slopes_list):
-            for sb in slopes_list[i + 1:]:
-                worst = max(worst, mubrot.check_unbiased(
-                    ctx, family.bases[sa], family.bases[sb]))
+        for i, sa in enumerate(bases):
+            for sb in bases[i + 1:]:
+                worst = max(worst, _dev(mubrot.check_unbiased(ctx, sa, sb), 0))
         checks.append(_check("full family pairwise unbiased", worst < TOL,
                              f"max | |<a|b>|^2 - 1/q | = {worst:.2e}"))
     return _report("mub", n, checks)
@@ -271,17 +269,14 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
     for _ in range(10):
         psi = rng.pure(q)
         rho = np.outer(psi, psi.conj())
-        worst = max(worst, kernels.tomographic_check(k0, rho, family).deviation)
+        worst = max(worst, _dev(kernels.tomographic_check(k0, rho, family).deviation, 0))
     checks.append(_check("line sums = Born probabilities", worst < TOL,
                          f"10 random pure states, all lines, max dev {worst:.2e}"))
 
     line_dev = 0.0
-    slopes = list(family.bases) if n <= 3 else [0, 1, mubrot.VERTICAL]
-    states = np.array([family.bases[slope][nu] for slope in slopes for nu in range(q)])
-    # row of LineSpec(slope, nu) in the line point table; q is the vertical pencil
-    rows = np.array([(q if slope is mubrot.VERTICAL else slope) * q + nu
-                     for slope in slopes for nu in range(q)])
-    points = ctx.line_points[rows]
+    # every line, or those of slopes 0 and 1 and of the vertical pencil
+    rows = np.arange(q * q + q) if n <= 3 else np.r_[:2 * q, q * q:q * q + q]
+    states, points = family.states[rows], ctx.line_points[rows]
     for part in _chunks(ctx, len(states)):
         psi = states[part]
         w = kernels.forward_map(k0, psi[:, :, None] * psi.conj()[:, None, :]).grid
@@ -289,7 +284,7 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
         np.put_along_axis(expect, points[part], 1.0, axis=1)
         line_dev = max(line_dev, _dev(w, expect.reshape(-1, q, q)))
     checks.append(_check("line-state symbols are delta lines", line_dev < TOL,
-                         f"slopes checked: {len(slopes)}"))
+                         f"slopes checked: {len(rows) // q}"))
 
     if n <= 3:
         wk = kernels.wootters_kernel(ctx, family).reshape(q * q, q, q)

@@ -9,9 +9,11 @@ label exactly the orbits of phase-space points under simultaneous slot
 permutations.  Symbols of symmetric operators under a permutation-invariant
 convention are constant on those orbits and can be projected onto the
 (m, n, k) lattice without loss (the projected value of an orbit is the sum
-of the R_mnk identical grid values).
+of the R_mnk identical grid values).  The orbits themselves, their
+labels and their sizes R_mnk are tables of the field context
+(``FieldContext.orbit_index``, ``orbit_weights`` and ``orbit_sizes``).
 
-This module provides the projection, the R_mnk orbit sizes, invariance
+This module provides the projection, the projected convolution, invariance
 checks for kernels and symbols, the constructive witness showing that the
 line-sum (tomographic) property and permutation invariance are incompatible
 for n >= 4, and for small n the count of invariant hermitian phases with
@@ -20,65 +22,16 @@ that property, solved for over GF(2).
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .gf2n import FieldContext
+from .gf2n import FieldContext, field_context
 from .kernels import KernelSet, PhaseSpaceFunction, SymbolMeta, coefficient_residual
 from .mubrot import recurrence_residual
 from .pauli import SqrtPhase, TomographicPhase
-
-
-# ----------------------------------------------------------------------
-# (m, n, k) lattice combinatorics
-# ----------------------------------------------------------------------
-
-def pair_counts(n: int, m: int, nn: int, k: int) -> tuple[int, int, int, int] | None:
-    """Per-slot bit-pair counts (n11, n10, n01, n00), or None off support."""
-    n112 = m + nn - k
-    n102 = m - nn + k
-    n012 = nn - m + k
-    if n112 < 0 or n102 < 0 or n012 < 0 or n112 % 2 or n102 % 2 or n012 % 2:
-        return None
-    n11, n10, n01 = n112 // 2, n102 // 2, n012 // 2
-    n00 = n - n11 - n10 - n01
-    if n00 < 0:
-        return None
-    return n11, n10, n01, n00
-
-
-def r_factor(n: int, m: int, nn: int, k: int) -> int:
-    """Number of grid points (alpha, beta) with weights (m, nn, k).
-
-    The four-factor multinomial n!/(n11! n10! n01! n00!); zero whenever the
-    factorial arguments fail to be nonnegative integers.
-    """
-    counts = pair_counts(n, m, nn, k)
-    if counts is None:
-        return 0
-    n11, n10, n01, n00 = counts
-    return math.factorial(n) // (
-        math.factorial(n11) * math.factorial(n10)
-        * math.factorial(n01) * math.factorial(n00))
-
-
-@functools.lru_cache(maxsize=None)
-def orbit_sizes(n: int) -> MappingProxyType:
-    """R_mnk of every (m, n, k) orbit of the n-qubit grid, keyed by the
-    triple in lexicographic order; built once per n and read-only."""
-    sizes = {t: r_factor(n, *t) for t in itertools.product(range(n + 1), repeat=3)}
-    return MappingProxyType({t: r for t, r in sizes.items() if r})
-
-
-def valid_triples(n: int) -> list[tuple[int, int, int]]:
-    """All (m, n, k) with nonzero orbit size, in lexicographic order."""
-    return list(orbit_sizes(n))
 
 
 @dataclass(eq=False, kw_only=True)
@@ -131,7 +84,7 @@ def symmetric_average(wtilde_rho: ProjectedFunction, wtilde_s: ProjectedFunction
         raise ConfigurationError(
             "projection loses information for non-permutation-invariant "
             "conventions; refusing to average")
-    sizes = orbit_sizes(wtilde_rho.n)
+    sizes = field_context(wtilde_rho.n).orbit_sizes
     total = 0j
     for key in wtilde_rho.entries:
         r = sizes.get(key)
@@ -312,10 +265,10 @@ class PhaseSearchReport:
 def _invariant_phase_tables(ctx: FieldContext):
     """Orbit labels and the fixed i^tr(alpha beta) factor for the search:
     the exponents of the unsigned ``SqrtPhase``, cached on ``ctx``."""
-    triples = valid_triples(ctx.n)
-    free = [t for t in triples if t[0] >= 1 and t[1] >= 1]
-    lookup = {t: i for i, t in enumerate(free)}
-    orbit_id = np.array([lookup.get(t, -1) for t in triples])[ctx.orbit_index]
+    weights = ctx.orbit_weights
+    is_free = (weights[:, :2] >= 1).all(axis=1)
+    free = list(map(tuple, weights[is_free].tolist()))
+    orbit_id = np.where(is_free, np.cumsum(is_free) - 1, -1)[ctx.orbit_index]
     return free, orbit_id, SqrtPhase().exponent_table(ctx)
 
 

@@ -7,9 +7,13 @@ here rather than in the package:
   least-squares scale fit used to compare them with the numerical pipeline;
 * the collective spin operators and the SU(2) group element whose symbol
   one of those closed forms gives;
+* the closed form of the orbit sizes R_mnk (``r_factor``), the oracle of
+  ``FieldContext.orbit_sizes``, with the pair counts it is built from;
 * the per-line oracles of ``FieldContext.line_points`` and
-  ``MubFamily.state_table``: the lines one at a time, their points, their
+  ``MubFamily.states``: the lines one at a time, their points, their
   states and the line sums of a symbol;
+* the per-point loop of the line-projector kernel, the oracle of
+  ``kernels.wootters_kernel``;
 * schoolbook carry-less multiplication, the oracle of the field tables;
 * the argparse parser the command line used before its option table.
 
@@ -20,14 +24,17 @@ on ``sys.path`` because the directory has no ``__init__.py``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 
 import numpy as np
 
 from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
                     PhaseSpaceFunction, ProjectedFunction, build_V, cli,
-                    pair_counts, r_factor, suites, valid_triples)
+                    coeffs_from_phase, convention_from_name, logical_state,
+                    suites)
 from dpsmap._version import __version__
+from dpsmap.mubrot import SCHEMES
 from dpsmap.pauli import I4, require_operator_n
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,16 +59,54 @@ def clmul(a: int, b: int) -> int:
 
 
 # ----------------------------------------------------------------------
+# (m, n, k) orbit sizes in closed form
+# ----------------------------------------------------------------------
+
+def pair_counts(n: int, m: int, nn: int, k: int) -> tuple[int, int, int, int] | None:
+    """Per-slot bit-pair counts (n11, n10, n01, n00), or None off support."""
+    n112 = m + nn - k
+    n102 = m - nn + k
+    n012 = nn - m + k
+    if n112 < 0 or n102 < 0 or n012 < 0 or n112 % 2 or n102 % 2 or n012 % 2:
+        return None
+    n11, n10, n01 = n112 // 2, n102 // 2, n012 // 2
+    n00 = n - n11 - n10 - n01
+    if n00 < 0:
+        return None
+    return n11, n10, n01, n00
+
+
+def r_factor(n: int, m: int, nn: int, k: int) -> int:
+    """Number of grid points (alpha, beta) with weights (m, nn, k).
+
+    The four-factor multinomial n!/(n11! n10! n01! n00!); zero whenever the
+    factorial arguments fail to be nonnegative integers.
+    """
+    counts = pair_counts(n, m, nn, k)
+    if counts is None:
+        return 0
+    n11, n10, n01, n00 = counts
+    return math.factorial(n) // (
+        math.factorial(n11) * math.factorial(n10)
+        * math.factorial(n01) * math.factorial(n00))
+
+
+def valid_triples(n: int) -> list[tuple[int, int, int]]:
+    """All (m, n, k) with nonzero orbit size, in lexicographic order."""
+    return [t for t in itertools.product(range(n + 1), repeat=3) if r_factor(n, *t)]
+
+
+# ----------------------------------------------------------------------
 # lines, one at a time
 # ----------------------------------------------------------------------
 
 def all_lines(ctx: FieldContext):
     """All 2^n (2^n + 1) lines: every slope plus the vertical pencil, in the
     row order of ``ctx.line_points``."""
-    for xi in ctx.elements():
-        for nu in ctx.elements():
+    for xi in range(ctx.order):
+        for nu in range(ctx.order):
             yield LineSpec(xi, nu)
-    for nu in ctx.elements():
+    for nu in range(ctx.order):
         yield LineSpec(VERTICAL, nu)
 
 
@@ -69,15 +114,52 @@ def line_points_of(ctx: FieldContext, line: LineSpec) -> list[tuple[int, int]]:
     """The points (a, b) of ``line``, in the order of increasing a (of
     increasing b on a vertical line)."""
     if line.slope is VERTICAL:
-        return [(line.intercept, b) for b in ctx.elements()]
+        return [(line.intercept, b) for b in range(ctx.order)]
     row = ctx.mul_table[line.slope]
-    return [(a, int(row[a]) ^ line.intercept) for a in ctx.elements()]
+    return [(a, int(row[a]) ^ line.intercept) for a in range(ctx.order)]
 
 
 def line_states(ctx: FieldContext, coeffs) -> list[np.ndarray]:
     """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu."""
     v = build_V(ctx, coeffs)
-    return [v[:, ctx.basis_index(nu)].copy() for nu in ctx.elements()]
+    return [v[:, ctx.basis_index(nu)].copy() for nu in range(ctx.order)]
+
+
+def dual_basis_state(ctx: FieldContext, kappa: int) -> np.ndarray:
+    """|kappa~> = 2^(-n/2) sum_nu chi(kappa nu) |nu>; X_beta eigenstate
+    with eigenvalue chi(beta kappa)."""
+    require_operator_n(ctx)
+    vec = np.empty(ctx.order, dtype=complex)
+    vec[ctx.index_table] = ctx.char_matrix[kappa]
+    return vec / math.sqrt(ctx.order)
+
+
+def line_state(ctx: FieldContext, scheme: str, line: LineSpec) -> np.ndarray:
+    """The state of one line in the MUB family of ``scheme``: |nu> on slope
+    0, V_xi X_nu |0> on slope xi and |nu~> on the vertical line alpha = nu."""
+    if line.slope is VERTICAL:
+        return dual_basis_state(ctx, line.intercept)
+    if line.slope == 0:
+        return logical_state(ctx, line.intercept)
+    coeffs = coeffs_from_phase(ctx, convention_from_name(SCHEMES[scheme]), line.slope)
+    return line_states(ctx, coeffs)[line.intercept]
+
+
+def wootters_kernel_by_points(ctx: FieldContext, family) -> np.ndarray:
+    """``wootters_kernel`` one point at a time: the projector of the vertical
+    line through (a, b), minus I, plus those of the sloped lines through it
+    in increasing slope order."""
+    q = ctx.order
+    eye = np.eye(q, dtype=complex)
+    proj = [np.outer(s, s.conj()) for s in family.states]
+    table = np.empty((q, q, q, q), dtype=complex)
+    for a in range(q):
+        for b in range(q):
+            acc = proj[q * q + a] - eye
+            for xi in range(q):
+                acc = acc + proj[xi * q + (b ^ int(ctx.mul_table[xi, a]))]
+            table[a, b] = acc
+    return table
 
 
 def line_marginal(ctx: FieldContext, psf: PhaseSpaceFunction,

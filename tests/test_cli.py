@@ -215,20 +215,17 @@ def test_map_malformed_state_file(tmp_path, monkeypatch, capsys, text):
 
 @pytest.mark.parametrize("amps", ["[[NaN, 0], [1, 0], [0, 0], [0, 0]]",
                                   '{"amplitudes": [[1, 0], [0, Infinity], [0, 0], [0, 0]]}',
-                                  "[[1, 0], [-Infinity, 0], [0, 0], [0, 0]]",
-                                  "[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]",
-                                  "[[1e200, 1e200], [0, 0], [0, 0], [0, 0]]"])
+                                  "[[1, 0], [-Infinity, 0], [0, 0], [0, 0]]"])
 def test_map_non_finite_state_file(tmp_path, monkeypatch, capsys, amps):
-    """Amplitudes, or a norm, that are not finite: one error line, exit 2,
-    no numpy warning and no output file."""
+    """Amplitudes that are not finite: one error line, exit 2, no numpy
+    warning and no output file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(amps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("map", "--n", "2", "--state", "@bad.json", "--out", "x") == 2
     err = capsys.readouterr().err
-    assert err == ("error: amplitude file 'bad.json' holds amplitudes that are "
-                   "not finite or whose norm overflows\n")
+    assert err == "error: amplitude file 'bad.json' holds amplitudes that are not finite\n"
     assert not list(tmp_path.glob("x.*"))
 
 
@@ -238,6 +235,33 @@ def test_map_large_finite_state_file_is_normalized(tmp_path, monkeypatch):
     (tmp_path / "big.json").write_text("[[1e150, 0], [1e150, 0], [0, 0], [0, 0]]")
     (tmp_path / "unit.json").write_text("[[1, 0], [1, 0], [0, 0], [0, 0]]")
     assert run("map", "--n", "2", "--state", "@big.json", "--out", "big") == 0
+    assert run("map", "--n", "2", "--state", "@unit.json", "--out", "unit") == 0
+    big, unit = (np.array(json.loads((tmp_path / f"{stem}.grid.json").read_text())["grid"])
+                 for stem in ("big", "unit"))
+    assert np.allclose(big, unit, rtol=0, atol=1e-12)
+
+
+def test_map_all_zero_state_file_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.json").write_text("[[0, 0], [0, 0], [0, 0], [0, 0]]")
+    assert run("map", "--n", "2", "--state", "@zero.json", "--out", "x") == 2
+    assert capsys.readouterr().err == "error: amplitude vector is numerically zero\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize("amps, unit", [
+    ("[[1e308, 0], [1e308, 0], [0, 0], [0, 0]]", "[[1, 0], [1, 0], [0, 0], [0, 0]]"),
+    ("[[1e200, 1e200], [0, 0], [0, 0], [0, 0]]", "[[1, 1], [0, 0], [0, 0], [0, 0]]")],
+    ids=["1e308-real", "1e200-complex"])
+def test_map_state_file_whose_sum_of_squares_overflows(tmp_path, monkeypatch, amps, unit):
+    """A finite norm whose sum of squares overflows: the state is normalized
+    without a numpy warning and maps like its unit-scale copy."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(amps)
+    (tmp_path / "unit.json").write_text(unit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("map", "--n", "2", "--state", "@big.json", "--out", "big") == 0
     assert run("map", "--n", "2", "--state", "@unit.json", "--out", "unit") == 0
     big, unit = (np.array(json.loads((tmp_path / f"{stem}.grid.json").read_text())["grid"])
                  for stem in ("big", "unit"))

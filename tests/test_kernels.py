@@ -6,7 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import all_lines, line_marginal, line_points_of
+from oracles import (all_lines, line_marginal, line_points_of, line_state,
+                     wootters_kernel_by_points)
 
 from dpsmap import kernels, pauli
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FiducialError,
@@ -31,8 +32,8 @@ def naive_kernel_point(ctx, s, conv, fiducial, alpha, beta):
     """Direct character sum over all displacements, one matrix at a time."""
     q = ctx.order
     acc = np.zeros((q, q), dtype=complex)
-    for g in ctx.elements():
-        for d in ctx.elements():
+    for g in range(ctx.order):
+        for d in range(ctx.order):
             D = displacement(ctx, conv, g, d)
             weight = 1.0 + 0j
             if s:
@@ -443,12 +444,11 @@ def test_line_state_symbols_are_delta_lines():
         ctx = field_context(n)
         kern = build_kernel(ctx, 0.0, TOMO)
         fam = mub_family(ctx)
-        for line in all_lines(ctx):
-            ket = fam.bases[line.slope][line.intercept]
+        for line, ket in zip(all_lines(ctx), fam.states, strict=True):
             psf = forward_map(kern, np.outer(ket, ket.conj()))
             on = set(line_points_of(ctx, line))
-            for a in ctx.elements():
-                for b in ctx.elements():
+            for a in range(ctx.order):
+                for b in range(ctx.order):
                     expect = 1.0 if (a, b) in on else 0.0
                     assert abs(psf.grid[a, b] - expect) < 1e-10
 
@@ -458,9 +458,8 @@ def per_line_tomographic_check(kern, rho, fam):
     sum and a Born probability for every line; the first worst line wins."""
     ctx = kern.ctx
     worst = None
-    for line in all_lines(ctx):
+    for line, ket in zip(all_lines(ctx), fam.states, strict=True):
         lhs = line_marginal(ctx, kernels.forward_map(kern, rho), line)
-        ket = fam.bases[line.slope][line.intercept]
         rhs = complex(ket.conj() @ rho @ ket)
         if worst is None or abs(lhs - rhs) > abs(worst[1] - worst[2]):
             worst = (line, lhs, rhs)
@@ -483,7 +482,7 @@ def test_tomographic_check_on_random_states():
             assert res.deviation < 1e-10
             assert abs(res.deviation - abs(lhs - rhs)) < 1e-15
             # the reported line sum is the one line_marginal adds, bit for bit
-            ket = fam.bases[res.line.slope][res.line.intercept]
+            ket = fam.states[list(all_lines(ctx)).index(res.line)]
             assert res.lhs == line_marginal(ctx, forward_map(kern, rho), res.line)
             assert abs(res.rhs - ket.conj() @ rho @ ket) < 1e-15
 
@@ -519,24 +518,23 @@ def test_tomographic_tables_are_built_once_and_read_only():
     ctx = field_context(3)
     fam = mub_family(ctx)
     assert ctx.line_points is ctx.line_points
-    assert fam.state_table is fam.state_table
+    assert fam.states is fam.states
     assert not ctx.line_points.flags.writeable
-    assert not fam.state_table.flags.writeable
+    assert not fam.states.flags.writeable
     # row r of the state table is the state of line r of all_lines
-    assert np.array_equal(fam.state_table, [fam.bases[line.slope][line.intercept]
-                                            for line in all_lines(ctx)])
+    assert np.array_equal(fam.states, [line_state(ctx, fam.scheme, line)
+                                       for line in all_lines(ctx)])
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_tomographic_report_is_the_same_without_the_caches(monkeypatch, capsys, n):
-    from dpsmap import cli, gf2n, mubrot
+    from dpsmap import cli, gf2n
     argv = ["verify", "--suite", "tomographic", "--n", str(n), "--seed", "7"]
     assert cli.main(argv) == 0
     cached = capsys.readouterr().out
-    # plain properties rebuild both tables on every read
-    for cls, name in ((gf2n.FieldContext, "line_points"),
-                      (mubrot.MubFamily, "state_table")):
-        monkeypatch.setattr(cls, name, property(vars(cls)[name].func))
+    # a plain property rebuilds the line point table on every read
+    monkeypatch.setattr(gf2n.FieldContext, "line_points",
+                        property(vars(gf2n.FieldContext)["line_points"].func))
     ctx = field_context(n)
     assert ctx.line_points is not ctx.line_points
     assert cli.main(argv) == 0
@@ -549,8 +547,7 @@ def test_line_marginal_equals_born_probability():
     fam = mub_family(ctx)
     rho = np.outer(ghz_state(ctx), ghz_state(ctx).conj())
     psf = forward_map(kern, rho)
-    for line in all_lines(ctx):
-        ket = fam.bases[line.slope][line.intercept]
+    for line, ket in zip(all_lines(ctx), fam.states, strict=True):
         born = np.vdot(ket, rho @ ket)
         assert abs(line_marginal(ctx, psf, line) - born) < 1e-10
 
@@ -564,7 +561,7 @@ def test_wootters_form_equals_character_sum():
         q = ctx.order
         kern = build_kernel(ctx, 0.0, TOMO)
         woot = wootters_kernel(ctx, mub_family(ctx))
-        chars = np.array([[kern.at(a, b) for b in ctx.elements()] for a in ctx.elements()])
+        chars = np.array([[kern.at(a, b) for b in range(ctx.order)] for a in range(ctx.order)])
         assert woot.shape == (q, q, q, q)
         assert np.max(np.abs(woot - chars)) < 1e-10
         assert np.max(np.abs(woot.sum(axis=(0, 1)) - q * np.eye(q))) < 1e-12
@@ -575,6 +572,18 @@ def test_wootters_form_equals_character_sum():
 def test_wootters_kernel_cap():
     with pytest.raises(ConfigurationError):
         wootters_kernel(field_context(5), mub_family(field_context(5)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("scheme", ("p1", "graph+"))
+def test_wootters_kernel_is_bitwise_the_per_point_sum(n, scheme):
+    """Every entry adds the same projectors in the same order as the loop
+    over points."""
+    ctx = field_context(n)
+    fam = mub_family(ctx, scheme)
+    got = wootters_kernel(ctx, fam)
+    assert np.array_equal(got.view(np.uint64),
+                          wootters_kernel_by_points(ctx, fam).view(np.uint64))
 
 
 def test_wstate_symbol_is_real_for_hermitian_convention():

@@ -1,12 +1,11 @@
 # tests/test_mubrot.py
 import numpy as np
 import pytest
-from oracles import all_lines, line_points_of, line_states
+from oracles import all_lines, line_points_of, line_state, line_states
 
 from dpsmap import (ConfigurationError, GraphPhase, TomographicPhase, VERTICAL,
                     build_V, build_X, check_unbiased, coeffs_from_phase,
-                    dual_basis_matrix, dual_basis_state, field_context,
-                    mub_family)
+                    dual_basis_matrix, field_context, mub_family)
 from dpsmap.mubrot import line_at, recurrence_holds
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -113,9 +112,11 @@ def test_dual_basis_amplitudes_are_characters():
     for n in (1, 2, 3):
         ctx = field_context(n)
         q = ctx.order
-        for nu in ctx.elements():
-            ket = dual_basis_state(ctx, nu)
-            for x in ctx.elements():
+        # the vertical lines' rows of the family are the dual states
+        dual = mub_family(ctx).states[q * q:]
+        for nu in range(ctx.order):
+            ket = dual[nu]
+            for x in range(ctx.order):
                 expect = ctx.chi(ctx.mul(nu, x)) / np.sqrt(q)
                 assert abs(ket[ctx.index_table[x]] - expect) < 1e-14
 
@@ -131,10 +132,11 @@ def test_dual_basis_matrix_unitary():
 def test_dual_states_diagonalize_X():
     """X_delta acts on the dual basis by a character, no shift."""
     ctx = field_context(2)
-    for delta in ctx.elements():
+    dual = mub_family(ctx).states[ctx.order ** 2:]
+    for delta in range(ctx.order):
         X = build_X(ctx, delta)
-        for nu in ctx.elements():
-            ket = dual_basis_state(ctx, nu)
+        for nu in range(ctx.order):
+            ket = dual[nu]
             assert np.allclose(X @ ket, ctx.chi(ctx.mul(nu, delta)) * ket)
 
 
@@ -240,7 +242,7 @@ def test_V_commutes_with_shifts():
     ctx = field_context(3)
     for xi in (1, 3, 5):
         V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
-        for nu in ctx.elements():
+        for nu in range(ctx.order):
             X = build_X(ctx, nu)
             assert np.allclose(V @ X, X @ V)
 
@@ -259,11 +261,11 @@ def test_line_states_orthonormal():
 def test_family_structure_and_validation():
     for n in (1, 2, 3):
         ctx = field_context(n)
+        q = ctx.order
         fam = mub_family(ctx, "p1")
-        fam.validate()
-        assert set(fam.bases) == set(range(ctx.order)) | {VERTICAL}
-        for slope, states in fam.bases.items():
-            assert len(states) == ctx.order
+        # one basis of q states for every slope and for the vertical pencil
+        assert fam.states.shape == (q * (q + 1), q)
+        for states in fam.states.reshape(q + 1, q, q):
             # each basis resolves the identity
             acc = sum(np.outer(s, s.conj()) for s in states)
             assert np.allclose(acc, np.eye(ctx.order))
@@ -297,19 +299,19 @@ def test_family_checks_each_slope_recurrence_once(monkeypatch, n):
 def test_family_mutually_unbiased():
     for n in (1, 2, 3):
         ctx = field_context(n)
-        fam = mub_family(ctx, "p1")
-        keys = list(fam.bases)
-        for i, ka in enumerate(keys):
-            for kb in keys[i + 1:]:
-                assert check_unbiased(ctx, fam.bases[ka], fam.bases[kb]) < 1e-10
+        q = ctx.order
+        bases = mub_family(ctx, "p1").states.reshape(q + 1, q, q)
+        for i, ka in enumerate(bases):
+            for kb in bases[i + 1:]:
+                assert check_unbiased(ctx, ka, kb) < 1e-10
 
 
 def test_family_schemes_agree_on_unbiasedness():
     ctx = field_context(3)
     for scheme in ("p1", "p2", "p4", "graph+", "graph-"):
         fam = mub_family(ctx, scheme)
-        fam.validate()
-        assert check_unbiased(ctx, fam.bases[1], fam.bases[None]) < 1e-10
+        # slope 1 against the vertical pencil
+        assert check_unbiased(ctx, fam.states[8:16], fam.states[64:]) < 1e-10
 
 
 def test_scheme_validity_depends_on_n():
@@ -322,20 +324,35 @@ def test_scheme_validity_depends_on_n():
 def test_logical_basis_is_slope_zero():
     ctx = field_context(2)
     fam = mub_family(ctx)
-    for nu in ctx.elements():
-        ket = fam.bases[0][nu]
+    for nu in range(ctx.order):
+        ket = fam.states[nu]
         assert abs(abs(ket[ctx.index_table[nu]]) - 1) < 1e-12
 
 
 def test_line_state_lookup():
-    """Row r of family.state_table is the basis vector of line r, labelled by
+    """Row r of family.states is the basis vector of line r, labelled by
     its intercept."""
     ctx = field_context(2)
     fam = mub_family(ctx)
-    for ket, line in zip(fam.state_table, all_lines(ctx), strict=True):
+    for ket, line in zip(fam.states, all_lines(ctx), strict=True):
         assert abs(np.linalg.norm(ket) - 1) < 1e-12
-        expect = fam.bases[line.slope][line.intercept]
+        expect = line_state(ctx, fam.scheme, line)
         assert np.allclose(ket, expect)
+
+
+# every scheme at every n where it exists: p = 2 needs n >= 2, p = 4 n >= 3
+@pytest.mark.parametrize("n, scheme", [(n, scheme) for n in (1, 2, 3)
+                                       for scheme in ("p1", "p2", "p4", "graph+", "graph-")
+                                       if n >= {"p2": 2, "p4": 3}.get(scheme, 1)])
+def test_family_states_are_the_oracle_line_states(n, scheme):
+    """One read-only array; row r is, bit for bit, the state of line r."""
+    ctx = field_context(n)
+    fam = mub_family(ctx, scheme)
+    assert not fam.states.flags.writeable
+    with pytest.raises(ValueError):
+        fam.states[0, 0] = 0
+    expect = np.array([line_state(ctx, scheme, line) for line in all_lines(ctx)])
+    assert np.array_equal(fam.states.view(np.uint64), expect.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -4,15 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from oracles import REFERENCE_IDS, reference_symbol
+from oracles import REFERENCE_IDS, all_lines, r_factor, reference_symbol, valid_triples
 
 from dpsmap import (ConfigurationError, PhaseSpaceFunction, ProjectedFunction,
                     build_kernel, convention_from_name, diff_grids,
                     diff_projected, field_context, forward_map, ghz_state,
                     load_symbol, mub_family, mub_to_json, project,
                     proj_to_csv, proj_to_gnuplot, proj_to_json, psf_to_csv,
-                    psf_to_gnuplot, psf_to_json, r_factor, spin_coherent,
-                    valid_triples)
+                    psf_to_gnuplot, psf_to_json, spin_coherent)
 from dpsmap._version import __version__
 from dpsmap.kernels import SymbolMeta
 from dpsmap.serialize import _dumps
@@ -314,9 +313,10 @@ def oracle_psf_gnuplot(psf):
 
 
 def oracle_mub_json(family, config=None):
-    bases = {"vertical" if slope is None else str(slope):
-             [[_oracle_pair(z) for z in state] for state in states]
-             for slope, states in family.bases.items()}
+    bases = {}
+    for line, state in zip(all_lines(family.ctx), family.states, strict=True):
+        key = "vertical" if line.slope is None else str(line.slope)
+        bases.setdefault(key, []).append([_oracle_pair(z) for z in state])
     record = {"version": __version__, "kind": "mub", "n": family.ctx.n,
               "scheme": family.scheme, "config": config, "bases": bases}
     return json.dumps(record, sort_keys=True, indent=2) + "\n"

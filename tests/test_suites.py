@@ -260,3 +260,26 @@ def test_kernel_round_trip_catches_nan_in_the_last_chunk_only(monkeypatch):
     report = run_suite("kernel", 5, seed=0)
     for name in ("tomographic-p1", "perminv-f0"):
         assert not _check_named(report, f"{name}: inverse(forward)")["passed"]
+
+
+def test_tomographic_line_sums_fail_on_nan_grids(monkeypatch):
+    from dpsmap import kernels
+    forward_map = kernels.forward_map
+
+    def nan_grids(kernel, op, provenance=""):
+        psf = forward_map(kernel, op, provenance)
+        psf.grid = psf.grid * np.nan
+        return psf
+
+    monkeypatch.setattr(kernels, "forward_map", nan_grids)
+    check = _check_named(run_suite("tomographic", 2), "line sums = Born probabilities")
+    assert not check["passed"]
+    assert check["detail"].endswith("max dev inf")
+
+
+def test_mub_family_unbiasedness_fails_on_nan_overlaps(monkeypatch):
+    from dpsmap import mubrot
+    monkeypatch.setattr(mubrot, "check_unbiased", lambda ctx, a, b: np.nan)
+    check = _check_named(run_suite("mub", 2), "full family pairwise unbiased")
+    assert not check["passed"]
+    assert check["detail"].endswith("= inf")

@@ -3,17 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import (REFERENCE_IDS, dense, fit_constant, reference_symbol,
-                     su2_group_element)
+from oracles import (REFERENCE_IDS, dense, fit_constant, pair_counts, r_factor,
+                     reference_symbol, su2_group_element, valid_triples)
 
 from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     check_kernel_invariance, convention_from_name,
                     convolution_prefactor, displacement, field_context,
-                    find_theorem_witness, forward_map, ghz_state, orbit_sizes,
-                    pair_counts, permutation_op, project, r_factor,
-                    search_invariant_phases, spin_coherent,
-                    symbol_depends_only_on_h, symmetric_average, symmetrize,
-                    theorem_witness, valid_triples, w_state)
+                    find_theorem_witness, forward_map, ghz_state,
+                    permutation_op, project, search_invariant_phases,
+                    spin_coherent, symbol_depends_only_on_h, symmetric_average,
+                    symmetrize, theorem_witness, w_state)
 from dpsmap import (FieldContext, PhaseSearchReport, PhaseSpaceFunction,
                     RotationCoefficients, TomographicPhase)
 
@@ -28,7 +27,7 @@ def orbit_positions(ctx):
     hw = ctx.hweight_table
     pos = {t: i for i, t in enumerate(valid_triples(ctx.n))}
     return np.array([[pos[(int(hw[a]), int(hw[b]), int(hw[a ^ b]))]
-                      for b in ctx.elements()] for a in ctx.elements()])
+                      for b in range(ctx.order)] for a in range(ctx.order)])
 
 
 def project_by_masks(ctx, grid):
@@ -46,8 +45,8 @@ def h_dependence_by_buckets(ctx, grid, tol=1e-10):
     """Reference orbit-constancy check: a double loop over buckets."""
     hw = ctx.hweight_table
     buckets = {}
-    for a in ctx.elements():
-        for b in ctx.elements():
+    for a in range(ctx.order):
+        for b in range(ctx.order):
             buckets.setdefault((int(hw[a]), int(hw[b]), int(hw[a ^ b])), []).append((a, b))
     for points in buckets.values():
         ref_a, ref_b = points[0]
@@ -61,8 +60,8 @@ def brute_orbit_sizes(ctx):
     """Count grid points per (m, n, k) by direct enumeration."""
     sizes = {}
     hw = ctx.hweight_table
-    for a in ctx.elements():
-        for b in ctx.elements():
+    for a in range(ctx.order):
+        for b in range(ctx.order):
             key = (int(hw[a]), int(hw[b]), int(hw[a ^ b]))
             sizes[key] = sizes.get(key, 0) + 1
     return sizes
@@ -96,12 +95,31 @@ def test_orbit_sizes_cover_the_grid():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_orbit_size_map_is_r_factor_once_per_n(n):
-    sizes = orbit_sizes(n)
+    sizes = field_context(n).orbit_sizes
     assert list(sizes) == valid_triples(n)
     assert dict(sizes) == {t: r_factor(n, *t) for t in valid_triples(n)}
-    assert orbit_sizes(n) is sizes
+    assert field_context(n).orbit_sizes is sizes
     with pytest.raises(TypeError):
         sizes[(0, 0, 0)] = 2
+
+
+@pytest.mark.parametrize("n, basis", [*((n, []) for n in range(1, 9)),
+                                      (4, [9, 10, 12, 14])])
+def test_context_orbit_sizes_are_the_closed_form(n, basis):
+    """R_mnk counted from a context's own orbit runs, in any self-dual basis,
+    is the closed-form multinomial; the map is cached and read-only."""
+    ctx = FieldContext.from_json_dict(
+        {"n": n, "poly": field_context(n).poly, "selfdual_basis": basis})
+    assert ctx.selfdual_basis == (tuple(basis) or field_context(n).selfdual_basis)
+    sizes = ctx.orbit_sizes
+    assert list(sizes) == valid_triples(ctx.n)
+    assert all(type(x) is int for t, r in sizes.items() for x in (*t, r))
+    assert dict(sizes) == {t: r_factor(ctx.n, *t) for t in valid_triples(ctx.n)}
+    assert ctx.orbit_sizes is sizes
+    with pytest.raises(TypeError):
+        sizes[(0, 0, 0)] = 2
+    with pytest.raises(TypeError):
+        del sizes[(0, 0, 0)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -327,8 +345,8 @@ def test_transposition_maps_displacements(name):
         phis = conv.value_table(ctx)
         for i, j in itertools.combinations(range(1, n + 1), 2):
             pmat = permutation_op(ctx, i, j)
-            for g in ctx.elements():
-                for d in ctx.elements():
+            for g in range(ctx.order):
+                for d in range(ctx.order):
                     tg, td = ctx.transpose_coords(g, i, j), ctx.transpose_coords(d, i, j)
                     ratio = phis[g, d] / phis[tg, td]
                     moved = pmat @ displacement(ctx, conv, g, d) @ pmat
