@@ -29,8 +29,7 @@ from .kernels import (MAX_DENSE_N, KernelSet, OverlapReport,
                       convolution_prefactor, forward_map, inverse_map,
                       overlap_check, tomographic_check, trace_convolution,
                       wootters_kernel)
-from .mubrot import (VERTICAL, LineSpec, MubFamily, RotationCoefficients,
-                     build_V, check_unbiased, coeffs_from_phase,
+from .mubrot import (VERTICAL, LineSpec, MubFamily, build_V, check_unbiased,
                      dual_basis_matrix, mub_family)
 from .serialize import (DiffReport, diff_grids, diff_projected, load_symbol,
                         mub_to_json, proj_to_csv, proj_to_gnuplot,
@@ -56,8 +55,8 @@ __all__ = [
     "PhaseSpaceFunction", "TomographicCheckResult", "build_kernel",
     "convolution_prefactor", "forward_map", "inverse_map", "overlap_check",
     "tomographic_check", "trace_convolution", "wootters_kernel",
-    "VERTICAL", "LineSpec", "MubFamily", "RotationCoefficients", "build_V",
-    "check_unbiased", "coeffs_from_phase", "dual_basis_matrix", "mub_family",
+    "VERTICAL", "LineSpec", "MubFamily", "build_V", "check_unbiased",
+    "dual_basis_matrix", "mub_family",
     "DEFAULT_FIDUCIAL_ZETA", "FactorizedPhase", "FiducialReport", "GraphPhase",
     "PhaseConvention", "PlainPhase", "SqrtPhase", "TomographicPhase",
     "build_X", "build_Z", "check_fiducial", "convention_from_name",

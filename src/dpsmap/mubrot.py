@@ -10,10 +10,12 @@ coefficients obey the recurrence
 
 The coefficients are the line restriction c_kappa = phi(kappa, xi kappa)
 of a phase convention phi: the tomographic condition holds on the line
-exactly when that restriction solves the recurrence.  Each MUB scheme in
-``SCHEMES`` names the convention it restricts, so the closed forms live in
-``pauli`` only.  Phases are fourth roots of unity kept as integer
-exponents of i, so the recurrence is checked exactly.  Line states
+exactly when that restriction solves the recurrence.  ``build_V`` reads
+them straight from the convention's exponent table, for one slope or a
+stack of slopes, and refuses any slope where the recurrence fails.  Each
+MUB scheme in ``SCHEMES`` names the convention it restricts, so the closed
+forms live in ``pauli`` only.  Phases are fourth roots of unity kept as
+integer exponents of i, so the recurrence is checked exactly.  Line states
 |psi_nu^xi> = V_xi X_nu |0> label the points of the line
 beta = xi alpha + nu, the dual states |nu~> the vertical line alpha = nu.
 A ``MubFamily`` holds every line's state as one row of a single array, in
@@ -77,7 +79,7 @@ def dual_basis_matrix(ctx: FieldContext) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# rotation coefficients
+# the rotation recurrence
 # ----------------------------------------------------------------------
 
 def recurrence_residual(ctx: FieldContext, xi, exponents) -> np.ndarray:
@@ -101,63 +103,30 @@ def recurrence_holds(ctx: FieldContext, xi, exponents) -> np.ndarray:
     return ~recurrence_residual(ctx, xi, exponents).any(axis=(-2, -1))
 
 
-@dataclass
-class RotationCoefficients:
-    """Coefficients c_kappa = i^exponents[kappa] for one slope xi."""
+# ----------------------------------------------------------------------
+# rotation operators
+# ----------------------------------------------------------------------
 
-    xi: int
-    exponents: np.ndarray
-    provenance: str = "unverified"
-
-    def values(self) -> np.ndarray:
-        return I4[np.mod(self.exponents, 4)]
-
-    def verify(self, ctx: FieldContext) -> bool:
-        """Exact integer check of the recurrence for all (kappa, alpha)."""
-        return bool(recurrence_holds(ctx, self.xi, self.exponents))
-
-
-def _line_coefficients(ctx: FieldContext, conv: PhaseConvention,
-                       slopes) -> list[RotationCoefficients]:
-    """c_kappa = phi(kappa, xi kappa) for every slope, checked in one residual."""
-    slopes = np.asarray(slopes, dtype=np.int64)
+def _rotations(ctx: FieldContext, conv: PhaseConvention, xi,
+               dual: np.ndarray) -> np.ndarray:
+    """``build_V`` on a dual basis matrix the caller already holds."""
+    slopes = np.asarray(xi, dtype=np.int64)
     if (slopes == 0).any():
         raise ConfigurationError("slope 0 is the logical basis; no rotation needed")
-    rows = conv.exponent_table(ctx)[np.arange(ctx.order), ctx.mul_table[slopes]]
-    ok = recurrence_holds(ctx, slopes, rows)
+    exps = conv.exponent_table(ctx)[np.arange(ctx.order), ctx.mul_table[slopes]]
+    ok = recurrence_holds(ctx, slopes, exps)
     if not ok.all():
         raise ConfigurationError(
             f"{conv.name} does not satisfy the rotation recurrence on slope "
-            f"{slopes[np.argmin(ok)]}")
-    return [RotationCoefficients(int(xi), row, provenance=f"from-phase[{conv.name}]")
-            for xi, row in zip(slopes, rows)]
+            f"{slopes.ravel()[np.argmin(ok)]}")
+    return (dual * I4[exps][..., None, :]) @ dual.conj().T
 
 
-def coeffs_from_phase(ctx: FieldContext, conv: PhaseConvention,
-                      xi: int) -> RotationCoefficients:
-    """Extract c_kappa = phi(kappa, xi kappa) from a phase convention.
-
-    Valid only when the convention solves the tomographic relation on the
-    slope-xi line; the recurrence is verified and failure raises.
-    """
-    return _line_coefficients(ctx, conv, [xi])[0]
-
-
-# ----------------------------------------------------------------------
-# rotation operators and line states
-# ----------------------------------------------------------------------
-
-def _rotation(dual: np.ndarray, coeffs: RotationCoefficients) -> np.ndarray:
-    """sum_kappa c_kappa |kappa~><kappa~| from the dual basis matrix, unchecked."""
-    return (dual * coeffs.values()[None, :]) @ dual.conj().T
-
-
-def build_V(ctx: FieldContext, coeffs: RotationCoefficients) -> np.ndarray:
-    """V_xi = sum_kappa c_kappa |kappa~><kappa~|; rejects bad coefficients."""
-    require_operator_n(ctx)
-    if not coeffs.verify(ctx):
-        raise ConfigurationError("coefficients fail the recurrence; refusing to build V")
-    return _rotation(dual_basis_matrix(ctx), coeffs)
+def build_V(ctx: FieldContext, conv: PhaseConvention, xi) -> np.ndarray:
+    """V_xi = sum_kappa c_kappa |kappa~><kappa~| with c_kappa = phi(kappa, xi kappa),
+    or a (..., q, q) stack when ``xi`` is an array of slopes.  Slope 0 and a
+    slope on which the convention fails the recurrence raise."""
+    return _rotations(ctx, conv, xi, dual_basis_matrix(ctx))
 
 
 def check_unbiased(ctx: FieldContext, states_a, states_b) -> float:
@@ -194,13 +163,11 @@ def mub_family(ctx: FieldContext, scheme: str = "p1") -> MubFamily:
         raise ConfigurationError(
             f"unknown MUB scheme {scheme!r}; choose from {tuple(SCHEMES)}")
     conv = convention_from_name(SCHEMES[scheme])
-    dual, index = dual_basis_matrix(ctx), ctx.index_table
+    q, dual, index = ctx.order, dual_basis_matrix(ctx), ctx.index_table
     # row nu of each block is the state of intercept nu: the column of its
     # operator at |nu> = X_nu |0>
-    blocks = [np.eye(ctx.order, dtype=complex)[index]]
-    # the recurrence is checked here for every slope; build_V would again
-    blocks += [_rotation(dual, coeffs)[:, index].T
-               for coeffs in _line_coefficients(ctx, conv, range(1, ctx.order))]
-    states = np.concatenate([*blocks, dual.T])
+    rotated = _rotations(ctx, conv, np.arange(1, q), dual)[:, :, index]
+    states = np.concatenate([np.eye(q, dtype=complex)[index],
+                             rotated.swapaxes(1, 2).reshape(-1, q), dual.T])
     states.flags.writeable = False
     return MubFamily(ctx, scheme, states)

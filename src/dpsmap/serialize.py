@@ -286,8 +286,8 @@ def diff_projected(a: ProjectedFunction, b: ProjectedFunction) -> DiffReport:
     keys = sorted(set(a.entries) | set(b.entries))
     devs = [abs(a.value(*k) - b.value(*k)) for k in keys]
     worst = keys[int(np.argmax(devs))] if keys else None
-    return DiffReport("projected", len(keys),
-                      float(max(devs, default=0.0)),
+    # np.max, unlike max(), keeps a NaN wherever it is, as diff_grids does
+    return DiffReport("projected", len(keys), float(np.max(devs, initial=0.0)),
                       float(np.mean(devs)) if devs else 0.0,
                       list(worst) if worst else None)
 

@@ -177,12 +177,11 @@ def mub_suite(n: int, seed: int = 0) -> dict:
 
     slopes = np.arange(1, q) if n <= 3 else rng.integers(1, q, (6,))
     tomo = pauli.convention_from_name("tomographic-p1")
-    vs = [mubrot.build_V(ctx, mubrot.coeffs_from_phase(ctx, tomo, int(xi)))
-          for xi in slopes]
+    vs = mubrot.build_V(ctx, tomo, slopes)
     nus = np.array([rng.integers(0, q) for _ in slopes])
     sq_dev = comm_dev = 0.0
     for part in _chunks(ctx, len(slopes)):
-        v = np.array(vs[part])
+        v = vs[part]
         sq_dev = max(sq_dev, _dev(v @ v, pauli.build_X(ctx, ctx.sqrt_table[slopes[part]])))
         x = pauli.build_X(ctx, nus[part])
         comm_dev = max(comm_dev, _dev(v @ x, x @ v))

@@ -291,8 +291,9 @@ def _sign_solutions(ctx: FieldContext, base_exp, orbit_id, nfree: int) -> list[i
     resid = recurrence_residual(ctx, np.arange(1, q), base_exp[kappa, lines])
     if (resid % 2).any():
         return []
-    # one bitmask per equation: the sign bits it adds, the right-hand side at bit nfree
-    labels = orbit_id[kappa, lines]
+    # one bitmask per equation: the sign bits it adds, the right-hand side at
+    # bit nfree; Python ints, since n = 6 already has 71 free orbits
+    labels = orbit_id[kappa, lines].astype(object)
     mask = np.where(labels >= 0, 1 << labels.clip(0), 0)
     rows = mask[:, ctx.xor_grid] ^ mask[:, :, None] ^ mask[:, None, :]
     rows = {row | (rhs >> 1 << nfree)

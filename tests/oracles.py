@@ -11,7 +11,8 @@ here rather than in the package:
   ``FieldContext.orbit_sizes``, with the pair counts it is built from;
 * the per-line oracles of ``FieldContext.line_points`` and
   ``MubFamily.states``: the lines one at a time, their points, their
-  states and the line sums of a symbol;
+  states (each slope's rotation built on its own, against the stacks of
+  ``build_V``) and the line sums of a symbol;
 * the per-point loop of the line-projector kernel, the oracle of
   ``kernels.wootters_kernel``;
 * schoolbook carry-less multiplication, the oracle of the field tables;
@@ -30,11 +31,11 @@ import math
 import numpy as np
 
 from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
-                    PhaseSpaceFunction, ProjectedFunction, build_V, cli,
-                    coeffs_from_phase, convention_from_name, logical_state,
+                    PhaseSpaceFunction, ProjectedFunction, cli,
+                    convention_from_name, dual_basis_matrix, logical_state,
                     suites)
 from dpsmap._version import __version__
-from dpsmap.mubrot import SCHEMES
+from dpsmap.mubrot import SCHEMES, recurrence_holds
 from dpsmap.pauli import I4, require_operator_n
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -119,9 +120,21 @@ def line_points_of(ctx: FieldContext, line: LineSpec) -> list[tuple[int, int]]:
     return [(a, int(row[a]) ^ line.intercept) for a in range(ctx.order)]
 
 
-def line_states(ctx: FieldContext, coeffs) -> list[np.ndarray]:
-    """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu."""
-    v = build_V(ctx, coeffs)
+def line_exponents(ctx: FieldContext, conv, xi: int) -> np.ndarray:
+    """Exponents of c_kappa = phi(kappa, xi kappa): ``conv`` on the line of
+    slope xi through the origin."""
+    return conv.exponent_table(ctx)[np.arange(ctx.order), ctx.mul_table[xi]]
+
+
+def line_states(ctx: FieldContext, conv, xi: int) -> list[np.ndarray]:
+    """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu, with V_xi
+    built for the one slope xi from the coefficients of ``line_exponents``."""
+    exps = line_exponents(ctx, conv, xi)
+    if not recurrence_holds(ctx, xi, exps):
+        raise ConfigurationError(
+            f"{conv.name} does not satisfy the rotation recurrence on slope {xi}")
+    dual = dual_basis_matrix(ctx)
+    v = (dual * I4[exps][None, :]) @ dual.conj().T
     return [v[:, ctx.basis_index(nu)].copy() for nu in range(ctx.order)]
 
 
@@ -141,8 +154,8 @@ def line_state(ctx: FieldContext, scheme: str, line: LineSpec) -> np.ndarray:
         return dual_basis_state(ctx, line.intercept)
     if line.slope == 0:
         return logical_state(ctx, line.intercept)
-    coeffs = coeffs_from_phase(ctx, convention_from_name(SCHEMES[scheme]), line.slope)
-    return line_states(ctx, coeffs)[line.intercept]
+    conv = convention_from_name(SCHEMES[scheme])
+    return line_states(ctx, conv, line.slope)[line.intercept]
 
 
 def wootters_kernel_by_points(ctx: FieldContext, family) -> np.ndarray:

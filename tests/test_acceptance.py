@@ -8,10 +8,10 @@ is 1e-10 unless a criterion states otherwise.
 import math
 
 import numpy as np
-from oracles import (all_lines, dense, fit_constant, line_points_of,
-                     reference_symbol, su2_group_element)
+from oracles import (all_lines, dense, fit_constant, line_exponents,
+                     line_points_of, reference_symbol, su2_group_element)
 
-from dpsmap import (build_kernel, check_kernel_invariance, coeffs_from_phase,
+from dpsmap import (build_kernel, check_kernel_invariance,
                     convention_from_name, convolution_prefactor, displacement,
                     field_context, find_theorem_witness, forward_map,
                     ghz_state, inverse_map, logical_state, mub_family,
@@ -20,6 +20,7 @@ from dpsmap import (build_kernel, check_kernel_invariance, coeffs_from_phase,
                     symbol_depends_only_on_h, symmetric_average, symmetrize,
                     tomographic_check, trace_convolution, build_V, build_X,
                     check_unbiased, wootters_kernel)
+from dpsmap.mubrot import recurrence_holds
 
 TOL = 1e-10
 TOMO = convention_from_name("tomographic-p1")
@@ -167,9 +168,9 @@ def test_criterion_05_mub_suite():
         for xi in range(1, q):
             for name in [f"tomographic-p{p}" for p in p_values] + [
                     "graph-plus", "graph-minus"]:
-                coeffs = coeffs_from_phase(ctx, convention_from_name(name), xi)
-                recurrence_ok &= coeffs.verify(ctx)
-            V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
+                exps = line_exponents(ctx, convention_from_name(name), xi)
+                recurrence_ok &= bool(recurrence_holds(ctx, xi, exps))
+            V = build_V(ctx, TOMO, xi)
             worst = max(worst, float(np.max(np.abs(
                 V @ V - build_X(ctx, ctx.sqrt_table[xi])))))
             for nu in (1, q - 1):

@@ -533,6 +533,25 @@ def test_diff_projected_files(tmp_path, monkeypatch):
     assert run("diff", "a.proj.json", "b.proj.json") == 1
 
 
+@pytest.mark.parametrize("kind, where", [("grid", 0), ("proj", 0), ("proj", -1)])
+def test_diff_counts_a_nan_as_a_difference(tmp_path, monkeypatch, capsys, kind, where):
+    """A NaN anywhere in either file is the max deviation, and fails."""
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--conv", "perminv-f0", "--project", "--out", "a") == 0
+    record = json.loads((tmp_path / f"a.{kind}.json").read_text())
+    if kind == "grid":
+        record["grid"][0][0][0] = float("nan")
+    else:
+        record["entries"][where][1][0] = float("nan")
+    (tmp_path / f"b.{kind}.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run("diff", f"a.{kind}.json", f"b.{kind}.json") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert np.isnan(report["max_deviation"])
+    if kind == "proj":
+        assert report["worst"] == record["entries"][where][0]
+
+
 # ---------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------

@@ -1,12 +1,15 @@
 # tests/test_mubrot.py
 import numpy as np
 import pytest
-from oracles import all_lines, line_points_of, line_state, line_states
+from oracles import (all_lines, line_exponents, line_points_of, line_state,
+                     line_states)
 
-from dpsmap import (ConfigurationError, GraphPhase, TomographicPhase, VERTICAL,
-                    build_V, build_X, check_unbiased, coeffs_from_phase,
-                    dual_basis_matrix, field_context, mub_family)
-from dpsmap.mubrot import line_at, recurrence_holds
+from dpsmap import (ConfigurationError, GraphPhase, PhaseConvention, PlainPhase,
+                    TomographicPhase, VERTICAL, build_V, build_X,
+                    check_unbiased, convention_from_name, dual_basis_matrix,
+                    field_context, mub_family)
+from dpsmap.mubrot import SCHEMES, line_at, recurrence_holds
+from dpsmap.pauli import I4
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -150,7 +153,8 @@ def test_closed_form_recurrence_exact():
         ctx = field_context(n)
         for p in valid_p_values(n):
             for xi in range(1, ctx.order):
-                assert coeffs_from_phase(ctx, TomographicPhase(p), xi).verify(ctx)
+                conv = TomographicPhase(p)
+                assert recurrence_holds(ctx, xi, line_exponents(ctx, conv, xi))
 
 
 def test_graph_recurrence_exact():
@@ -158,16 +162,16 @@ def test_graph_recurrence_exact():
         ctx = field_context(n)
         for sign in (1, -1):
             for xi in range(1, ctx.order):
-                assert coeffs_from_phase(ctx, GraphPhase(sign), xi).verify(ctx)
+                conv = GraphPhase(sign)
+                assert recurrence_holds(ctx, xi, line_exponents(ctx, conv, xi))
 
 
 def test_frozen_single_qubit_coefficients():
     ctx = field_context(1)
-    c = coeffs_from_phase(ctx, TOMO, 1)
-    assert np.allclose(c.values(), [1, -1j])
+    assert np.allclose(I4[line_exponents(ctx, TOMO, 1)], [1, -1j])
 
 
-def test_coeffs_from_phase_match_closed_form_oracles():
+def test_line_exponents_match_closed_form_oracles():
     """Line restrictions of the tomographic and graph conventions equal the
     per-slope closed forms: every valid p and sign, every slope, n = 1..6."""
     cases = 0
@@ -175,11 +179,11 @@ def test_coeffs_from_phase_match_closed_form_oracles():
         ctx = field_context(n)
         for xi in range(1, ctx.order):
             for p in valid_p_values(n):
-                got = coeffs_from_phase(ctx, TomographicPhase(p), xi).exponents % 4
+                got = line_exponents(ctx, TomographicPhase(p), xi)
                 assert np.array_equal(got, closed_form_oracle(ctx, xi, p))
                 cases += 1
             for sign in (1, -1):
-                got = coeffs_from_phase(ctx, GraphPhase(sign), xi).exponents % 4
+                got = line_exponents(ctx, GraphPhase(sign), xi)
                 assert np.array_equal(got, graph_oracle(ctx, xi, sign))
                 cases += 1
     assert cases == 861
@@ -187,34 +191,69 @@ def test_coeffs_from_phase_match_closed_form_oracles():
 
 def test_invalid_coefficient_requests():
     ctx = field_context(2)
+    with pytest.raises(ConfigurationError, match="slope 0 is the logical basis"):
+        build_V(ctx, TOMO, 0)  # slope 0 needs no rotation
+    with pytest.raises(ConfigurationError, match="slope 0"):
+        build_V(ctx, TOMO, [1, 0, 3])
     with pytest.raises(ConfigurationError):
-        coeffs_from_phase(ctx, TOMO, 0)  # slope 0 needs no rotation
+        build_V(ctx, TomographicPhase(3), 1)  # p must be a power of two
     with pytest.raises(ConfigurationError):
-        coeffs_from_phase(ctx, TomographicPhase(3), 1)  # p must be a power of two
+        build_V(ctx, TomographicPhase(4), 1)  # p too large for n=2
     with pytest.raises(ConfigurationError):
-        coeffs_from_phase(ctx, TomographicPhase(4), 1)  # p too large for n=2
-    with pytest.raises(ConfigurationError):
-        coeffs_from_phase(ctx, GraphPhase(2), 1)
+        build_V(ctx, GraphPhase(2), 1)
 
 
 def test_failed_recurrence_detected():
     """A deliberately corrupted exponent table must not verify."""
-    from dpsmap import RotationCoefficients
     ctx = field_context(2)
-    good = coeffs_from_phase(ctx, TOMO, 1)
-    bad = np.array(good.exponents, copy=True)
+    good = line_exponents(ctx, TOMO, 1)
+    assert recurrence_holds(ctx, 1, good)
+    bad = good.copy()
     bad[2] = (bad[2] + 1) % 4
-    assert not RotationCoefficients(1, bad, "corrupted").verify(ctx)
+    assert not recurrence_holds(ctx, 1, bad)
+
+
+class BentPhase(PhaseConvention):
+    """The p = 1 tomographic phase with one exponent moved off the axes."""
+
+    name = "bent"
+
+    def _exponent_table(self, ctx):
+        table = TOMO.exponent_table(ctx).copy()
+        table[2, 2] += 1
+        return table
 
 
 def test_build_V_and_line_states_refuse_failed_recurrence():
-    from dpsmap import RotationCoefficients
     ctx = field_context(2)
-    bad = np.array(coeffs_from_phase(ctx, TOMO, 1).exponents, copy=True)
-    bad[2] = (bad[2] + 1) % 4
-    for build in (build_V, line_states):
-        with pytest.raises(ConfigurationError, match="fail the recurrence"):
-            build(ctx, RotationCoefficients(1, bad, "corrupted"))
+    # mul(2, 1) = 2: the bent entry lies on slope 1 and on no other slope
+    for conv, slope in ((PlainPhase(), 1), (BentPhase(), 1)):
+        for build in (build_V, line_states):
+            with pytest.raises(ConfigurationError,
+                               match="does not satisfy the rotation recurrence "
+                                     f"on slope {slope}$"):
+                build(ctx, conv, slope)
+    # a stack names the first slope that fails
+    with pytest.raises(ConfigurationError, match="on slope 1$"):
+        build_V(ctx, BentPhase(), [2, 1, 3])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_stacked_build_V_is_per_slope_build_V(n):
+    """V for an array of slopes equals, bit for bit, V slope by slope, for
+    every scheme's convention."""
+    ctx = field_context(n)
+    slopes = np.arange(1, ctx.order)
+    for name in SCHEMES.values():
+        conv = convention_from_name(name)
+        if isinstance(conv, TomographicPhase) and conv.p > 1 << (n - 1):
+            continue
+        stack = build_V(ctx, conv, slopes)
+        assert stack.shape == (ctx.order - 1, ctx.order, ctx.order)
+        each = np.array([build_V(ctx, conv, int(xi)) for xi in slopes])
+        assert np.array_equal(stack.view(np.uint64), each.view(np.uint64)), name
+        square = build_V(ctx, conv, slopes[::-1].reshape(1, -1))
+        assert np.array_equal(square[0].view(np.uint64), each[::-1].view(np.uint64))
 
 
 # ---------------------------------------------------------
@@ -223,7 +262,7 @@ def test_build_V_and_line_states_refuse_failed_recurrence():
 
 def test_single_qubit_rotation_frozen():
     ctx = field_context(1)
-    V = build_V(ctx, coeffs_from_phase(ctx, TOMO, 1))
+    V = build_V(ctx, TOMO, 1)
     assert np.allclose(V @ V, SX)
     assert np.allclose(V @ SZ @ V.conj().T, SY)
 
@@ -233,7 +272,7 @@ def test_V_unitary_and_square_relation():
     for n in (1, 2, 3):
         ctx = field_context(n)
         for xi in range(1, ctx.order):
-            V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
+            V = build_V(ctx, TOMO, xi)
             assert np.allclose(V @ V.conj().T, np.eye(ctx.order))
             assert np.allclose(V @ V, build_X(ctx, ctx.sqrt_table[xi]))
 
@@ -241,7 +280,7 @@ def test_V_unitary_and_square_relation():
 def test_V_commutes_with_shifts():
     ctx = field_context(3)
     for xi in (1, 3, 5):
-        V = build_V(ctx, coeffs_from_phase(ctx, TOMO, xi))
+        V = build_V(ctx, TOMO, xi)
         for nu in range(ctx.order):
             X = build_X(ctx, nu)
             assert np.allclose(V @ X, X @ V)
@@ -249,7 +288,7 @@ def test_V_commutes_with_shifts():
 
 def test_line_states_orthonormal():
     ctx = field_context(2)
-    states = line_states(ctx, coeffs_from_phase(ctx, TOMO, 2))
+    states = line_states(ctx, TOMO, 2)
     G = np.array([[np.vdot(a, b) for b in states] for a in states])
     assert np.allclose(G, np.eye(4))
 
@@ -364,7 +403,8 @@ def test_line_at_is_the_row_of_all_lines(n):
 
 
 def _verify_oracle(ctx, xi, exponents):
-    """RotationCoefficients.verify as it was before it checked slopes in bulk."""
+    """The recurrence check of one slope, as it was before slopes were
+    checked in bulk."""
     e = np.mod(exponents, 4)
     tr = ctx.trace_table[ctx.mul_table[xi, ctx.mul_table]]
     resid = (e[ctx.xor_grid] - e[:, None] - e[None, :] - 2 * tr) % 4
@@ -373,7 +413,6 @@ def _verify_oracle(ctx, xi, exponents):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bulk_recurrence_matches_the_per_slope_check(n):
-    from dpsmap import RotationCoefficients, convention_from_name
     ctx = field_context(n)
     q = ctx.order
     rng = np.random.default_rng(90 + n)
@@ -390,5 +429,3 @@ def test_bulk_recurrence_matches_the_per_slope_check(n):
         for exps in (rows[slopes], bent, bent - 4, rng.integers(-9, 9, size=(q - 1, q))):
             want = [_verify_oracle(ctx, int(xi), e) for xi, e in zip(slopes, exps)]
             assert recurrence_holds(ctx, slopes, exps).tolist() == want, name
-            assert [RotationCoefficients(int(xi), e).verify(ctx)
-                    for xi, e in zip(slopes, exps)] == want, name

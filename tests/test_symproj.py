@@ -14,7 +14,8 @@ from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     spin_coherent, symbol_depends_only_on_h, symmetric_average,
                     symmetrize, theorem_witness, w_state)
 from dpsmap import (FieldContext, PhaseSearchReport, PhaseSpaceFunction,
-                    RotationCoefficients, TomographicPhase)
+                    TomographicPhase)
+from dpsmap.mubrot import recurrence_holds
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
@@ -497,8 +498,8 @@ def scalar_phase_search(ctx, max_examples):
         sign_of = {t: (-1 if (bits >> i) & 1 else 1) for i, t in enumerate(free)}
         flipped = np.array([sign_of.get(t) == -1 for t in triples])[labels]
         exps = (ctx.trace_table[ctx.mul_table] + 2 * flipped) % 4
-        if all(RotationCoefficients(xi, exps[np.arange(ctx.order), ctx.mul_table[xi]])
-               .verify(ctx) for xi in range(1, ctx.order)):
+        if all(recurrence_holds(ctx, xi, exps[np.arange(ctx.order), ctx.mul_table[xi]])
+               for xi in range(1, ctx.order)):
             hits += 1
             found |= bool(np.array_equal(exps, closed_form))
             if len(hit_signs) < max_examples:
@@ -520,6 +521,26 @@ def test_search_matches_scalar_loop(n):
 def test_search_cap():
     with pytest.raises(ConfigurationError):
         search_invariant_phases(field_context(4))
+
+
+def test_sign_solutions_keep_orbit_bits_past_63():
+    """n = 6 has 71 free orbits, more sign bits than an int64 holds.  On
+    the p = 1 phase as base, every listed solution solves the recurrence on
+    every slope."""
+    from dpsmap.symproj import _invariant_phase_tables, _sign_solutions
+    ctx = field_context(6)
+    q = ctx.order
+    free, orbit_id, _ = _invariant_phase_tables(ctx)
+    assert len(free) == 71
+    base = TomographicPhase(1).exponent_table(ctx)
+    hits = _sign_solutions(ctx, base, orbit_id, len(free))
+    assert len(hits) == 16 and hits[0] == 0 and hits == sorted(set(hits))
+    position = np.where(orbit_id >= 0, orbit_id, len(free))
+    for bits in hits:
+        flips = np.array([bits >> i & 1 for i in range(len(free))] + [0])[position]
+        exps = base + 2 * flips
+        rows = exps[np.arange(q), ctx.mul_table[1:]]
+        assert recurrence_holds(ctx, np.arange(1, q), rows).all()
 
 
 # ---------------------------------------------------------
