@@ -12,7 +12,6 @@ are deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -178,7 +177,7 @@ def mub_suite(n: int, seed: int = 0) -> dict:
     slopes = np.arange(1, q) if n <= 3 else rng.integers(1, q, (6,))
     tomo = pauli.convention_from_name("tomographic-p1")
     vs = mubrot.build_V(ctx, tomo, slopes)
-    nus = np.array([rng.integers(0, q) for _ in slopes])
+    nus = rng.integers(0, q, slopes.shape)
     sq_dev = comm_dev = 0.0
     for part in _chunks(ctx, len(slopes)):
         v = vs[part]
@@ -190,10 +189,8 @@ def mub_suite(n: int, seed: int = 0) -> dict:
 
     if n <= 3:
         bases = mubrot.mub_family(ctx, "p1").states.reshape(q + 1, q, q)
-        worst = 0.0
-        for i, sa in enumerate(bases):
-            for sb in bases[i + 1:]:
-                worst = max(worst, _dev(mubrot.check_unbiased(ctx, sa, sb), 0))
+        worst = max(_dev(mubrot.check_unbiased(ctx, sa, bases[i + 1:].reshape(-1, q)), 0)
+                    for i, sa in enumerate(bases[:-1]))
         checks.append(_check("full family pairwise unbiased", worst < TOL,
                              f"max | |<a|b>|^2 - 1/q | = {worst:.2e}"))
     return _report("mub", n, checks)
@@ -217,7 +214,7 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
                              k0.hermiticity_residual() < TOL, "s=0, all points"))
 
         cov_dev = 0.0
-        ka, la, a, b = np.array([rng.integers(0, q, (4,)) for _ in range(50)]).T
+        ka, la, a, b = rng.integers(0, q, (50, 4)).T
         for part in _chunks(ctx, 50):
             dm = pauli.displacement(ctx, conv, ka[part], la[part])
             lhs = dm @ k0.at(a[part], b[part]) @ _dagger(dm)
@@ -313,32 +310,38 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
                          f"max dev {rep.max_deviation:.2e} over "
                          f"{rep.transpositions} transpositions"))
 
-    dep_ok = True
-    count = 50 if n <= 3 else 20
+    # the orbit sums P_o, which span the symmetric operators, and their
+    # projections K[m, o]; the dense symmetrization is the oracle at n <= 3
+    order, bounds = ctx.orbit_runs
+    sizes = np.diff(bounds)
+    count = len(sizes)
+    dep_ok, dense_dev, cols = True, 0.0, []
     for part in _chunks(ctx, count):
-        ops = rng.hermitian(q, part.stop - part.start)
-        w = kernels.forward_map(k0, pauli.symmetrize(ctx, ops))
-        flag, _witness = symproj.symbol_depends_only_on_h(ctx, w)
-        dep_ok &= flag
+        w = symproj.orbit_sum_symbols(k0, part)
+        dep_ok &= symproj.symbol_depends_only_on_h(ctx, w)[0]
+        cols.append(symproj.orbit_sums(ctx, w.grid))
+        if n <= 3:
+            g, d = np.divmod(order[bounds[part]], q)
+            ops = pauli.symmetrize(ctx, pauli.build_Z(ctx, g) @ pauli.build_X(ctx, d))
+            dense = kernels.forward_map(k0, sizes[part, None, None] * ops)
+            dense_dev = max(dense_dev, _dev(dense.grid, w.grid))
     checks.append(_check("symmetric-operator symbols constant on orbits",
-                         dep_ok, f"{count} random symmetrized operators"))
+                         dep_ok, f"all {count} orbit sums"))
+    if n <= 3:
+        checks.append(_check("orbit-sum symbols match dense symmetrization",
+                             dense_dev < TOL, f"max dev {dense_dev:.2e}"))
 
+    # the projected convolution of every pair: pref K^T diag(1/R) K = Tr(P_o P_o')
     pref, _rep = kernels.convolution_prefactor(k0, k0)
-    conv_dev = 0.0
-    for part in _chunks(ctx, 10):
-        psi, a = rng.complex_draws(part.stop - part.start, (q,), (q, q))
-        # one norm per state: np.linalg.norm(axis=) rounds differently
-        psi = np.array([v / np.linalg.norm(v) for v in psi])
-        rho = psi[:, :, None] * psi.conj()[:, None, :]
-        s_op = pauli.symmetrize(ctx, a + _dagger(a))
-        wr, ws = (kernels.forward_map(k0, ops) for ops in (rho, s_op))
-        for i, prod in enumerate(rho @ s_op):
-            got = symproj.symmetric_average(
-                *(symproj.project(ctx, replace(w, grid=w.grid[i])) for w in (wr, ws)), pref)
-            # abs() of the complex scalar, which np.abs does not round alike
-            conv_dev = max(conv_dev, _dev(abs(got - np.trace(prod)), 0))
+    proj = symproj.ProjectedFunction(n=n, s=0, convention=conv.name, entries=np.hstack(cols),
+                                     convention_invariant=k0.convention_invariant)
+    gram_dev = _dev(symproj.symmetric_average(proj, proj, pref), symproj.orbit_sum_traces(ctx))
     checks.append(_check("projected convolution reproduces Tr(rho S)",
-                         conv_dev < TOL, f"max dev {conv_dev:.2e}"))
+                         gram_dev < TOL, f"max dev {gram_dev:.2e} over all orbit-sum pairs"))
+    # |q R_o chi| >= q, so an error below q / count keeps the Gram matrix, and K, nonsingular
+    full = count * gram_dev < q and count == math.comb(n + 3, 3)
+    checks.append(_check("projection is lossless", full,
+                         f"rank {count} = C(n+3, 3)" if full else "full rank not certified"))
 
     psi = rng.pure(q)
     w = kernels.forward_map(k0, np.outer(psi, psi.conj()))

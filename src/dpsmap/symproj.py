@@ -13,7 +13,8 @@ of the R_mnk identical grid values).  The orbits themselves, their
 labels and their sizes R_mnk are tables of the field context
 (``FieldContext.orbit_index``, ``orbit_weights`` and ``orbit_sizes``).
 
-This module provides the projection, the projected convolution, invariance
+This module provides the projection, the projected convolution, the
+symbols of the orbit sums that span the symmetric operators, invariance
 checks for kernels and symbols, the constructive witness showing that the
 line-sum (tomographic) property and permutation invariance are incompatible
 for n >= 4, and for small n the count of invariant hermitian phases with
@@ -36,9 +37,15 @@ from .pauli import SqrtPhase, TomographicPhase
 
 @dataclass(eq=False, kw_only=True)
 class ProjectedFunction(SymbolMeta):
-    """A symbol summed over (m, n, k) orbits, stored sparsely."""
+    """A symbol summed over (m, n, k) orbits, stored sparsely.
 
-    entries: dict
+    ``entries`` maps (m, n, k) to the orbit's value.  Only
+    ``symmetric_average`` also reads an orbit-indexed array there: its
+    first axis runs over the orbits in ``orbit_weights`` order, any further
+    axis over a stack of symbols.
+    """
+
+    entries: dict | np.ndarray
 
     def value(self, m: int, nn: int, k: int) -> complex:
         return self.entries.get((m, nn, k), 0j)
@@ -66,13 +73,14 @@ def project(ctx: FieldContext, psf: PhaseSpaceFunction) -> ProjectedFunction:
 
 
 def symmetric_average(wtilde_rho: ProjectedFunction, wtilde_s: ProjectedFunction,
-                      prefactor: complex) -> complex:
+                      prefactor: complex) -> complex | np.ndarray:
     """Tr(rho S) from two projected symbols of a dual kernel pair.
 
     The grid convolution sum_(alpha,beta) W_rho W_S groups into orbits where
     both factors are constant, so it equals sum_(m,n,k) W~_rho W~_S / R_mnk:
     each projected factor carries one copy of the orbit size and exactly one
-    of them must be divided out.
+    of them must be divided out.  Two orbit-indexed stacks of P and P'
+    symbols give the P x P' matrix of every pair's average.
     """
     if wtilde_rho.n != wtilde_s.n:
         raise ConfigurationError("projected symbols have different qubit counts")
@@ -85,12 +93,46 @@ def symmetric_average(wtilde_rho: ProjectedFunction, wtilde_s: ProjectedFunction
             "projection loses information for non-permutation-invariant "
             "conventions; refusing to average")
     sizes = field_context(wtilde_rho.n).orbit_sizes
-    total = 0j
-    for key in wtilde_rho.entries:
-        r = sizes.get(key)
-        if r:
-            total += wtilde_rho.entries[key] * wtilde_s.value(*key) / r
-    return complex(prefactor * total)
+    a, b = (w.entries if isinstance(w.entries, np.ndarray)
+            else np.array([w.value(*key) for key in sizes])
+            for w in (wtilde_rho, wtilde_s))
+    total = prefactor * ((a.T / np.array(list(sizes.values()))) @ b)
+    return complex(total) if total.ndim == 0 else total
+
+
+def orbit_sum_symbols(kernel: KernelSet, orbits: slice) -> PhaseSpaceFunction:
+    """The symbols W_o of the orbit sums P_o = sum_((gamma, delta) in o)
+    Z_gamma X_delta, for a slice of the orbits in ``ctx.orbit_weights``
+    order, as one stacked symbol.
+
+    The P_o span the operators that commute with every qubit permutation.
+    Tr[Z_g X_d Delta(a, b)] = chi(a d + b g) wphi[g, d] chi(g d), so W_o is
+    one character transform C (mask_o wphi chi(g d))^T C, with C = chi(xy),
+    of the kernel's coefficient table.
+    """
+    ctx = kernel.ctx
+    c = ctx.char_matrix_c
+    numbers = np.arange(len(ctx.orbit_weights))[orbits]
+    mask = ctx.orbit_index == numbers[:, None, None]
+    coeffs = np.where(mask, kernel._wphi * ctx.char_matrix, 0).swapaxes(-1, -2)
+    return kernel._psf(c @ coeffs @ c, "orbit sums")
+
+
+def orbit_sum_traces(ctx: FieldContext) -> np.ndarray:
+    """The Gram matrix Tr(P_o P_o') of the orbit sums: Tr[Z_g X_d Z_g' X_d']
+    is q chi(g d) when (g', d') = (g, d) and 0 otherwise, so it is diagonal
+    with entries q R_o chi(g d), chi(g d) being constant on each orbit."""
+    order, bounds = ctx.orbit_runs
+    chi = ctx.char_matrix.ravel()[order[bounds[:-1]]]
+    return np.diag(ctx.order * np.diff(bounds) * chi)
+
+
+def orbit_sums(ctx: FieldContext, grids) -> np.ndarray:
+    """Every grid of a (P, q, q) stack summed over each orbit: the
+    orbit-indexed (orbits, P) array of their projections."""
+    order, bounds = ctx.orbit_runs
+    flat = np.reshape(grids, (-1, ctx.order ** 2))[:, order]
+    return np.add.reduceat(flat, bounds[:-1], axis=1).T
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +163,12 @@ def check_kernel_invariance(kernel: KernelSet, tol: float = 1e-12) -> Invariance
     """
     ctx = kernel.ctx
     pairs = list(itertools.combinations(range(1, ctx.n + 1), 2))
+    weights = 1 << np.arange(ctx.n - 1, -1, -1)     # coordinates -> basis index
     worst, witness = 0.0, None
     for i, j in pairs:
-        perm = [ctx.transpose_coords(x, i, j) for x in range(ctx.order)]
+        slots = np.arange(ctx.n)
+        slots[[i - 1, j - 1]] = j - 1, i - 1
+        perm = ctx.element_of_index[ctx.coords_table[:, slots] @ weights]
         swapped = np.ix_(perm, perm)
         dev = coefficient_residual(ctx, kernel._wphi[swapped] - kernel._wphi)
         if dev > worst:

@@ -3,9 +3,10 @@ revision's.
 
     python tests/report_goldens_diff.py REV
 
-Prints every check whose ``detail`` text changed, with its suite and name,
-and exits 1 if any report differs from REV's in anything else: a key, a
-check name, a check count or a ``passed`` flag.
+Prints every check added to a suite (+) or removed from it (-), and every
+check whose ``detail`` text changed, each with its suite and name.  Exits 1
+if a report differs from REV's in anything else: a key, the order of the
+checks both revisions have, or a ``passed`` flag.
 """
 import json
 import subprocess
@@ -27,13 +28,21 @@ def main(rev: str) -> int:
             capture_output=True, text=True, cwd=DATA).stdout)
         new = json.loads(path.read_text())
         for a, b in zip(_suites(old), _suites(new)):
+            names = {c["name"] for c in a["checks"]}, {c["name"] for c in b["checks"]}
+            for sign, report, others in (("-", a, names[1]), ("+", b, names[0])):
+                for check in report["checks"]:
+                    if check["name"] not in others:
+                        print(f"{path.name}: {report['suite']}: {sign} {check['name']}: "
+                              f"{check['detail']!r}")
+                # what is left is compared below
+                report["checks"] = [c for c in report["checks"] if c["name"] in others]
             for ca, cb in zip(a["checks"], b["checks"]):
-                if ca["detail"] != cb["detail"]:
+                if ca["name"] == cb["name"] and ca["detail"] != cb["detail"]:
                     print(f"{path.name}: {a['suite']}: {ca['name']}: "
                           f"{ca['detail']!r} -> {cb['detail']!r}")
                     ca["detail"] = cb["detail"]
         if old != new:
-            print(f"{path.name}: differs outside the detail text")
+            print(f"{path.name}: differs outside the added, removed and detail text")
             other += 1
     return 1 if other else 0
 

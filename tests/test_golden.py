@@ -7,8 +7,10 @@ config of grid, projection and MUB exports, and the layout of the JSON
 reports.  Each was written by the command the test reruns, from inside
 tests/data (a report is that command's standard output); a change of
 `__version__` changes every file but the `diff` reports and means writing
-them again the same way.
+them again the same way.  The last test covers report_goldens_diff.py,
+which shows how the report goldens differ from a git revision's.
 """
+import json
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,27 @@ def test_report_matches_golden_file(monkeypatch, capsys, name, argv, code):
     monkeypatch.chdir(DATA)
     assert main(list(argv)) == code
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes(), name
+
+
+def test_goldens_diff_lists_added_removed_and_changed_checks(tmp_path, monkeypatch, capsys):
+    import report_goldens_diff
+
+    def report(*checks, passed=True):
+        return {"suite": "s", "n": 3, "passed": passed, "checks": [
+            {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks]}
+
+    old = report(("kept", True, "a"), ("dropped", True, "b"))
+    monkeypatch.setattr(report_goldens_diff, "DATA", tmp_path)
+    monkeypatch.setattr(report_goldens_diff.subprocess, "run",
+                        lambda argv, **kw: type("Done", (), {"stdout": json.dumps(old)}))
+    (tmp_path / "verify-x.json").write_text(json.dumps(
+        report(("added", True, "c"), ("kept", True, "a2"))))
+    assert report_goldens_diff.main("REV") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verify-x.json: s: - dropped: 'b'",
+        "verify-x.json: s: + added: 'c'",
+        "verify-x.json: s: kept: 'a' -> 'a2'"]
+    # a changed passed flag, of a check or of the suite, still exits 1
+    for new in (report(("kept", False, "a")), report(("kept", True, "a"), passed=False)):
+        (tmp_path / "verify-x.json").write_text(json.dumps(new))
+        assert report_goldens_diff.main("REV") == 1

@@ -228,6 +228,28 @@ def test_stacked_draws_are_bitwise_the_single_draws(seed):
     assert one.integers(0, 16, (3,)).tolist() == tail.tolist()
 
 
+@pytest.mark.parametrize("q", [2, 8, 32])
+def test_one_integer_draw_is_the_per_item_draws(q):
+    """The kernel suite's covariance tuples and the MUB suite's nus, drawn
+    in one call, are the words the per-item draws read."""
+    for shape, item in (((50, 4), (4,)), ((6,), ())):
+        one, stacked = Sampler(q), Sampler(q)
+        per_item = np.array([one.integers(0, q, item) for _ in range(shape[0])])
+        assert np.array_equal(stacked.integers(0, q, shape), per_item)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_family_unbiasedness_is_the_pairwise_maximum(n):
+    from dpsmap import field_context, mubrot
+    ctx = field_context(n)
+    q = ctx.order
+    bases = mubrot.mub_family(ctx, "p1").states.reshape(q + 1, q, q)
+    worst = max(mubrot.check_unbiased(ctx, sa, sb)
+                for i, sa in enumerate(bases) for sb in bases[i + 1:])
+    check = _check_named(run_suite("mub", n), "full family pairwise unbiased")
+    assert check["detail"] == f"max | |<a|b>|^2 - 1/q | = {worst:.2e}"
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_suite_passes_for_seeds_0_to_9(n):
     for seed in range(10):
@@ -237,13 +259,37 @@ def test_every_suite_passes_for_seeds_0_to_9(n):
 
 
 def test_symmetric_suite_orbit_check_fails_on_a_nan_symbol(monkeypatch):
-    from dpsmap import pauli
-    symmetrize = pauli.symmetrize
-    monkeypatch.setattr(pauli, "symmetrize",
-                        lambda ctx, op: symmetrize(ctx, op) * np.nan)
+    from dpsmap import symproj
+    orbit_sum_symbols = symproj.orbit_sum_symbols
+
+    def nan_symbols(kernel, orbits):
+        psf = orbit_sum_symbols(kernel, orbits)
+        psf.grid = psf.grid * np.nan
+        return psf
+
+    monkeypatch.setattr(symproj, "orbit_sum_symbols", nan_symbols)
     report = run_suite("symmetric", 3)
     assert not _check_named(report, "symmetric-operator symbols constant")["passed"]
     assert not _check_named(report, "projected convolution")["passed"]
+    assert not _check_named(report, "orbit-sum symbols match dense")["passed"]
+    assert not _check_named(report, "projection is lossless")["passed"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_only_the_dense_cross_check_sees_conjugated_orbit_symbols(monkeypatch, n):
+    """conj(W_o) = chi(g d) W_o is constant on orbits with the same Gram
+    matrix, since P_o^dagger = chi(g d) P_o; only the dense oracle sees it."""
+    from dpsmap import symproj
+    orbit_sum_symbols = symproj.orbit_sum_symbols
+
+    def conjugated(kernel, orbits):
+        psf = orbit_sum_symbols(kernel, orbits)
+        psf.grid = psf.grid.conj()
+        return psf
+
+    monkeypatch.setattr(symproj, "orbit_sum_symbols", conjugated)
+    failed = [c["name"] for c in run_suite("symmetric", n)["checks"] if not c["passed"]]
+    assert failed == ["orbit-sum symbols match dense symmetrization"]
 
 
 def test_kernel_round_trip_catches_nan_in_the_last_chunk_only(monkeypatch):

@@ -13,9 +13,13 @@ from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     permutation_op, project, search_invariant_phases,
                     spin_coherent, symbol_depends_only_on_h, symmetric_average,
                     symmetrize, theorem_witness, w_state)
-from dpsmap import (FieldContext, PhaseSearchReport, PhaseSpaceFunction,
-                    TomographicPhase)
+from dpsmap import (FieldContext, InvarianceReport, PhaseSearchReport,
+                    PhaseSpaceFunction, ProjectedFunction, TomographicPhase,
+                    build_X, build_Z, pauli)
+from dpsmap.kernels import coefficient_residual
 from dpsmap.mubrot import recurrence_holds
+from dpsmap.suites import run_suite
+from dpsmap.symproj import orbit_sum_symbols, orbit_sum_traces, orbit_sums
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
@@ -288,6 +292,98 @@ def test_symmetric_average_validation():
 
 
 # ---------------------------------------------------------
+# the orbit-sum basis of the symmetric operators
+# ---------------------------------------------------------
+
+def dense_orbit_sums(ctx):
+    """R_o symmetrize(Z_g X_d) at the first point (g, d) of every orbit o:
+    the orbit sum P_o, built from dense operators."""
+    order, bounds = ctx.orbit_runs
+    g, d = np.divmod(order[bounds[:-1]], ctx.order)
+    return np.diff(bounds)[:, None, None] * symmetrize(ctx, build_Z(ctx, g) @ build_X(ctx, d))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("name, s", [("perminv-f0", 0.0), ("perminv-sqrt", 0.0),
+                                     ("perminv-f0", -1.0), ("tomographic-p1", 0.0)])
+def test_orbit_sum_symbols_are_the_dense_symmetrization(n, name, s):
+    """Every W_o and every column of K against forward_map + project of the
+    dense orbit sum; the table formula needs no invariance of the kernel."""
+    ctx = field_context(n)
+    kern = build_kernel(ctx, s, convention_from_name(name))
+    count = len(ctx.orbit_weights)
+    w = orbit_sum_symbols(kern, slice(None))
+    assert w.grid.shape == (count, ctx.order, ctx.order)
+    assert (w.s, w.convention) == (s, name)
+    k = orbit_sums(ctx, w.grid)
+    assert k.shape == (count, count)
+    for o, op in enumerate(dense_orbit_sums(ctx)):
+        psf = forward_map(kern, op)
+        assert np.max(np.abs(w.grid[o] - psf.grid)) < 1e-12
+        assert np.max(np.abs(k[:, o] - list(project(ctx, psf).entries.values()))) < 1e-12
+    # a slice of the orbits is the same slice of the stack
+    assert np.array_equal(orbit_sum_symbols(kern, slice(2, 4)).grid, w.grid[2:4])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_orbit_sum_projections_have_full_rank(n):
+    """K is C(n+3, 3) square and nonsingular, and its Gram identity holds."""
+    ctx = field_context(n)
+    k0 = build_kernel(ctx, 0.0, PERMINV)
+    k = orbit_sums(ctx, orbit_sum_symbols(k0, slice(None)).grid)
+    assert np.linalg.matrix_rank(k) == [4, 10, 20, 35, 56][n - 1]
+    pref, _ = convolution_prefactor(k0, k0)
+    proj = ProjectedFunction(n=n, s=0.0, entries=k, convention=PERMINV.name,
+                             convention_invariant=True)
+    assert np.max(np.abs(symmetric_average(proj, proj, pref) - orbit_sum_traces(ctx))) < 1e-10
+    if n <= 4:
+        dense = dense_orbit_sums(ctx)
+        traces = np.einsum("aij,bji->ab", dense, dense)
+        assert np.max(np.abs(traces - orbit_sum_traces(ctx))) < 1e-9
+    check = [c for c in run_suite("symmetric", n)["checks"]
+             if c["name"] == "projection is lossless"]
+    assert check == [{"name": "projection is lossless", "passed": True,
+                      "detail": f"rank {[4, 10, 20, 35, 56][n - 1]} = C(n+3, 3)"}]
+
+
+def test_symmetric_average_of_orbit_indexed_stacks_matches_pairs():
+    rng = np.random.default_rng(4)
+    ctx = field_context(3)
+    k0 = build_kernel(ctx, 0.0, PERMINV)
+    pref, _ = convolution_prefactor(k0, k0)
+    count = len(ctx.orbit_weights)
+    a, b = rng.normal(size=(2, count, 3)) + 1j * rng.normal(size=(2, count, 3))
+    keys = list(ctx.orbit_sizes)
+
+    def projected(entries):
+        return ProjectedFunction(n=3, s=0.0, entries=entries, convention=PERMINV.name,
+                                 convention_invariant=True)
+
+    stacked = symmetric_average(projected(a), projected(b), pref)
+    assert stacked.shape == (3, 3)
+    for i, j in np.ndindex(3, 3):
+        pair = symmetric_average(projected(dict(zip(keys, a[:, i]))),
+                                 projected(dict(zip(keys, b[:, j]))), pref)
+        assert isinstance(pair, complex)
+        assert abs(stacked[i, j] - pair) < 1e-12
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_symmetric_suite_fails_for_a_convention_wrongly_flagged_invariant(monkeypatch, n):
+    conv = TomographicPhase(1)
+    monkeypatch.setattr(pauli, "convention_from_name", lambda name: conv)
+    # unflagged, the projected convolution refuses to average
+    with pytest.raises(ConfigurationError):
+        run_suite("symmetric", n)
+    conv.permutation_invariant = True
+    report = run_suite("symmetric", n)
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert {"symmetric-operator symbols constant on orbits",
+            "projected convolution reproduces Tr(rho S)"} <= failed
+    assert not report["passed"]
+
+
+# ---------------------------------------------------------
 # invariance checks
 # ---------------------------------------------------------
 
@@ -334,6 +430,34 @@ def test_table_invariance_matches_operator_oracle(n, name, s):
     assert rep.invariant == (worst <= 1e-12)
     if rep.witness is not None:
         assert abs(point_deviation(kern, *rep.witness) - worst) < 1e-12
+
+
+def invariance_by_transpose_coords(kernel, tol=1e-12):
+    """check_kernel_invariance with each permutation built from q scalar
+    transpose_coords calls."""
+    ctx = kernel.ctx
+    pairs = list(itertools.combinations(range(1, ctx.n + 1), 2))
+    worst, witness = 0.0, None
+    for i, j in pairs:
+        perm = [ctx.transpose_coords(x, i, j) for x in range(ctx.order)]
+        dev = coefficient_residual(ctx, kernel._wphi[np.ix_(perm, perm)] - kernel._wphi)
+        if dev > worst:
+            worst = dev
+            if dev > tol:
+                witness = (i, j, 0, 0)
+    return InvarianceReport(kernel.conv.name, ctx.n, len(pairs), worst, witness)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_invariance_permutations_from_the_coordinate_table(n):
+    """Same report, bit for bit, as with the scalar transpose_coords loop."""
+    ctx = field_context(n)
+    for name in ALL_CONVENTIONS:
+        for s in (-1.0, 0.0, 1.0):
+            kern = build_kernel(ctx, s, convention_from_name(name))
+            rep, oracle = check_kernel_invariance(kern), invariance_by_transpose_coords(kern)
+            assert repr(rep) == repr(oracle)
+            assert rep.max_deviation == oracle.max_deviation
 
 
 @pytest.mark.parametrize("name", ALL_CONVENTIONS)
