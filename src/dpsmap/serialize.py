@@ -16,6 +16,10 @@ ndarray (a grid, a fiducial, a MUB basis) as nested ``[re, im]`` pairs from
 spliced in at their top-level key.  CSV and gnuplot rows use the same
 ``float.__repr__`` text.  The one reader, ``load_symbol``, is plain
 ``json.loads`` and dispatches on ``kind``.
+
+A projection is written and read as its orbit-indexed array, one entry
+``[[m, n, k], [re, im], R]`` per orbit in ``orbit_weights`` order; a record
+that lists any other keys, or an orbit twice or out of order, does not load.
 """
 
 from __future__ import annotations
@@ -162,12 +166,16 @@ def _from_record(record: dict, kind: str):
             raise ConfigurationError(
                 f"grid must be {1 << n}x{1 << n} for n = {n}, got shape {grid.shape}")
         return PhaseSpaceFunction(grid=grid, **meta)
-    entries = {tuple(key): complex(re, im) for key, (re, im), _r in record["entries"]}
-    bad = entries.keys() - field_context(n).orbit_sizes.keys()
-    if bad:
+    orbits = list(field_context(n).orbit_sizes)
+    keys = [tuple(key) for key, _z, _r in record["entries"]]
+    if keys != orbits:
+        got, want = keys + ["nothing"], orbits + ["nothing"]
+        at = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
         raise ConfigurationError(
-            f"projection keys {sorted(bad)} are not (m, n, k) orbits for n = {n}")
-    return ProjectedFunction(entries=entries, **meta)
+            f"projection keys are not (m, n, k) orbits for n = {n}, each once in "
+            f"order: entry {at} is {got[at]}, expected {want[at]}")
+    values = np.array([complex(re, im) for _key, (re, im), _r in record["entries"]])
+    return ProjectedFunction(values=values, **meta)
 
 
 # ----------------------------------------------------------------------
@@ -209,38 +217,27 @@ def psf_to_gnuplot(psf: PhaseSpaceFunction) -> str:
 # projected symbols
 # ----------------------------------------------------------------------
 
-def _entry_frame(key, r: int) -> tuple[str, str]:
-    """The JSON text of the entry ``[[m, n, k], [re, im], R]`` before and
-    after its value pair, at the depth ``proj_to_json`` writes it."""
-    pad = "\n" + "  " * 3
-    return (f"[{pad}{_json_list(list(map(str, key)), 3)},{pad}",
-            f",{pad}{r}\n    ]")
-
-
 @lru_cache(maxsize=None)
-def _entry_frames(n: int) -> dict:
-    """``_entry_frame`` of every (m, n, k) orbit of n qubits."""
-    return {key: _entry_frame(key, r) for key, r in field_context(n).orbit_sizes.items()}
+def _entry_frames(n: int) -> list:
+    """The JSON text of each orbit's entry ``[[m, n, k], [re, im], R]`` before
+    and after its value pair, at the depth ``proj_to_json`` writes it, in
+    orbit order."""
+    pad = "\n" + "  " * 3
+    return [(f"[{pad}{_json_list(list(map(str, key)), 3)},{pad}", f",{pad}{r}\n    ]")
+            for key, r in field_context(n).orbit_sizes.items()]
 
 
 def proj_to_json(proj: ProjectedFunction, config=None, constants=None) -> str:
-    keys = sorted(proj.entries)
-    pairs = _pairs_json([proj.entries[key] for key in keys], 3)
-    frames = _entry_frames(proj.n)
-    entries = []
-    for key, pair in zip(keys, pairs):
-        head, tail = frames.get(key) or _entry_frame(key, 0)
-        entries.append(head + pair + tail)
+    entries = [head + pair + tail for (head, tail), pair
+               in zip(_entry_frames(proj.n), _pairs_json(proj.values, 3), strict=True)]
     return _splice(dict(_metadata(proj, config, constants), kind="projected"),
                    "entries", _json_list(entries, 1))
 
 
 def _proj_rows(proj: ProjectedFunction, sep: str) -> list:
-    keys = sorted(proj.entries)
-    z = np.array([proj.entries[key] for key in keys], dtype=complex)
-    sizes = field_context(proj.n).orbit_sizes
-    return [sep.join([*map(str, key), re, im, str(sizes.get(key, 0))])
-            for key, re, im in zip(keys, _reprs(z.real), _reprs(z.imag))]
+    z, sizes = proj.values, field_context(proj.n).orbit_sizes
+    return [sep.join([*map(str, key), re, im, str(r)]) for (key, r), re, im
+            in zip(sizes.items(), _reprs(z.real), _reprs(z.imag), strict=True)]
 
 
 def proj_to_csv(proj: ProjectedFunction, config=None, constants=None) -> str:
@@ -283,13 +280,14 @@ def diff_grids(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> DiffReport:
 def diff_projected(a: ProjectedFunction, b: ProjectedFunction) -> DiffReport:
     if a.n != b.n:
         raise ConfigurationError("projected symbols have different qubit counts")
-    keys = sorted(set(a.entries) | set(b.entries))
-    devs = [abs(a.value(*k) - b.value(*k)) for k in keys]
-    worst = keys[int(np.argmax(devs))] if keys else None
+    with np.errstate(invalid="ignore"):         # inf - inf deviates by NaN
+        d = a.values - b.values
+    # hypot is abs(complex) bit for bit; np.abs of a complex array is not
+    dev = np.hypot(d.real, d.imag)
+    worst = int(np.argmax(dev))
     # np.max, unlike max(), keeps a NaN wherever it is, as diff_grids does
-    return DiffReport("projected", len(keys), float(np.max(devs, initial=0.0)),
-                      float(np.mean(devs)) if devs else 0.0,
-                      list(worst) if worst else None)
+    return DiffReport("projected", dev.size, float(np.max(dev)), float(np.mean(dev)),
+                      field_context(a.n).orbit_weights[worst].tolist())
 
 
 def parse_json(text: str, what: str):

@@ -319,7 +319,7 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
     for part in _chunks(ctx, count):
         w = symproj.orbit_sum_symbols(k0, part)
         dep_ok &= symproj.symbol_depends_only_on_h(ctx, w)[0]
-        cols.append(symproj.orbit_sums(ctx, w.grid))
+        cols.append(symproj.project(ctx, w).values)
         if n <= 3:
             g, d = np.divmod(order[bounds[part]], q)
             ops = pauli.symmetrize(ctx, pauli.build_Z(ctx, g) @ pauli.build_X(ctx, d))
@@ -333,7 +333,7 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
 
     # the projected convolution of every pair: pref K^T diag(1/R) K = Tr(P_o P_o')
     pref, _rep = kernels.convolution_prefactor(k0, k0)
-    proj = symproj.ProjectedFunction(n=n, s=0, convention=conv.name, entries=np.hstack(cols),
+    proj = symproj.ProjectedFunction(n=n, s=0, convention=conv.name, values=np.hstack(cols),
                                      convention_invariant=k0.convention_invariant)
     gram_dev = _dev(symproj.symmetric_average(proj, proj, pref), symproj.orbit_sum_traces(ctx))
     checks.append(_check("projected convolution reproduces Tr(rho S)",

@@ -11,7 +11,9 @@ convention are constant on those orbits and can be projected onto the
 (m, n, k) lattice without loss (the projected value of an orbit is the sum
 of the R_mnk identical grid values).  The orbits themselves, their
 labels and their sizes R_mnk are tables of the field context
-(``FieldContext.orbit_index``, ``orbit_weights`` and ``orbit_sizes``).
+(``FieldContext.orbit_index``, ``orbit_weights`` and ``orbit_sizes``).  A
+projection is one array indexed by orbit, and ``project`` is the one path
+that sums grids over orbits, one grid or a stack at a time.
 
 This module provides the projection, the projected convolution, the
 symbols of the orbit sums that span the symmetric operators, invariance
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,37 +40,41 @@ from .pauli import SqrtPhase, TomographicPhase
 
 @dataclass(eq=False, kw_only=True)
 class ProjectedFunction(SymbolMeta):
-    """A symbol summed over (m, n, k) orbits, stored sparsely.
+    """A symbol summed over (m, n, k) orbits.
 
-    ``entries`` maps (m, n, k) to the orbit's value.  Only
-    ``symmetric_average`` also reads an orbit-indexed array there: its
-    first axis runs over the orbits in ``orbit_weights`` order, any further
-    axis over a stack of symbols.
+    ``values`` is a complex array whose first axis runs over the orbits in
+    ``ctx.orbit_weights`` order, the lexicographic (m, n, k) order the
+    exporters write; any further axis runs over a stack of symbols.
     """
 
-    entries: dict | np.ndarray
+    values: np.ndarray
 
-    def value(self, m: int, nn: int, k: int) -> complex:
-        return self.entries.get((m, nn, k), 0j)
+    @property
+    def entries(self) -> MappingProxyType:
+        """The values keyed by their (m, n, k) orbit labels; read-only."""
+        keys = map(tuple, field_context(self.n).orbit_weights.tolist())
+        return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
     def total(self) -> complex:
-        return complex(sum(self.entries.values()))
+        return complex(sum(self.values.tolist()))
 
 
 def project(ctx: FieldContext, psf: PhaseSpaceFunction) -> ProjectedFunction:
-    """W~(m,n,k) = sum of W(alpha,beta) over the orbit with those weights."""
+    """W~(m,n,k) = sum of W(alpha,beta) over the orbit with those weights,
+    for one q x q grid or every grid of a (..., q, q) stack."""
     q = ctx.order
     grid = np.asarray(psf.grid)
-    if grid.shape != (q, q):
+    if grid.shape[-2:] != (q, q):
         raise ConfigurationError(f"grid must be {q}x{q} for n = {ctx.n}")
     # each orbit's values as one contiguous run in row-major order, so every
-    # sum adds the same numbers in the same order as a boolean mask would
+    # sum adds the same numbers in the same order as a boolean mask would;
+    # take, unlike indexing, keeps the runs of a stack contiguous too
     order, bounds = ctx.orbit_runs
-    flat = grid.ravel()[order]
-    keys = map(tuple, ctx.orbit_weights.tolist())
-    entries = {t: complex(flat[a:b].sum()) for t, a, b in zip(keys, bounds, bounds[1:])}
+    flat = grid.reshape(*grid.shape[:-2], q * q).take(order, axis=-1)
+    values = np.array([flat[..., a:b].sum(axis=-1) for a, b in zip(bounds, bounds[1:])],
+                      dtype=complex)
     return ProjectedFunction(
-        n=ctx.n, s=psf.s, entries=entries, convention=psf.convention,
+        n=ctx.n, s=psf.s, values=values, convention=psf.convention,
         convention_invariant=psf.convention_invariant, fiducial=psf.fiducial,
         provenance=f"project({psf.provenance})" if psf.provenance else "project")
 
@@ -92,11 +99,8 @@ def symmetric_average(wtilde_rho: ProjectedFunction, wtilde_s: ProjectedFunction
         raise ConfigurationError(
             "projection loses information for non-permutation-invariant "
             "conventions; refusing to average")
-    sizes = field_context(wtilde_rho.n).orbit_sizes
-    a, b = (w.entries if isinstance(w.entries, np.ndarray)
-            else np.array([w.value(*key) for key in sizes])
-            for w in (wtilde_rho, wtilde_s))
-    total = prefactor * ((a.T / np.array(list(sizes.values()))) @ b)
+    sizes = np.diff(field_context(wtilde_rho.n).orbit_runs[1])
+    total = prefactor * ((wtilde_rho.values.T / sizes) @ wtilde_s.values)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -127,14 +131,6 @@ def orbit_sum_traces(ctx: FieldContext) -> np.ndarray:
     return np.diag(ctx.order * np.diff(bounds) * chi)
 
 
-def orbit_sums(ctx: FieldContext, grids) -> np.ndarray:
-    """Every grid of a (P, q, q) stack summed over each orbit: the
-    orbit-indexed (orbits, P) array of their projections."""
-    order, bounds = ctx.orbit_runs
-    flat = np.reshape(grids, (-1, ctx.order ** 2))[:, order]
-    return np.add.reduceat(flat, bounds[:-1], axis=1).T
-
-
 # ----------------------------------------------------------------------
 # invariance checks
 # ----------------------------------------------------------------------
@@ -152,7 +148,7 @@ class InvarianceReport:
         return self.witness is None
 
 
-def check_kernel_invariance(kernel: KernelSet, tol: float = 1e-12) -> InvarianceReport:
+def check_kernel_invariance(kernel: KernelSet) -> InvarianceReport:
     """Test P_ij Delta(a,b) P_ij = Delta(a', b') for every transposition.
 
     (a', b') carries the transposed self-dual coordinates; a convention is
@@ -173,19 +169,18 @@ def check_kernel_invariance(kernel: KernelSet, tol: float = 1e-12) -> Invariance
         dev = coefficient_residual(ctx, kernel._wphi[swapped] - kernel._wphi)
         if dev > worst:
             worst = dev
-            if dev > tol:
+            if dev > 1e-12:
                 witness = (i, j, 0, 0)
     return InvarianceReport(kernel.conv.name, ctx.n, len(pairs), worst, witness)
 
 
-def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction,
-                             tol: float = 1e-10):
+def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction):
     """Whether W(alpha, beta) is constant on (m, n, k) orbits.
 
     ``psf.grid`` may be a (..., q, q) stack, every grid of which must pass.
     Returns (flag, witness); the witness comes from the first grid that
     fails and pairs the first point of an orbit (row-major) with a point of
-    that orbit whose value differs by more than ``tol`` (a NaN differs from
+    that orbit whose value differs by more than 1e-10 (a NaN differs from
     everything, itself included): the first such point of the orbit that
     starts first.
     """
@@ -194,7 +189,7 @@ def symbol_depends_only_on_h(ctx: FieldContext, psf: PhaseSpaceFunction,
     orbit = ctx.orbit_index.ravel()
     order, bounds = ctx.orbit_runs
     first = order[bounds[:-1]]                  # first point of each orbit
-    bad = ~(np.abs(flat - flat[:, first[orbit]]) <= tol)   # NaN differs
+    bad = ~(np.abs(flat - flat[:, first[orbit]]) <= 1e-10)   # NaN differs
     failing = np.flatnonzero(bad.any(axis=1))
     if failing.size == 0:
         return True, None

@@ -16,6 +16,8 @@ here rather than in the package:
 * the per-point loop of the line-projector kernel, the oracle of
   ``kernels.wootters_kernel``;
 * schoolbook carry-less multiplication, the oracle of the field tables;
+* the per-key comparison of two projections, the oracle of
+  ``serialize.diff_projected``;
 * the argparse parser the command line used before its option table.
 
 Tests import them with ``from oracles import ...``; pytest puts ``tests/``
@@ -31,7 +33,7 @@ import math
 import numpy as np
 
 from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
-                    PhaseSpaceFunction, ProjectedFunction, cli,
+                    DiffReport, PhaseSpaceFunction, ProjectedFunction, cli,
                     convention_from_name, dual_basis_matrix, logical_state,
                     suites)
 from dpsmap._version import __version__
@@ -226,9 +228,19 @@ def su2_group_element(ctx: FieldContext, phi: float, theta: float,
 def dense(proj: ProjectedFunction) -> np.ndarray:
     """The (n+1, n+1, n+1) cube of a projected symbol; zero off support."""
     out = np.zeros((proj.n + 1,) * 3, dtype=complex)
-    for (m, nn, k), v in proj.entries.items():
-        out[m, nn, k] = v
+    out[tuple(np.array(valid_triples(proj.n)).T)] = proj.values
     return out
+
+
+def diff_projected_by_keys(a: ProjectedFunction, b: ProjectedFunction) -> DiffReport:
+    """``diff_projected`` as a loop over the union of both symbols' (m, n, k)
+    keys, an orbit missing from one side read as 0."""
+    ea, eb = (dict(zip(valid_triples(p.n), p.values.tolist())) for p in (a, b))
+    keys = sorted(set(ea) | set(eb))
+    devs = [abs(ea.get(k, 0j) - eb.get(k, 0j)) for k in keys]
+    worst = keys[int(np.argmax(devs))]
+    return DiffReport("projected", len(keys), float(np.max(devs, initial=0.0)),
+                      float(np.mean(devs)), list(worst))
 
 
 def fit_constant(reference, numeric) -> tuple[complex, float]:
@@ -302,21 +314,21 @@ def _su2_element_grid(ctx: FieldContext, euler) -> np.ndarray:
     return (np.cos(theta) ** n * a ** n00 * b ** n01 * c ** n10 * d ** n11)
 
 
-def _ghz_q_proj_entries(n: int, zeta_abs: float) -> dict:
+def _ghz_q_proj_values(n: int, zeta_abs: float) -> np.ndarray:
     z = float(zeta_abs)
     pref = z ** n / (2 * (1 + z * z) ** n)
-    entries = {}
+    values = []
     for m, nn, k in valid_triples(n):
         r = r_factor(n, m, nn, k)
         body = (z ** (n - 2 * nn) + z ** (2 * nn - n)
                 + 2 * (-1) ** m * np.cos(np.pi / 4 * (n - 2 * nn)))
-        entries[(m, nn, k)] = complex(r * pref * body)
-    return entries
+        values.append(complex(r * pref * body))
+    return np.array(values)
 
 
-def _ghz_w0_proj_entries(n: int, normalized: bool) -> dict:
+def _ghz_w0_proj_values(n: int, normalized: bool) -> np.ndarray:
     scale = 2.0 ** -n if normalized else 1.0
-    entries = {}
+    values = []
     for m, nn, k in valid_triples(n):
         val = 0j
         if nn == 0 and m == k:
@@ -326,8 +338,8 @@ def _ghz_w0_proj_entries(n: int, normalized: bool) -> dict:
         interference = (r_factor(n, m, nn, k) * (-1) ** (m + nn)
                         * np.real((1 + 1j) ** n * 1j ** nn))
         val += scale * interference
-        entries[(m, nn, k)] = complex(val)
-    return entries
+        values.append(complex(val))
+    return np.array(values)
 
 
 def reference_symbol(ctx: FieldContext, which: str, *, zeta_abs: float = 0.5,
@@ -364,10 +376,10 @@ def reference_symbol(ctx: FieldContext, which: str, *, zeta_abs: float = 0.5,
     if which == "su2_element":
         return PhaseSpaceFunction(s=0.0, grid=_su2_element_grid(ctx, euler), **invariant)
     if which == "ghz_q_proj":
-        return ProjectedFunction(s=-1.0, entries=_ghz_q_proj_entries(ctx.n, zeta_abs),
+        return ProjectedFunction(s=-1.0, values=_ghz_q_proj_values(ctx.n, zeta_abs),
                                  **invariant)
     if which == "ghz_w0_proj":
-        return ProjectedFunction(s=0.0, entries=_ghz_w0_proj_entries(ctx.n, normalized),
+        return ProjectedFunction(s=0.0, values=_ghz_w0_proj_values(ctx.n, normalized),
                                  **invariant)
     raise ConfigurationError(
         f"unknown reference symbol {which!r}; choose from {REFERENCE_IDS}")

@@ -168,7 +168,7 @@ def test_map_project_writes_both_files(tmp_path, monkeypatch):
     proj = load_symbol((tmp_path / "g.proj.json").read_text())
     assert grid.s == -1 and proj.s == -1
     assert proj.convention_invariant
-    assert abs(sum(proj.entries.values()) - grid.grid.sum()) < 1e-9
+    assert abs(proj.values.sum() - grid.grid.sum()) < 1e-9
 
 
 def test_map_formats(tmp_path, monkeypatch):
@@ -505,6 +505,24 @@ def test_diff_malformed_inputs(tmp_path, monkeypatch, capsys, text):
         assert run("diff", *pair) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("how", ["duplicated", "missing", "reordered"])
+def test_diff_rejects_a_projection_without_each_orbit_once(tmp_path, monkeypatch, capsys, how):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--n", "2", "--project", "--out", "x") == 0
+    record = json.loads((tmp_path / "x.proj.json").read_text())
+    entries = record["entries"]
+    record["entries"] = {"duplicated": [*entries, entries[1]],
+                         "missing": entries[:1] + entries[3:],
+                         "reordered": entries[::-1]}[how]
+    (tmp_path / "bad.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    for pair in (("bad.json", "x.proj.json"), ("x.proj.json", "bad.json")):
+        assert run("diff", *pair) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not (m, n, k) orbits for n = 2" in err
 
 
 def test_diff_rejects_grid_not_matching_n(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,8 @@ import json
 
 import numpy as np
 import pytest
-from oracles import REFERENCE_IDS, all_lines, r_factor, reference_symbol, valid_triples
+from oracles import (REFERENCE_IDS, all_lines, diff_projected_by_keys, r_factor,
+                     reference_symbol, valid_triples)
 
 from dpsmap import (ConfigurationError, PhaseSpaceFunction, ProjectedFunction,
                     build_kernel, convention_from_name, diff_grids,
@@ -92,9 +93,8 @@ def test_projected_json_roundtrip():
     proj = project(ctx, psf)
     back = load_symbol(proj_to_json(proj))
     assert back.n == proj.n and back.s == proj.s
-    assert sorted(back.entries) == sorted(proj.entries)
-    for key in sorted(proj.entries):
-        assert back.value(*key) == proj.value(*key)
+    assert list(back.entries) == list(proj.entries) == valid_triples(2)
+    assert np.array_equal(back.values, proj.values)
     assert np.array_equal(back.fiducial, proj.fiducial)
 
 
@@ -145,10 +145,30 @@ def test_diff_projected():
     pa = project(ctx, psf)
     pb = project(ctx, psf)
     assert diff_projected(pa, pb).max_deviation == 0.0
-    pb.entries[(1, 1, 0)] += 1j
+    pb.values[valid_triples(2).index((1, 1, 0))] += 1j
     rep = diff_projected(pa, pb)
     assert abs(rep.max_deviation - 1) < 1e-12
     assert list(rep.worst) == [1, 1, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_diff_projected_is_the_per_key_loop(n):
+    """Same report, NaN and infinities included, as the loop over the
+    union of the orbit keys."""
+    rng = np.random.default_rng(30 + n)
+    count = len(valid_triples(n))
+    for trial in range(40):
+        re, im = rng.normal(size=(2, 2, count)) * 10.0 ** rng.uniform(-6, 6, size=(2, 2, count))
+        a, b = re + 1j * im
+        if trial % 2:
+            b = a + (rng.random(count) < 0.3) * rng.normal(size=count) * 1e-9
+        for z in (a, b):
+            spots = rng.integers(0, count, size=rng.integers(0, 3))
+            z[spots] = rng.choice([np.nan, np.inf, -np.inf, complex(0, np.nan)], size=spots.size)
+        pa, pb = (ProjectedFunction(n=n, s=0.0, values=z, convention="plain") for z in (a, b))
+        for x, y in ((pa, pb), (pb, pa), (pa, pa)):
+            want = diff_projected_by_keys(x, y).to_dict()
+            assert repr(diff_projected(x, y).to_dict()) == repr(want)
 
 
 def test_diff_shape_mismatch_rejected():
@@ -174,12 +194,12 @@ def test_reference_symbols_roundtrip_with_provenance(n):
         if grid:
             assert np.array_equal(back.grid, sym.grid)
         else:
-            assert back.entries == sym.entries
+            assert np.array_equal(back.values, sym.values)
 
 
 def test_symbols_take_metadata_by_keyword_only():
     with pytest.raises(TypeError):
-        ProjectedFunction(3, 0.0, {}, "perminv-f0", True, "provenance")
+        ProjectedFunction(3, 0.0, np.zeros(20), "perminv-f0", True, "provenance")
     with pytest.raises(TypeError):
         PhaseSpaceFunction(3, 0.0, np.zeros((8, 8)), "plain")
 
@@ -224,12 +244,42 @@ def test_load_rejects_projection_keys_off_the_orbits():
             load_symbol(json.dumps(bad))
 
 
+def _reshuffled_entries(entries, how):
+    """A projection record's entries with one orbit listed twice, two orbits
+    left out, or two orbits swapped."""
+    if how == "duplicated":
+        return [*entries[:4], entries[3], *entries[4:]]
+    if how == "missing":
+        return [*entries[:2], *entries[4:]]
+    return [entries[1], entries[0], *entries[2:]]
+
+
+@pytest.mark.parametrize("how, message", [
+    ("duplicated", "entry 4 is (1, 0, 1), expected (1, 1, 0)"),
+    ("missing", "entry 2 is (1, 1, 0), expected (0, 2, 2)"),
+    ("reordered", "entry 0 is (0, 1, 1), expected (0, 0, 0)")])
+def test_load_takes_each_orbit_exactly_once_in_order(how, message):
+    """A projection record lists every orbit of n once, in the written order;
+    a repeat is not read as its last value, nor a gap as 0."""
+    ctx, psf = sample_psf(2)
+    record = json.loads(proj_to_json(project(ctx, psf)))
+    assert [tuple(key) for key, _z, _r in record["entries"]] == valid_triples(2)
+    bad = dict(record, entries=_reshuffled_entries(record["entries"], how))
+    with pytest.raises(ConfigurationError, match="not \\(m, n, k\\) orbits") as info:
+        load_symbol(json.dumps(bad))
+    assert str(info.value).endswith(message)
+    with pytest.raises(ConfigurationError, match="expected nothing"):
+        load_symbol(json.dumps(dict(record, entries=record["entries"] * 2)))
+    with pytest.raises(ConfigurationError, match="entry 0 is nothing"):
+        load_symbol(json.dumps(dict(record, entries=[])))
+
+
 def test_load_symbol_detects_kind():
     ctx, psf = sample_psf()
     grid = load_symbol(psf_to_json(psf))
     proj = load_symbol(proj_to_json(project(ctx, psf)))
     assert hasattr(grid, "grid")
-    assert hasattr(proj, "entries")
+    assert hasattr(proj, "values")
     with pytest.raises(ConfigurationError):
         load_symbol(json.dumps({"kind": "other"}))
 
@@ -287,8 +337,8 @@ def oracle_psf_json(psf, config=None, constants=None):
 def oracle_proj_json(proj, config=None, constants=None):
     record = _oracle_metadata(proj, config, constants)
     record.update(kind="projected", entries=[
-        [list(key), _oracle_pair(proj.entries[key]), r_factor(proj.n, *key)]
-        for key in sorted(proj.entries)])
+        [list(key), _oracle_pair(value), r_factor(proj.n, *key)]
+        for key, value in zip(valid_triples(proj.n), proj.values, strict=True)])
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
@@ -347,10 +397,9 @@ def special_psf(finite=False, provenance="special values"):
 
 
 def special_proj(provenance="special values"):
-    keys = valid_triples(2)
-    values = np.roll(special_grid().ravel(), 3)[:len(keys)]
-    return ProjectedFunction(n=2, s=0.0, entries=dict(zip(keys, values)),
-                             convention="plain", provenance=provenance)
+    values = np.roll(special_grid().ravel(), 3)[:len(valid_triples(2))]
+    return ProjectedFunction(n=2, s=0.0, values=values, convention="plain",
+                             provenance=provenance)
 
 
 def _bits(z):
@@ -368,10 +417,8 @@ def test_special_values_match_encoder_oracle():
     text = psf_to_json(psf)
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "1e-310" in text
     proj = special_proj()
-    assert not all(np.isfinite(list(proj.entries.values())))
+    assert not np.isfinite(proj.values).all()
     assert proj_to_json(proj, config) == oracle_proj_json(proj, config)
-    empty = ProjectedFunction(n=2, s=0.0, entries={}, convention="plain")
-    assert proj_to_json(empty) == oracle_proj_json(empty)
 
 
 def test_special_values_roundtrip_bitwise():
@@ -389,9 +436,9 @@ def test_special_values_roundtrip_bitwise():
         assert np.array_equal(got[~np.isnan(want)], want[~np.isnan(want)])
     proj = special_proj()
     back = load_symbol(proj_to_json(proj))
-    finite = [key for key, v in proj.entries.items() if np.isfinite(v)]
-    assert finite and all(_bits(back.entries[k]).tolist() == _bits(proj.entries[k]).tolist()
-                          for k in finite)
+    finite = np.isfinite(proj.values)
+    assert finite.any()
+    assert np.array_equal(_bits(back.values)[:, finite], _bits(proj.values)[:, finite])
 
 
 @pytest.mark.parametrize("tag", ("grid", "entries", "bases", "vertical", "0"))

@@ -19,7 +19,7 @@ from dpsmap import (FieldContext, InvarianceReport, PhaseSearchReport,
 from dpsmap.kernels import coefficient_residual
 from dpsmap.mubrot import recurrence_holds
 from dpsmap.suites import run_suite
-from dpsmap.symproj import orbit_sum_symbols, orbit_sum_traces, orbit_sums
+from dpsmap.symproj import orbit_sum_symbols, orbit_sum_traces
 
 TOMO = convention_from_name("tomographic-p1")
 PERMINV = convention_from_name("perminv-f0")
@@ -36,14 +36,19 @@ def orbit_positions(ctx):
 
 
 def project_by_masks(ctx, grid):
-    """Reference projection: one boolean mask per (m, n, k) triple."""
+    """Reference projection: one boolean mask per (m, n, k) triple, in
+    valid_triples order."""
     q = ctx.order
     hw = ctx.hweight_table
     m_arr = np.broadcast_to(hw[:, None], (q, q))
     n_arr = np.broadcast_to(hw[None, :], (q, q))
     k_arr = hw[ctx.xor_grid]
-    return {(m, nn, k): complex(np.sum(grid[(m_arr == m) & (n_arr == nn) & (k_arr == k)]))
-            for m, nn, k in valid_triples(ctx.n)}
+    return np.array([np.sum(grid[(m_arr == m) & (n_arr == nn) & (k_arr == k)])
+                     for m, nn, k in valid_triples(ctx.n)], dtype=complex)
+
+
+def bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
 
 
 def h_dependence_by_buckets(ctx, grid, tol=1e-10):
@@ -175,8 +180,9 @@ def test_uniform_grid_projects_to_orbit_sizes():
     kern = build_kernel(ctx, 0.0, PERMINV)
     psf = forward_map(kern, np.eye(8, dtype=complex))
     proj = project(ctx, psf)
-    for t in valid_triples(3):
-        assert abs(proj.value(*t) - r_factor(3, *t)) < 1e-12
+    assert proj.values.shape == (len(valid_triples(3)),)
+    for value, t in zip(proj.values, valid_triples(3)):
+        assert abs(value - r_factor(3, *t)) < 1e-12
 
 
 def test_projection_preserves_mass():
@@ -187,7 +193,8 @@ def test_projection_preserves_mass():
     psf = forward_map(kern, A + A.conj().T)
     proj = project(ctx, psf)
     assert abs(proj.total() - psf.total()) < 1e-10
-    assert sorted(proj.entries) == valid_triples(3)
+    assert list(proj.entries) == valid_triples(3)
+    assert proj.values.shape == (len(valid_triples(3)),)
 
 
 def test_projected_function_dense_layout():
@@ -196,7 +203,7 @@ def test_projected_function_dense_layout():
     proj = project(ctx, forward_map(kern, np.eye(4, dtype=complex)))
     cube = dense(proj)
     assert cube.shape == (3, 3, 3)
-    assert abs(cube[1, 1, 0] - proj.value(1, 1, 0)) < 1e-12
+    assert abs(cube[1, 1, 0] - proj.entries[(1, 1, 0)]) < 1e-12
     assert cube[1, 1, 1] == 0  # forbidden triple stays empty
 
 
@@ -210,7 +217,7 @@ def test_project_is_bitwise_the_mask_sum(n):
         scale = 10.0 ** rng.uniform(-8, 8, size=(q, q))
         grid = (rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))) * scale
         psf = PhaseSpaceFunction(n=n, s=0.0, grid=grid, convention="plain")
-        assert project(ctx, psf).entries == project_by_masks(ctx, grid)
+        assert np.array_equal(bits(project(ctx, psf).values), bits(project_by_masks(ctx, grid)))
 
 
 def test_project_runs_follow_a_new_basis():
@@ -220,8 +227,39 @@ def test_project_runs_follow_a_new_basis():
                                           "selfdual_basis": [9, 10, 12, 14]})
     grid = np.random.default_rng(4).normal(size=(16, 16)) * (1 + 1j)
     psf = PhaseSpaceFunction(n=4, s=0.0, grid=grid, convention="plain")
-    assert project(loaded, psf).entries == project_by_masks(loaded, grid)
-    assert project(loaded, psf).entries != project(field_context(4), psf).entries
+    assert np.array_equal(project(loaded, psf).values, project_by_masks(loaded, grid))
+    assert not np.array_equal(project(loaded, psf).values,
+                              project(field_context(4), psf).values)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_project_is_bitwise_each_grids_own(n):
+    """A (2, 3, q, q) stack projects, bit for bit, to each grid's own
+    projection and to the plain per-run ``.sum()`` of its orbit runs."""
+    rng = np.random.default_rng(100 + n)
+    ctx = field_context(n)
+    q = ctx.order
+    order, bounds = ctx.orbit_runs
+    scale = 10.0 ** rng.uniform(-8, 8, size=(2, 3, q, q))
+    grids = (rng.normal(size=(2, 3, q, q)) + 1j * rng.normal(size=(2, 3, q, q))) * scale
+    stacked = project(ctx, PhaseSpaceFunction(n=n, s=0.0, grid=grids, convention="plain"))
+    assert stacked.values.shape == (len(ctx.orbit_weights), 2, 3)
+    for i, j in np.ndindex(2, 3):
+        one = project(ctx, PhaseSpaceFunction(n=n, s=0.0, grid=grids[i, j], convention="plain"))
+        flat = grids[i, j].ravel()[order]
+        runs = [flat[a:b].sum() for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(bits(stacked.values[:, i, j]), bits(one.values))
+        assert np.array_equal(bits(one.values), bits(runs))
+
+
+def test_projection_entries_are_a_read_only_view_by_orbit_label():
+    ctx = field_context(3)
+    grid = np.random.default_rng(5).normal(size=(8, 8)) * (1 - 2j)
+    proj = project(ctx, PhaseSpaceFunction(n=3, s=0.0, grid=grid, convention="plain"))
+    assert list(proj.entries) == valid_triples(3)
+    assert list(proj.entries.values()) == proj.values.tolist()
+    with pytest.raises(TypeError):
+        proj.entries[(0, 0, 0)] = 0j
 
 
 def test_project_rejects_wrong_grid():
@@ -315,12 +353,12 @@ def test_orbit_sum_symbols_are_the_dense_symmetrization(n, name, s):
     w = orbit_sum_symbols(kern, slice(None))
     assert w.grid.shape == (count, ctx.order, ctx.order)
     assert (w.s, w.convention) == (s, name)
-    k = orbit_sums(ctx, w.grid)
+    k = project(ctx, w).values
     assert k.shape == (count, count)
     for o, op in enumerate(dense_orbit_sums(ctx)):
         psf = forward_map(kern, op)
         assert np.max(np.abs(w.grid[o] - psf.grid)) < 1e-12
-        assert np.max(np.abs(k[:, o] - list(project(ctx, psf).entries.values()))) < 1e-12
+        assert np.max(np.abs(k[:, o] - project(ctx, psf).values)) < 1e-12
     # a slice of the orbits is the same slice of the stack
     assert np.array_equal(orbit_sum_symbols(kern, slice(2, 4)).grid, w.grid[2:4])
 
@@ -330,11 +368,9 @@ def test_orbit_sum_projections_have_full_rank(n):
     """K is C(n+3, 3) square and nonsingular, and its Gram identity holds."""
     ctx = field_context(n)
     k0 = build_kernel(ctx, 0.0, PERMINV)
-    k = orbit_sums(ctx, orbit_sum_symbols(k0, slice(None)).grid)
-    assert np.linalg.matrix_rank(k) == [4, 10, 20, 35, 56][n - 1]
+    proj = project(ctx, orbit_sum_symbols(k0, slice(None)))
+    assert np.linalg.matrix_rank(proj.values) == [4, 10, 20, 35, 56][n - 1]
     pref, _ = convolution_prefactor(k0, k0)
-    proj = ProjectedFunction(n=n, s=0.0, entries=k, convention=PERMINV.name,
-                             convention_invariant=True)
     assert np.max(np.abs(symmetric_average(proj, proj, pref) - orbit_sum_traces(ctx))) < 1e-10
     if n <= 4:
         dense = dense_orbit_sums(ctx)
@@ -353,17 +389,15 @@ def test_symmetric_average_of_orbit_indexed_stacks_matches_pairs():
     pref, _ = convolution_prefactor(k0, k0)
     count = len(ctx.orbit_weights)
     a, b = rng.normal(size=(2, count, 3)) + 1j * rng.normal(size=(2, count, 3))
-    keys = list(ctx.orbit_sizes)
 
-    def projected(entries):
-        return ProjectedFunction(n=3, s=0.0, entries=entries, convention=PERMINV.name,
+    def projected(values):
+        return ProjectedFunction(n=3, s=0.0, values=values, convention=PERMINV.name,
                                  convention_invariant=True)
 
     stacked = symmetric_average(projected(a), projected(b), pref)
     assert stacked.shape == (3, 3)
     for i, j in np.ndindex(3, 3):
-        pair = symmetric_average(projected(dict(zip(keys, a[:, i]))),
-                                 projected(dict(zip(keys, b[:, j]))), pref)
+        pair = symmetric_average(projected(a[:, i]), projected(b[:, j]), pref)
         assert isinstance(pair, complex)
         assert abs(stacked[i, j] - pair) < 1e-12
 
