@@ -112,14 +112,15 @@ class FieldContext:
     # -- construction ---------------------------------------------------
 
     def _build_tables(self):
-        q, n, poly = self.order, self.n, self.poly
-        a = np.arange(q, dtype=np.int64)[:, None]
-        b = np.arange(q, dtype=np.int64)[None, :]
+        q, n = self.order, self.n
+        # a * b is linear in a: row x^i is x * row x^(i-1), row x^i + j is row x^i ^ row j
         prod = np.zeros((q, q), dtype=np.int64)
-        for i in range(n):
-            prod ^= np.where((b >> i) & 1 == 1, a << i, 0)
-        for j in range(2 * n - 2, n - 1, -1):
-            prod ^= np.where((prod >> j) & 1 == 1, poly << (j - n), 0)
+        prod[1] = np.arange(q)
+        shift = (prod[1] << 1) ^ (prod[1] >> (n - 1)) * self.poly     # x * b, reduced
+        for i in range(1, n):
+            top = 1 << i
+            prod[top] = shift[prod[top >> 1]]
+            prod[top + 1:2 * top] = prod[1:top] ^ prod[top]
         self.mul_table = prod
 
         # multiplicative inverses: the unique 1 in each nonzero row

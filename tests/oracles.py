@@ -15,7 +15,8 @@ here rather than in the package:
   ``build_V``) and the line sums of a symbol;
 * the per-point loop of the line-projector kernel, the oracle of
   ``kernels.wootters_kernel``;
-* schoolbook carry-less multiplication, the oracle of the field tables;
+* schoolbook carry-less multiplication, and the product table built from
+  it one bit of b at a time, the oracles of the field tables;
 * the per-key comparison of two projections, the oracle of
   ``serialize.diff_projected``;
 * the argparse parser the command line used before its option table.
@@ -59,6 +60,21 @@ def clmul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return out
+
+
+def mul_table_by_bits(n: int, poly: int) -> np.ndarray:
+    """The q x q product table of GF(2^n) modulo ``poly``, int64: the
+    carry-less product summed one bit of b at a time, then reduced one high
+    bit at a time, each pass over the whole table."""
+    q = 1 << n
+    a = np.arange(q, dtype=np.int64)[:, None]
+    b = np.arange(q, dtype=np.int64)[None, :]
+    prod = np.zeros((q, q), dtype=np.int64)
+    for i in range(n):
+        prod ^= np.where((b >> i) & 1 == 1, a << i, 0)
+    for j in range(2 * n - 2, n - 1, -1):
+        prod ^= np.where((prod >> j) & 1 == 1, poly << (j - n), 0)
+    return prod
 
 
 # ----------------------------------------------------------------------

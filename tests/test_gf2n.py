@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import clmul
+from oracles import clmul, mul_table_by_bits
 
 from dpsmap import ConfigurationError, FieldContext, field_context
 from dpsmap.gf2n import IRREDUCIBLE_POLYS, is_irreducible, poly_degree, poly_mod
@@ -43,6 +43,49 @@ def test_mul_matches_naive_oracle_sampled():
         for a, b in pairs:
             a, b = int(a), int(b)
             assert ctx.mul(a, b) == naive_mul(a, b, poly, n)
+
+
+IRREDUCIBLE_BY_DEGREE = {n: [p for p in range(1 << n, 2 << n) if is_irreducible(p)]
+                         for n in range(1, 9)}
+
+
+def test_every_modulus_of_degree_up_to_8_is_listed():
+    # x and x + 1, then the counts of irreducible binary polynomials
+    counts = [len(polys) for polys in IRREDUCIBLE_BY_DEGREE.values()]
+    assert counts == [2, 1, 2, 3, 6, 9, 18, 30]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mul_table_is_the_bit_by_bit_table_for_every_modulus(n):
+    for poly in IRREDUCIBLE_BY_DEGREE[n]:
+        table, oracle = FieldContext(n, poly).mul_table, mul_table_by_bits(n, poly)
+        assert table.dtype == oracle.dtype == np.int64
+        assert np.array_equal(table, oracle), f"modulus 0b{poly:b}"
+
+
+#: the canonical self-dual bases of the default moduli
+SELFDUAL_BASES = {1: (1,), 2: (2, 3), 3: (3, 5, 7), 4: (8, 11, 13, 15),
+                  5: (3, 5, 12, 17, 26), 6: (32, 35, 49, 55, 59, 63),
+                  7: (3, 65, 71, 97, 109, 117, 125),
+                  8: (32, 35, 48, 54, 58, 121, 176, 247)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_derived_tables_follow_from_the_bit_by_bit_table(n):
+    """Inverses, trace and square roots at the default modulus, each pinned by
+    its definition on the oracle product table."""
+    ctx = field_context(n)
+    prod, x = mul_table_by_bits(n, ctx.poly), np.arange(ctx.order)
+    for table in (ctx.inv_table, ctx.trace_table, ctx.sqrt_table):
+        assert table.dtype == np.int64 and table.shape == (ctx.order,)
+    assert ctx.inv_table[0] == 0
+    assert np.array_equal(prod[x, ctx.inv_table][1:], np.ones(ctx.order - 1))
+    assert np.array_equal(prod[ctx.sqrt_table, ctx.sqrt_table], x)
+    trace, power = x.copy(), x
+    for _ in range(n - 1):
+        power = prod[power, power]
+        trace ^= power
+    assert np.array_equal(ctx.trace_table, trace)
 
 
 def test_frozen_small_products():
@@ -207,8 +250,8 @@ def test_lazy_q_by_q_tables_match_their_formulas(n):
 # ---------------------------------------------------------
 
 def test_selfdual_basis_frozen():
-    assert field_context(1).selfdual_basis == (1,)
-    assert field_context(2).selfdual_basis == (2, 3)
+    for n, basis in SELFDUAL_BASES.items():
+        assert field_context(n).selfdual_basis == basis
 
 
 def test_selfdual_gram_is_identity():

@@ -1,21 +1,24 @@
 # tests/test_serialize.py
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 from oracles import (REFERENCE_IDS, all_lines, diff_projected_by_keys, r_factor,
                      reference_symbol, valid_triples)
 
-from dpsmap import (ConfigurationError, PhaseSpaceFunction, ProjectedFunction,
+from dpsmap import (ConfigurationError, cli, PhaseSpaceFunction, ProjectedFunction,
                     build_kernel, convention_from_name, diff_grids,
                     diff_projected, field_context, forward_map, ghz_state,
                     load_symbol, mub_family, mub_to_json, project,
                     proj_to_csv, proj_to_gnuplot, proj_to_json, psf_to_csv,
                     psf_to_gnuplot, psf_to_json, spin_coherent)
+from dpsmap import serialize
 from dpsmap._version import __version__
 from dpsmap.kernels import SymbolMeta
-from dpsmap.serialize import _dumps
+from dpsmap.mubrot import SCHEMES
+from dpsmap.serialize import _dumps, _reprs
 
 PERMINV = convention_from_name("perminv-f0")
 
@@ -138,6 +141,22 @@ def test_diff_grid_zero_and_perturbed():
     assert abs(rep2.max_deviation - 0.5) < 1e-12
     assert list(rep2.worst) == [1, 2]
     assert rep2.avg_deviation < rep2.max_deviation
+
+
+def test_diff_grids_of_equal_infinities_is_quiet(tmp_path, monkeypatch, capsys):
+    """inf - inf deviates by NaN, with no numpy warning to turn into an error."""
+    _, psf = sample_psf()
+    psf.grid[1, 2] = complex(np.inf, -np.inf)
+    (tmp_path / "i.grid.json").write_text(psf_to_json(psf))
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = diff_grids(psf, psf)
+        code = cli.main(["diff", "i.grid.json", "i.grid.json"])
+    assert np.isnan(rep.max_deviation) and rep.worst == [1, 2]
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["worst"] == [1, 2]
 
 
 def test_diff_projected():
@@ -305,6 +324,54 @@ def test_mub_json_structure():
     # vertical basis states are uniform-magnitude character rows
     amp = complex(*vert[0][0])
     assert abs(abs(amp) - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_mub_json_matches_the_encoder_oracle_for_every_scheme(n):
+    ctx = field_context(n)
+    for scheme in SCHEMES:
+        try:
+            family = mub_family(ctx, scheme)
+        except ConfigurationError:
+            assert int(scheme[1:]) > n      # p = 2 and 4 need n >= p
+            continue
+        assert mub_to_json(family, {"n": n}) == oracle_mub_json(family, {"n": n})
+
+
+class _CountingFloat:
+    """Stands in for ``float`` inside ``serialize``, counting ``__repr__``."""
+
+    calls = 0
+
+    @staticmethod
+    def __repr__(x):
+        _CountingFloat.calls += 1
+        return float.__repr__(x)
+
+
+@pytest.mark.parametrize("kind", ["mub", "random", "repeat-head", "short"])
+def test_reprs_formats_each_distinct_pattern_once_when_a_sample_repeats(kind, monkeypatch):
+    rng = np.random.default_rng(5)
+    if kind == "mub":
+        z = mub_family(field_context(4)).states
+    elif kind == "random":
+        z = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    elif kind == "short":                               # 64 values: too few to sample
+        z = np.full(64, 0.5 + 0.5j)
+    else:
+        z = np.zeros(164, dtype=complex)
+        z.real = np.concatenate([np.full(64, -0.0), rng.normal(size=100)])
+    monkeypatch.setattr(serialize, "float", _CountingFloat, raising=False)
+    _CountingFloat.calls = 0
+    re, im = _reprs(z)
+    assert (re, im) == (list(map(float.__repr__, z.real.ravel().tolist())),
+                        list(map(float.__repr__, z.imag.ravel().tolist())))
+    distinct = len(set(np.stack([z.real, z.imag]).view(np.int64).ravel().tolist()))
+    assert _CountingFloat.calls == (2 * z.size if kind in ("random", "short") else distinct)
+    if kind == "mub":
+        assert distinct == 4                            # 0, +-1/4 and 1
+    if kind == "repeat-head":
+        assert re[0] == "-0.0" and im[0] == "0.0"
 
 
 # ---------------------------------------------------------
