@@ -288,8 +288,9 @@ def cmd_verify(args) -> int:
 def cmd_diff(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ConfigurationError(f"--tol must be finite and >= 0, got {args.tol!r}")
-    sym_a, sym_b = (serialize.load_symbol(Path(path).read_text())
-                    for path in (args.a, args.b))
+    loaded = {path: serialize.load_symbol(Path(path).read_text())
+              for path in dict.fromkeys((args.a, args.b))}
+    sym_a, sym_b = loaded[args.a], loaded[args.b]
     if type(sym_a) is not type(sym_b):
         raise ConfigurationError("cannot compare a grid with a projection")
     if isinstance(sym_a, kernels.PhaseSpaceFunction):

@@ -16,7 +16,8 @@ ndarray (a grid, a fiducial, a MUB basis) as nested ``[re, im]`` pairs from
 when an array of over 64 values has two equal among its first 64 real parts;
 projection entries and MUB bases are spliced in at their top-level key.  CSV
 and gnuplot rows use the same ``float.__repr__`` text.  The one reader,
-``load_symbol``, is plain ``json.loads`` and dispatches on ``kind``.
+``load_symbol``, runs ``json.loads``, dispatches on ``kind`` and fills each
+array with one ``np.fromiter`` pass, after checking every length.
 
 A projection is written and read as its orbit-indexed array, one entry
 ``[[m, n, k], [re, im], R]`` per orbit in ``orbit_weights`` order; a record
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -157,21 +159,33 @@ def _to_gnuplot(sym: SymbolMeta, kind: str, columns: str, rows) -> str:
                       f"# columns: {columns}", *rows]) + "\n"
 
 
+def _complexes(pairs: list, count: int, must: str):
+    """An iterator of ``complex(re, im)`` over ``count`` ``[re, im]`` pairs, for
+    ``np.fromiter``.  That drops items past its count, so every length is checked
+    here first; a wrong one raises ``must`` with what was found."""
+    if len(pairs) != count or set(map(len, pairs)) != {2}:
+        at = next((i for i, pair in enumerate(pairs) if len(pair) != 2), None)
+        raise ConfigurationError(f"{must}, got {len(pairs)} pairs" if at is None
+                                 else f"{must}, got pair {at} of length {len(pairs[at])}")
+    return starmap(complex, pairs)
+
+
 def _from_record(record: dict, kind: str):
     """The symbol held by a parsed record of the given kind."""
     n = record["n"]
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
         raise ConfigurationError(f"record n must be an integer in 1..{MAX_N}, got {n!r}")
+    q = 1 << n
     meta = {f.name: record[f.name] for f in fields(SymbolMeta) if f.name in record}
     if meta.get("fiducial") is not None:
-        meta["fiducial"] = np.array([complex(re, im) for re, im in meta["fiducial"]])
-        if meta["fiducial"].shape != (1 << n,):
-            raise ConfigurationError(f"fiducial must hold {1 << n} amplitudes for n = {n}")
+        must = f"fiducial must hold {q} amplitudes for n = {n}"
+        meta["fiducial"] = np.fromiter(_complexes(meta["fiducial"], q, must), complex, q)
     if kind == "grid":
-        grid = np.array([[complex(re, im) for re, im in row] for row in record["grid"]])
-        if grid.shape != (1 << n, 1 << n):
-            raise ConfigurationError(
-                f"grid must be {1 << n}x{1 << n} for n = {n}, got shape {grid.shape}")
+        rows, must = record["grid"], f"grid must be {q}x{q} for n = {n}"
+        if len(rows) != q:
+            raise ConfigurationError(f"{must}, got {len(rows)} rows")
+        cells = [_complexes(row, q, f"{must} (row {a})") for a, row in enumerate(rows)]
+        grid = np.fromiter(chain.from_iterable(cells), complex, q * q).reshape(q, q)
         return PhaseSpaceFunction(grid=grid, **meta)
     orbits = list(field_context(n).orbit_sizes)
     keys = [tuple(key) for key, _z, _r in record["entries"]]
@@ -181,8 +195,9 @@ def _from_record(record: dict, kind: str):
         raise ConfigurationError(
             f"projection keys are not (m, n, k) orbits for n = {n}, each once in "
             f"order: entry {at} is {got[at]}, expected {want[at]}")
-    values = np.array([complex(re, im) for _key, (re, im), _r in record["entries"]])
-    return ProjectedFunction(values=values, **meta)
+    values = _complexes([z for _key, z, _r in record["entries"]], len(orbits),
+                        "projection values must be [re, im] pairs")
+    return ProjectedFunction(values=np.fromiter(values, complex, len(orbits)), **meta)
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +331,7 @@ def load_symbol(text: str):
         return _from_record(record, kind)
     except ConfigurationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed symbol record: {exc!r}") from exc
 
 

@@ -19,6 +19,8 @@ here rather than in the package:
   it one bit of b at a time, the oracles of the field tables;
 * the per-key comparison of two projections, the oracle of
   ``serialize.diff_projected``;
+* the per-value ``complex(re, im)`` reading of a symbol record's grid,
+  entries and fiducial, the oracle of ``serialize.load_symbol``;
 * the argparse parser the command line used before its option table.
 
 Tests import them with ``from oracles import ...``; pytest puts ``tests/``
@@ -257,6 +259,19 @@ def diff_projected_by_keys(a: ProjectedFunction, b: ProjectedFunction) -> DiffRe
     worst = keys[int(np.argmax(devs))]
     return DiffReport("projected", len(keys), float(np.max(devs, initial=0.0)),
                       float(np.mean(devs)), list(worst))
+
+
+def record_arrays(record: dict) -> dict:
+    """The complex arrays of a parsed symbol record, one ``complex(re, im)`` per
+    value: its "fiducial" when it has one, and its "grid" or "values" by kind."""
+    out = {}
+    if record.get("fiducial") is not None:
+        out["fiducial"] = np.array([complex(re, im) for re, im in record["fiducial"]])
+    if record["kind"] == "grid":
+        out["grid"] = np.array([[complex(re, im) for re, im in row] for row in record["grid"]])
+    else:
+        out["values"] = np.array([complex(re, im) for _key, (re, im), _r in record["entries"]])
+    return out
 
 
 def fit_constant(reference, numeric) -> tuple[complex, float]:

@@ -1,7 +1,9 @@
 # tests/test_cli.py
 """End-to-end checks of the command-line front end, driven through main()
 with a couple of subprocess smoke tests for the installed entry point."""
+import functools
 import json
+import operator
 import os
 import shutil
 import subprocess
@@ -20,7 +22,7 @@ except ModuleNotFoundError:  # Python 3.10
 from dpsmap import (ConfigurationError, FieldContext, build_kernel,
                     convention_from_name, field_context, forward_map,
                     ghz_state)
-from dpsmap import cli
+from dpsmap import cli, serialize
 from dpsmap._version import __version__
 from dpsmap.cli import RunConfig, build_state, main, parse_complex
 from dpsmap.serialize import load_symbol
@@ -505,6 +507,68 @@ def test_diff_malformed_inputs(tmp_path, monkeypatch, capsys, text):
         assert run("diff", *pair) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path, pair", [("x.grid.json", ("grid", 1, 2)),
+                                        ("x.grid.json", ("fiducial", 3)),
+                                        ("x.proj.json", ("entries", 2, 1))],
+                         ids=["grid", "fiducial", "entries"])
+def test_diff_of_a_record_holding_a_huge_integer_is_one_error_line(
+        tmp_path, monkeypatch, capsys, path, pair):
+    """complex() raises OverflowError on an int past the float range."""
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--n", "2", "--s", "1", "--project", "--out", "x") == 0
+    record = json.loads((tmp_path / path).read_text())
+    functools.reduce(operator.getitem, pair, record)[0] = 10 ** 400
+    (tmp_path / "big.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run("diff", "big.json", "big.json") == 2
+    assert capsys.readouterr().err == (
+        "error: malformed symbol record: OverflowError('int too large to convert to float')\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    (lambda row: row.pop(), "(row 1), got 3 pairs"),
+    (lambda row: row[2].append(0.0), "(row 1), got pair 2 of length 3"),
+], ids=["ragged", "3-number-pair"])
+def test_diff_of_a_misshapen_grid_names_its_row_and_pair(
+        tmp_path, monkeypatch, capsys, row, message):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--n", "2", "--out", "x") == 0
+    record = json.loads((tmp_path / "x.grid.json").read_text())
+    row(record["grid"][1])
+    (tmp_path / "bad.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    # files load in argument order: the first's error is the one reported
+    for pair in (("x.grid.json", "bad.json"), ("bad.json", "missing.json")):
+        assert run("diff", *pair) == 2
+        assert capsys.readouterr().err == f"error: grid must be 4x4 for n = 2 {message}\n"
+
+
+def test_diff_parses_a_file_named_twice_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("map", "--n", "2", "--project", "--out", "x") == 0
+    assert run("map", "--n", "2", "--state", "w", "--project", "--out", "y") == 0
+    texts, parse_json = [], serialize.parse_json
+
+    def counted(text, what):
+        texts.append(text)
+        return parse_json(text, what)
+
+    monkeypatch.setattr(serialize, "parse_json", counted)
+    for part in ("grid", "proj"):
+        for b, calls, code in ((f"x.{part}.json", 1, 0), (f"y.{part}.json", 2, 1)):
+            texts.clear()
+            assert run("diff", f"x.{part}.json", b) == code
+            assert len(texts) == calls
+    # a NaN still fails a self-diff, though both sides are one object
+    record = json.loads((tmp_path / "x.grid.json").read_text())
+    record["grid"][2][3][1] = float("nan")
+    (tmp_path / "nan.grid.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run("diff", "nan.grid.json", "nan.grid.json") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert np.isnan(report["max_deviation"]) and report["worst"] == [2, 3]
 
 
 @pytest.mark.parametrize("how", ["duplicated", "missing", "reordered"])

@@ -1,12 +1,15 @@
 # tests/test_serialize.py
 import dataclasses
+import functools
+import itertools
 import json
+import operator
 import warnings
 
 import numpy as np
 import pytest
 from oracles import (REFERENCE_IDS, all_lines, diff_projected_by_keys, r_factor,
-                     reference_symbol, valid_triples)
+                     record_arrays, reference_symbol, valid_triples)
 
 from dpsmap import (ConfigurationError, cli, PhaseSpaceFunction, ProjectedFunction,
                     build_kernel, convention_from_name, diff_grids,
@@ -251,6 +254,82 @@ def test_load_rejects_fiducial_not_matching_n():
     for fiducial in (record["fiducial"][:3], record["fiducial"] * 2):
         with pytest.raises(ConfigurationError, match="fiducial must hold 4"):
             load_symbol(json.dumps(dict(record, fiducial=fiducial)))
+
+
+# JSON values a record's pairs may hold: signed zeros, non-finite tokens,
+# ints (one past 2**53, which complex() rounds), bools, subnormals and long
+# reprs; an odd count, so each value turns up as a real and an imaginary part
+ODD_VALUES = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 0, -3, 2 ** 53 + 1,
+              True, False, 5e-324, 1e-310, 1 / 3, -1e300, 0.1]
+
+
+def odd_record(n: int, kind: str) -> dict:
+    """A parsed record of the kind, with a fiducial, whose every [re, im] pair
+    holds values from ODD_VALUES in turn."""
+    ctx, q = field_context(n), 1 << n
+    meta = dict(n=n, s=0.0, convention="plain", fiducial=np.zeros(q, complex))
+    text = (psf_to_json(PhaseSpaceFunction(grid=np.zeros((q, q)), **meta)) if kind == "grid"
+            else proj_to_json(ProjectedFunction(values=np.zeros(len(ctx.orbit_sizes)), **meta)))
+    record, values = json.loads(text), itertools.cycle(ODD_VALUES)
+    for pair in (*record["fiducial"], *(cell for row in record.get("grid", ()) for cell in row),
+                 *(entry[1] for entry in record.get("entries", ()))):
+        pair[:] = next(values), next(values)
+    return record
+
+
+@pytest.mark.parametrize("kind", ["grid", "projected"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_load_matches_the_per_value_oracle_bitwise(n, kind):
+    text = json.dumps(odd_record(n, kind))
+    sym, want = load_symbol(text), record_arrays(json.loads(text))
+    key = "grid" if kind == "grid" else "values"
+    got = {"fiducial": sym.fiducial, key: getattr(sym, key)}
+    assert got.keys() == want.keys()
+    for key, array in want.items():
+        assert got[key].dtype == array.dtype == complex and got[key].shape == array.shape
+        assert np.array_equal(_bits(got[key]), _bits(array)), key
+
+
+@pytest.mark.parametrize("value", ["1.5", None, [1.5], 10 ** 400],
+                         ids=["string", "null", "list", "huge-int"])
+@pytest.mark.parametrize("kind, pair", [("grid", ("grid", 0, 0)), ("grid", ("fiducial", 0)),
+                                        ("projected", ("entries", 0, 1))],
+                         ids=["grid", "fiducial", "entries"])
+def test_load_refuses_values_complex_refuses(kind, pair, value):
+    """Strings, nulls and nested lists are not numbers, as for complex(); an
+    integer too large for a float is refused, not raised as OverflowError."""
+    record = odd_record(2, kind)
+    functools.reduce(operator.getitem, pair, record)[0] = value
+    with pytest.raises(ConfigurationError, match="malformed symbol record"):
+        load_symbol(json.dumps(record))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda g: g[2].pop(), "grid must be 4x4 for n = 2 \\(row 2\\), got 3 pairs"),
+    (lambda g: g[1].append([0.0, 0.0]), "grid must be 4x4 for n = 2 \\(row 1\\), got 5 pairs"),
+    (lambda g: g[3][1].append(0.0), "\\(row 3\\), got pair 1 of length 3"),
+    (lambda g: g[0][2].pop(), "\\(row 0\\), got pair 2 of length 1"),
+    (lambda g: g[0].__setitem__(0, []), "\\(row 0\\), got pair 0 of length 0"),
+    (lambda g: g.pop(), "grid must be 4x4 for n = 2, got 3 rows"),
+], ids=["short-row", "long-row", "3-number-pair", "1-number-pair", "empty-pair", "3-rows"])
+def test_load_names_the_row_or_pair_of_a_misshapen_grid(change, message):
+    record = odd_record(2, "grid")
+    change(record["grid"])
+    with pytest.raises(ConfigurationError, match=message):
+        load_symbol(json.dumps(record))
+
+
+def test_load_names_the_pair_of_a_misshapen_fiducial_or_entry():
+    record = odd_record(2, "projected")
+    record["fiducial"][1].append(0.0)
+    with pytest.raises(ConfigurationError, match="fiducial must hold 4 amplitudes for n = 2, "
+                                                 "got pair 1 of length 3"):
+        load_symbol(json.dumps(record))
+    record = odd_record(2, "projected")
+    record["entries"][3][1].pop()
+    with pytest.raises(ConfigurationError, match="projection values must be \\[re, im\\] "
+                                                 "pairs, got pair 3 of length 1"):
+        load_symbol(json.dumps(record))
 
 
 def test_load_rejects_projection_keys_off_the_orbits():
