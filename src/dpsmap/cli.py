@@ -141,16 +141,16 @@ def build_state(ctx: gf2n.FieldContext, spec: str, zeta: complex) -> np.ndarray:
     if spec.startswith("@"):
         record = serialize.parse_json(Path(spec[1:]).read_text(),
                                       f"amplitude file {spec[1:]!r}")
+        q, must = ctx.order, f"amplitude file must hold {ctx.order} entries for n={ctx.n}"
         try:
             amps = record["amplitudes"] if isinstance(record, dict) else record
-            vec = np.array([complex(re, im) for re, im in amps])
-        except (KeyError, TypeError, ValueError) as exc:
+            vec = np.fromiter(serialize._complexes(amps, q, must), complex, q)
+        except OverflowError:
+            vec = None                          # a part too large for a float
+        except (KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"amplitude file {spec[1:]!r} must hold [re, im] pairs: {exc!r}") from exc
-        if vec.shape != (ctx.order,):
-            raise ConfigurationError(
-                f"amplitude file must hold {ctx.order} entries for n={ctx.n}")
-        if not np.isfinite(vec).all():
+        if vec is None or not np.isfinite(vec).all():
             raise ConfigurationError(
                 f"amplitude file {spec[1:]!r} holds amplitudes that are not finite")
         with np.errstate(over="ignore"):

@@ -371,6 +371,6 @@ class FieldContext:
 
 
 @lru_cache(maxsize=None)
-def field_context(n: int, poly: int | None = None) -> FieldContext:
-    """Cached constructor; contexts are immutable in practice."""
-    return FieldContext(n, poly)
+def field_context(n: int) -> FieldContext:
+    """Cached FieldContext(n); contexts are immutable in practice."""
+    return FieldContext(n)

@@ -131,9 +131,7 @@ def build_V(ctx: FieldContext, conv: PhaseConvention, xi) -> np.ndarray:
 
 def check_unbiased(ctx: FieldContext, states_a, states_b) -> float:
     """Max deviation of |<a|b>|^2 from 1/2^n across the two bases."""
-    a = np.column_stack(states_a)
-    b = np.column_stack(states_b)
-    overlaps = np.abs(a.conj().T @ b) ** 2
+    overlaps = np.abs(np.asarray(states_a).conj() @ np.asarray(states_b).T) ** 2
     return float(np.max(np.abs(overlaps - 1.0 / ctx.order)))
 
 

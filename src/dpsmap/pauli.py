@@ -138,8 +138,8 @@ class PhaseConvention:
 
     def exponent_table(self, ctx: FieldContext) -> np.ndarray:
         """Read-only q x q exponents, shared by equal conventions on ctx."""
-        # keyed on class and parameters: custom sign maps share one name
-        cache, key = ctx.phase_tables, (type(self), repr(sorted(vars(self).items())))
+        # every parameter of a convention is spelled out in its name
+        cache, key = ctx.phase_tables, (type(self), self.name)
         if key not in cache:
             tab = self._exponent_table(ctx) % 4
             if tab[0, :].any() or tab[:, 0].any():
@@ -186,42 +186,14 @@ class TomographicPhase(PhaseConvention):
 
 
 class SqrtPhase(PhaseConvention):
-    """phi = sign * sqrt(chi(gamma delta)), principal root i^tr(gamma delta).
-
-    ``signs`` may be None (all +1) or a map from weight triples
-    (h(gamma), h(delta), h(gamma+delta)) to +-1; keying signs on weight
-    triples keeps the convention permutation invariant.  A key that is not
-    an orbit of the field (see ``FieldContext.orbit_weights``) is an error.
-    """
+    """phi = i^tr(gamma delta), the principal root of chi(gamma delta); tr is
+    a dot product of self-dual coordinates, so phi is permutation invariant."""
 
     permutation_invariant = True
     name = "perminv-sqrt"
 
-    def __init__(self, signs: dict | None = None):
-        self.signs = dict(signs) if signs else None
-        if self.signs:
-            self.name = "perminv-sqrt[custom]"
-
     def _exponent_table(self, ctx):
-        exps = ctx.trace_table[ctx.mul_table]
-        if self.signs:
-            orbit_of = {tuple(w): i for i, w in enumerate(ctx.orbit_weights.tolist())}
-            flips = np.zeros(len(orbit_of), dtype=np.int64)
-            for (wm, wn, wk), sgn in self.signs.items():
-                if sgn not in (1, -1):
-                    raise ConfigurationError("signs must be +-1")
-                orbit = orbit_of.get((wm, wn, wk))
-                if orbit is None:
-                    raise ConfigurationError(
-                        f"sign key {(wm, wn, wk)} is not an (m, n, k) orbit "
-                        f"for n = {ctx.n}")
-                if sgn == -1:
-                    if wm == 0 or wn == 0:
-                        raise ConfigurationError(
-                            "signs on the axes gamma=0 / delta=0 must stay +1")
-                    flips[orbit] = 2
-            exps = exps + flips[ctx.orbit_index]
-        return exps
+        return ctx.trace_table[ctx.mul_table]
 
 
 class FactorizedPhase(PhaseConvention):
@@ -235,14 +207,7 @@ class FactorizedPhase(PhaseConvention):
 
     permutation_invariant = True
 
-    def __init__(self, f11: int = 0, table=None):
-        if table is not None:
-            tab = [[int(b) for b in row] for row in table]
-            if tab[0][0] or tab[0][1] or tab[1][0]:
-                raise ConfigurationError(
-                    "factorized f must vanish on (0,0), (0,1), (1,0) "
-                    "or phi breaks on the axes")
-            f11 = tab[1][1]
+    def __init__(self, f11: int = 0):
         if f11 not in (0, 1):
             raise ConfigurationError("f(1,1) must be a bit")
         self.f11 = f11
@@ -342,13 +307,13 @@ class FiducialReport:
     overlaps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def check_fiducial(ctx: FieldContext, conv: PhaseConvention, ket: np.ndarray,
-                   tol: float = 1e-10) -> FiducialReport:
-    """All 4^n displacement overlaps must be finite and nonzero for s = +-1
-    kernels; the report keeps the table."""
+def check_fiducial(ctx: FieldContext, conv: PhaseConvention,
+                   ket: np.ndarray) -> FiducialReport:
+    """All 4^n displacement overlaps must be finite and above 1e-10 in
+    magnitude for s = +-1 kernels; the report keeps the table."""
     table = displacement_overlaps(ctx, conv, ket)
     mags = np.abs(table)
-    bad = np.argwhere(~(mags > tol) | np.isinf(mags))
+    bad = np.argwhere(~(mags > 1e-10) | np.isinf(mags))
     return FiducialReport(
         ok=bad.size == 0,
         min_abs=float(mags.min()),

@@ -26,7 +26,7 @@ that property, solved for over GF(2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -298,13 +298,12 @@ class PhaseSearchReport:
     free_orbits: list
     assignments: int
     hits: int
-    hit_signs: list = field(default_factory=list)
     includes_closed_form_p1: bool = False
 
 
 def _invariant_phase_tables(ctx: FieldContext):
     """Orbit labels and the fixed i^tr(alpha beta) factor for the search:
-    the exponents of the unsigned ``SqrtPhase``, cached on ``ctx``."""
+    the exponents of ``SqrtPhase``, cached on ``ctx``."""
     weights = ctx.orbit_weights
     is_free = (weights[:, :2] >= 1).all(axis=1)
     free = list(map(tuple, weights[is_free].tolist()))
@@ -364,7 +363,7 @@ def _sign_solutions(ctx: FieldContext, base_exp, orbit_id, nfree: int) -> list[i
     return solutions
 
 
-def search_invariant_phases(ctx: FieldContext, max_examples: int = 4) -> PhaseSearchReport:
+def search_invariant_phases(ctx: FieldContext) -> PhaseSearchReport:
     """Count the invariant hermitian phases that satisfy every line recurrence.
 
     Exact for n <= 3 (32 and 8192 sign assignments): a candidate counts
@@ -373,8 +372,7 @@ def search_invariant_phases(ctx: FieldContext, max_examples: int = 4) -> PhaseSe
     line sum of the s = 0 kernel to be a rank-1 projector.  Because tr(xy)
     is GF(2)-bilinear, that condition is affine in the orbit signs, so the
     hits are solved for by elimination over GF(2) (``_sign_solutions``)
-    rather than enumerated; ``hit_signs`` holds the first ``max_examples``
-    in increasing bit order.
+    rather than enumerated; the report counts them.
     """
     if ctx.n > 3:
         raise ConfigurationError("exhaustive phase search is limited to n <= 3")
@@ -386,8 +384,6 @@ def search_invariant_phases(ctx: FieldContext, max_examples: int = 4) -> PhaseSe
     closed_form = TomographicPhase(1).exponent_table(ctx)
     found = any(np.array_equal((base_exp + 2 * ((bits >> shift) & 1)) % 4, closed_form)
                 for bits in hits)
-    hit_signs = [{t: (-1 if (bits >> i) & 1 else 1) for i, t in enumerate(free)}
-                 for bits in hits[:max_examples]]
     return PhaseSearchReport(
         n=ctx.n, free_orbits=free, assignments=1 << nfree, hits=len(hits),
-        hit_signs=hit_signs, includes_closed_form_p1=found)
+        includes_closed_form_p1=found)

@@ -217,10 +217,12 @@ def test_map_malformed_state_file(tmp_path, monkeypatch, capsys, text):
 
 @pytest.mark.parametrize("amps", ["[[NaN, 0], [1, 0], [0, 0], [0, 0]]",
                                   '{"amplitudes": [[1, 0], [0, Infinity], [0, 0], [0, 0]]}',
-                                  "[[1, 0], [-Infinity, 0], [0, 0], [0, 0]]"])
+                                  "[[1, 0], [-Infinity, 0], [0, 0], [0, 0]]",
+                                  pytest.param(f"[[1{'0' * 400}, 0], [1, 0], [0, 0], [0, 0]]",
+                                               id="int-past-float-range")])
 def test_map_non_finite_state_file(tmp_path, monkeypatch, capsys, amps):
-    """Amplitudes that are not finite: one error line, exit 2, no numpy
-    warning and no output file."""
+    """Amplitudes that are not finite, or an integer too large for a float:
+    one error line, exit 2, no numpy warning and no output file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(amps)
     with warnings.catch_warnings():

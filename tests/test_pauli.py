@@ -1,10 +1,9 @@
 # tests/test_pauli.py
-import re
 from itertools import permutations
 
 import numpy as np
 import pytest
-from oracles import collective_spin, su2_group_element, valid_triples
+from oracles import collective_spin, su2_group_element
 
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FactorizedPhase,
                     FieldContext, GraphPhase, PlainPhase, SqrtPhase,
@@ -164,18 +163,24 @@ def test_exponent_cache_follows_the_field_not_its_id():
 
 
 def test_phase_tables_are_shared_per_field_and_read_only():
-    """Equal conventions share one table on a field; custom sign maps, which
-    all carry one name, do not; a shared table cannot be written."""
+    """Equal conventions share one table on a field; a shared table cannot
+    be written."""
     ctx = field_context(3)
     tab = conv("perminv-f0").exponent_table(ctx)
     assert conv("perminv-f0").exponent_table(ctx) is tab
     with pytest.raises(ValueError):
         tab[1, 1] = 0
-    t1, t2 = [t for t in valid_triples(3) if t[0] and t[1]][:2]
-    a, b = SqrtPhase({t1: -1}), SqrtPhase({t2: -1})
-    assert a.name == b.name
-    assert not np.array_equal(a.exponent_table(ctx), b.exponent_table(ctx))
-    assert np.array_equal(a.exponent_table(ctx), sqrt_exponents_by_masks(ctx, {t1: -1}))
+
+
+def test_convention_names_round_trip_and_tell_tables_apart():
+    """Phase tables are cached on the convention's name: each name resolves
+    to a convention of that name, and no two names share a table.  At n = 6
+    every p gives its own table; at n = 3 all three coincide."""
+    ctx = field_context(6)
+    names = ALL_CONVENTIONS + tuple(f"tomographic-p{p}" for p in (2, 4, 8, 16, 32))
+    assert [conv(name).name for name in names] == list(names)
+    tables = {tuple(conv(name).exponent_table(ctx).ravel().tolist()) for name in names}
+    assert len(tables) == len(names)
 
 
 def test_phase_values_are_fourth_roots():
@@ -219,37 +224,11 @@ def test_factorized_variants_differ_by_sign():
     assert np.allclose(f1, f0 * (-1.0) ** n11)
 
 
-def test_sqrt_phase_signs_are_free():
-    ctx = field_context(2)
-    base = SqrtPhase().value_table(ctx)
-    flipped = SqrtPhase({(1, 1, 0): -1}).value_table(ctx)
-    # flipping one orbit sign changes exactly that orbit, and both stay hermitian
-    changed = np.argwhere(~np.isclose(base, flipped))
-    assert len(changed) > 0
-    for g, d in changed:
-        assert ctx.hweight_table[g] == 1 and ctx.hweight_table[d] == 1
-
-
-def test_sqrt_phase_rejects_keys_off_the_orbits():
-    ctx = field_context(2)
-    for key in ((1, 1, 1), (5, 1, 4)):
-        for sign in (-1, 1):
-            with pytest.raises(ConfigurationError, match=re.escape(str(key))):
-                SqrtPhase({key: sign}).exponent_table(ctx)
-
-
-def sqrt_exponents_by_masks(ctx, signs=None):
-    """Reference table: one boolean mask per flipped weight triple."""
-    hw = ctx.hweight_table
-    q = ctx.order
-    m = np.broadcast_to(hw[:, None], (q, q))
-    nn = np.broadcast_to(hw[None, :], (q, q))
-    kk = hw[ctx.xor_grid]
-    exps = ctx.trace_table[ctx.mul_table].copy()
-    for (wm, wn, wk), sgn in (signs or {}).items():
-        if sgn == -1:
-            exps = np.where((m == wm) & (nn == wn) & (kk == wk), exps + 2, exps)
-    return exps % 4
+def sqrt_exponents_by_coords(ctx):
+    """Reference table: tr(gamma delta) as the parity of the coordinate
+    products in the self-dual basis."""
+    coords = np.array([ctx.to_coords(x) for x in range(ctx.order)])
+    return (coords[:, None, :] & coords[None, :, :]).sum(axis=2) % 2
 
 
 def factorized_exponents_by_weights(ctx, f11):
@@ -261,13 +240,8 @@ def factorized_exponents_by_weights(ctx, f11):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_orbit_conventions_match_point_formulas(n):
     """The orbit-table conventions equal their per-point weight formulas."""
-    rng = np.random.default_rng(n)
     ctx = field_context(n)
-    free = [t for t in valid_triples(n) if t[0] and t[1]]
-    signs = {t: int(rng.choice([-1, 1])) for t in free}
-    assert np.array_equal(SqrtPhase().exponent_table(ctx), sqrt_exponents_by_masks(ctx))
-    assert np.array_equal(SqrtPhase(signs).exponent_table(ctx),
-                          sqrt_exponents_by_masks(ctx, signs))
+    assert np.array_equal(SqrtPhase().exponent_table(ctx), sqrt_exponents_by_coords(ctx))
     for f11 in (0, 1):
         assert np.array_equal(FactorizedPhase(f11).exponent_table(ctx),
                               factorized_exponents_by_weights(ctx, f11))

@@ -644,14 +644,14 @@ def test_search_three_qubits():
     assert len(rep.free_orbits) == 13
 
 
-def scalar_phase_search(ctx, max_examples):
+def scalar_phase_search(ctx):
     """The per-assignment loop the batched search replaces: build each
     sign assignment's exponent table and verify every slope's coefficients."""
     triples = valid_triples(ctx.n)
     free = [t for t in triples if t[0] >= 1 and t[1] >= 1]
     labels = orbit_positions(ctx)
     closed_form = TomographicPhase(1).exponent_table(ctx)
-    hits, hit_signs, found = 0, [], False
+    hits, found = 0, False
     for bits in range(1 << len(free)):
         sign_of = {t: (-1 if (bits >> i) & 1 else 1) for i, t in enumerate(free)}
         flipped = np.array([sign_of.get(t) == -1 for t in triples])[labels]
@@ -660,20 +660,15 @@ def scalar_phase_search(ctx, max_examples):
                for xi in range(1, ctx.order)):
             hits += 1
             found |= bool(np.array_equal(exps, closed_form))
-            if len(hit_signs) < max_examples:
-                hit_signs.append(sign_of)
     return PhaseSearchReport(n=ctx.n, free_orbits=free, assignments=1 << len(free),
-                             hits=hits, hit_signs=hit_signs,
-                             includes_closed_form_p1=found)
+                             hits=hits, includes_closed_form_p1=found)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_search_matches_scalar_loop(n):
-    """Whole report, with every hit's signs, in bit order."""
+    """Whole report: free orbits, counts and the closed-form flag."""
     ctx = field_context(n)
-    every = scalar_phase_search(ctx, max_examples=1 << 13)
-    assert search_invariant_phases(ctx, max_examples=1 << 13) == every
-    assert search_invariant_phases(ctx).hit_signs == every.hit_signs[:4]
+    assert search_invariant_phases(ctx) == scalar_phase_search(ctx)
 
 
 def test_search_cap():
