@@ -263,8 +263,9 @@ def convention_from_name(name: str) -> PhaseConvention:
         try:
             p = int(name.removeprefix("tomographic-p"))
         except ValueError:
-            raise ConfigurationError(f"unknown phase convention {name!r}") from None
-        return TomographicPhase(p)
+            p = None
+        if p is not None and name == f"tomographic-p{p}":     # not "p01", "p+4" or "p 1"
+            return TomographicPhase(p)
     if name == "perminv-sqrt":
         return SqrtPhase()
     if name in ("perminv-f0", "perminv-f1"):

@@ -6,7 +6,8 @@ Each suite returns a JSON-serializable report::
         {"name": ..., "passed": ..., "detail": ...}, ...]}
 
 The checks mirror the library's defining identities at desk scale; suites
-are deterministic for a fixed seed.
+are deterministic for a fixed seed.  A check that measures one number
+passes when it is below the check's tolerance, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ SUITE_NAMES = ("field", "pauli", "mub", "kernel", "tomographic",
 
 def _check(name, passed, detail=""):
     return {"name": name, "passed": bool(passed), "detail": str(detail)}
+
+
+def _measured(name, value, detail="", tol=TOL):
+    """The check that ``value < tol``, never met by a NaN; ``detail`` is
+    formatted with the value."""
+    return _check(name, value < tol, detail.format(value))
 
 
 def _dev(a, b) -> float:
@@ -67,11 +74,7 @@ def field_suite(n: int, seed: int = 0) -> dict:
         a = np.arange(q)
         assoc = np.array_equal(mt[mt[a][:, :, None], a[None, None, :]],
                                mt[a[:, None, None], mt[a][None, :, :]])
-        dist_dev = 0
-        for x in range(q):
-            dist_dev = max(dist_dev, int(np.max(
-                np.abs(mt[x, ctx.xor_grid] - (mt[x][:, None] ^ mt[x][None, :])))))
-        distrib = dist_dev == 0
+        distrib = np.array_equal(mt[:, ctx.xor_grid], mt[:, :, None] ^ mt[:, None, :])
         scope = "exhaustive"
     else:
         x, y, z = rng.integers(0, q, (2000, 3)).T
@@ -128,8 +131,8 @@ def pauli_suite(n: int, seed: int = 0) -> dict:
         unit_dev = max(unit_dev, _dev(z @ _dagger(z), eye), _dev(x @ _dagger(x), eye))
         chi = ctx.chi_table[ctx.mul_table[g, d]][:, None, None]
         comm_dev = max(comm_dev, _dev(z @ x, chi * (x @ z)))
-    checks.append(_check("Z_a, X_b unitary", unit_dev < TOL, scope))
-    checks.append(_check("Z_a X_b = chi(ab) X_b Z_a", comm_dev < TOL, scope))
+    checks.append(_measured("Z_a, X_b unitary", unit_dev, scope))
+    checks.append(_measured("Z_a X_b = chi(ab) X_b Z_a", comm_dev, scope))
 
     for name in CONVENTION_NAMES:
         conv = pauli.convention_from_name(name)
@@ -149,9 +152,9 @@ def pauli_suite(n: int, seed: int = 0) -> dict:
             d_dev = max(d_dev, _dev(dm @ _dagger(dm), eye))
             if conv.hermitian:
                 d_dev = max(d_dev, _dev(dm, _dagger(dm)))
-        checks.append(_check(f"{name}: displacements unitary"
-                             + (" and hermitian" if conv.hermitian else ""),
-                             d_dev < TOL, scope))
+        checks.append(_measured(f"{name}: displacements unitary"
+                                + (" and hermitian" if conv.hermitian else ""),
+                                d_dev, scope))
     return _report("pauli", n, checks)
 
 
@@ -184,15 +187,14 @@ def mub_suite(n: int, seed: int = 0) -> dict:
         sq_dev = max(sq_dev, _dev(v @ v, pauli.build_X(ctx, ctx.sqrt_table[slopes[part]])))
         x = pauli.build_X(ctx, nus[part])
         comm_dev = max(comm_dev, _dev(v @ x, x @ v))
-    checks.append(_check("V_xi^2 = X_sqrt(xi)", sq_dev < TOL, "p=1 family"))
-    checks.append(_check("[V_xi, X_nu] = 0", comm_dev < TOL, "one random nu per slope"))
+    checks.append(_measured("V_xi^2 = X_sqrt(xi)", sq_dev, "p=1 family"))
+    checks.append(_measured("[V_xi, X_nu] = 0", comm_dev, "one random nu per slope"))
 
     if n <= 3:
         bases = mubrot.mub_family(ctx, "p1").states.reshape(q + 1, q, q)
-        worst = max(_dev(mubrot.check_unbiased(ctx, sa, bases[i + 1:].reshape(-1, q)), 0)
-                    for i, sa in enumerate(bases[:-1]))
-        checks.append(_check("full family pairwise unbiased", worst < TOL,
-                             f"max | |<a|b>|^2 - 1/q | = {worst:.2e}"))
+        checks.append(_measured("full family pairwise unbiased", max(
+            _dev(mubrot.check_unbiased(ctx, sa, bases[i + 1:].reshape(-1, q)), 0)
+            for i, sa in enumerate(bases[:-1])), "max | |<a|b>|^2 - 1/q | = {:.2e}"))
     return _report("mub", n, checks)
 
 
@@ -208,10 +210,10 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
     for name in ("tomographic-p1", "perminv-f0"):
         conv = pauli.convention_from_name(name)
         k0 = kernels.build_kernel(ctx, 0, conv)
-        checks.append(_check(f"{name}: sum of kernels = 2^n I",
-                             k0.normalization_residual() < TOL, "s=0"))
-        checks.append(_check(f"{name}: kernels hermitian",
-                             k0.hermiticity_residual() < TOL, "s=0, all points"))
+        checks.append(_measured(f"{name}: sum of kernels = 2^n I",
+                                k0.normalization_residual(), "s=0"))
+        checks.append(_measured(f"{name}: kernels hermitian",
+                                k0.hermiticity_residual(), "s=0, all points"))
 
         cov_dev = 0.0
         ka, la, a, b = rng.integers(0, q, (50, 4)).T
@@ -220,12 +222,12 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
             lhs = dm @ k0.at(a[part], b[part]) @ _dagger(dm)
             moved = k0.at(a[part] ^ ka[part], b[part] ^ la[part])
             cov_dev = max(cov_dev, _dev(lhs, moved))
-        checks.append(_check(f"{name}: covariance", cov_dev < TOL, "50 random tuples"))
+        checks.append(_measured(f"{name}: covariance", cov_dev, "50 random tuples"))
 
         km = kernels.build_kernel(ctx, -1, conv, fid)
         kp = kernels.build_kernel(ctx, +1, conv, fid)
-        checks.append(_check(f"{name}: s=-1 kernels are coherent-state projectors",
-                             km.coherent_projector_residual() < TOL, "exhaustive"))
+        checks.append(_measured(f"{name}: s=-1 kernels are coherent-state projectors",
+                                km.coherent_projector_residual(), "exhaustive"))
 
         rt_dev = 0.0
         for fwd, dual in ((k0, k0), (km, kp), (kp, km)):
@@ -233,20 +235,17 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
                 ops = rng.hermitian(q, part.stop - part.start)
                 back = kernels.inverse_map(dual, kernels.forward_map(fwd, ops))
                 rt_dev = max(rt_dev, _dev(back, ops))
-        checks.append(_check(f"{name}: inverse(forward) = identity",
-                             rt_dev < TOL, f"max dev {rt_dev:.2e}, s in {{-1,0,1}}"))
+        checks.append(_measured(f"{name}: inverse(forward) = identity", rt_dev,
+                                "max dev {:.2e}, s in {{-1,0,1}}"))
 
         pref, rep = kernels.convolution_prefactor(kp, km)
-        checks.append(_check(
-            f"{name}: overlap diagonal",
-            rep.max_offdiag < TOL,
-            f"fitted constant {rep.constant.real:.6g}"))
+        checks.append(_measured(f"{name}: overlap diagonal", rep.max_offdiag,
+                                f"fitted constant {rep.constant.real:.6g}"))
         f, g = rng.hermitian(q, 2)
         tc = kernels.trace_convolution(kernels.forward_map(kp, f),
                                        kernels.forward_map(km, g), pref)
-        checks.append(_check(f"{name}: trace convolution matches Tr(fg)",
-                             abs(tc - np.trace(f @ g)) < 1e-8,
-                             f"dev {abs(tc - np.trace(f @ g)):.2e}"))
+        checks.append(_measured(f"{name}: trace convolution matches Tr(fg)",
+                                abs(tc - np.trace(f @ g)), "dev {:.2e}", 1e-8))
     return _report("kernel", n, checks)
 
 
@@ -266,8 +265,8 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
         psi = rng.pure(q)
         rho = np.outer(psi, psi.conj())
         worst = max(worst, _dev(kernels.tomographic_check(k0, rho, family).deviation, 0))
-    checks.append(_check("line sums = Born probabilities", worst < TOL,
-                         f"10 random pure states, all lines, max dev {worst:.2e}"))
+    checks.append(_measured("line sums = Born probabilities", worst,
+                            "10 random pure states, all lines, max dev {:.2e}"))
 
     line_dev = 0.0
     # every line, or those of slopes 0 and 1 and of the vertical pencil
@@ -279,18 +278,17 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
         expect = np.zeros((len(psi), q * q))
         np.put_along_axis(expect, points[part], 1.0, axis=1)
         line_dev = max(line_dev, _dev(w, expect.reshape(-1, q, q)))
-    checks.append(_check("line-state symbols are delta lines", line_dev < TOL,
-                         f"slopes checked: {len(rows) // q}"))
+    checks.append(_measured("line-state symbols are delta lines", line_dev,
+                            f"slopes checked: {len(rows) // q}"))
 
     if n <= 3:
         wk = kernels.wootters_kernel(ctx, family).reshape(q * q, q, q)
         a, b = np.divmod(np.arange(q * q), q)
-        dev = max(float(np.max(np.abs(wk[part] - k0.at(a[part], b[part]))))
-                  for part in _chunks(ctx, q * q))
-        checks.append(_check("line-projector kernel equals character-sum kernel",
-                             dev < TOL, f"max entry dev {dev:.2e}"))
-        tr_ok = bool(np.all(np.abs(np.trace(wk, axis1=1, axis2=2) - 1) < TOL))
-        checks.append(_check("Tr of every kernel = 1", tr_ok, ""))
+        dev = max(_dev(wk[part], k0.at(a[part], b[part])) for part in _chunks(ctx, q * q))
+        checks.append(_measured("line-projector kernel equals character-sum kernel",
+                                dev, "max entry dev {:.2e}"))
+        checks.append(_measured("Tr of every kernel = 1",
+                                _dev(np.trace(wk, axis1=1, axis2=2), 1)))
     return _report("tomographic", n, checks)
 
 
@@ -328,16 +326,16 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
     checks.append(_check("symmetric-operator symbols constant on orbits",
                          dep_ok, f"all {count} orbit sums"))
     if n <= 3:
-        checks.append(_check("orbit-sum symbols match dense symmetrization",
-                             dense_dev < TOL, f"max dev {dense_dev:.2e}"))
+        checks.append(_measured("orbit-sum symbols match dense symmetrization",
+                                dense_dev, "max dev {:.2e}"))
 
     # the projected convolution of every pair: pref K^T diag(1/R) K = Tr(P_o P_o')
     pref, _rep = kernels.convolution_prefactor(k0, k0)
     proj = symproj.ProjectedFunction(n=n, s=0, convention=conv.name, values=np.hstack(cols),
                                      convention_invariant=k0.convention_invariant)
     gram_dev = _dev(symproj.symmetric_average(proj, proj, pref), symproj.orbit_sum_traces(ctx))
-    checks.append(_check("projected convolution reproduces Tr(rho S)",
-                         gram_dev < TOL, f"max dev {gram_dev:.2e} over all orbit-sum pairs"))
+    checks.append(_measured("projected convolution reproduces Tr(rho S)", gram_dev,
+                            "max dev {:.2e} over all orbit-sum pairs"))
     # |q R_o chi| >= q, so an error below q / count keeps the Gram matrix, and K, nonsingular
     full = count * gram_dev < q and count == math.comb(n + 3, 3)
     checks.append(_check("projection is lossless", full,
@@ -346,9 +344,8 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
     psi = rng.pure(q)
     w = kernels.forward_map(k0, np.outer(psi, psi.conj()))
     proj = symproj.project(ctx, w)
-    mass = abs(proj.total() - w.total())
-    checks.append(_check("projection preserves total mass", mass < 1e-12,
-                         f"dev {mass:.2e}"))
+    checks.append(_measured("projection preserves total mass",
+                            abs(proj.total() - w.total()), "dev {:.2e}", 1e-12))
     return _report("symmetric", n, checks)
 
 

@@ -167,6 +167,7 @@ def check_kernel_invariance(kernel: KernelSet) -> InvarianceReport:
         perm = ctx.element_of_index[ctx.coords_table[:, slots] @ weights]
         swapped = np.ix_(perm, perm)
         dev = coefficient_residual(ctx, kernel._wphi[swapped] - kernel._wphi)
+        dev = np.inf if np.isnan(dev) else dev      # a NaN counts as infinitely far
         if dev > worst:
             worst = dev
             if dev > 1e-12:

@@ -420,9 +420,14 @@ def test_config_accepts_json_numbers_and_nulls(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "c.grid.json").read_text())["config"]["s"] == -1.0
 
 
-@pytest.mark.parametrize("name", ["tomographic-px", "tomographic-p"])
+@pytest.mark.parametrize("name", [
+    "tomographic-px", "tomographic-p", "tomographic-p 01", "tomographic-p+4",
+    "tomographic-p0_1", "tomographic-p01", "tomographic-p1 ", "tomographic-p\u0661",
+    pytest.param("tomographic-p" + "1" * 5000, id="tomographic-p with 5000 digits")])
 def test_malformed_convention_name_is_one_error_line(tmp_path, monkeypatch, capsys,
                                                      name):
+    """Only a convention's own name selects it: int() reads all but the
+    first two as a power of two (and refuses 5,000 digits)."""
     monkeypatch.chdir(tmp_path)
     assert run("map", "--n", "2", "--conv", name) == 2
     (tmp_path / "cfg.json").write_text(json.dumps({"conv": name}))

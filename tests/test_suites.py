@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from dpsmap import ConfigurationError, SUITE_NAMES, run_suite
+from dpsmap import (SUITE_NAMES, ConfigurationError, KernelSet, ProjectedFunction,
+                    kernels, mubrot, pauli, run_suite, symproj)
 from dpsmap.sampling import Sampler
 
 
@@ -329,3 +330,117 @@ def test_mub_family_unbiasedness_fails_on_nan_overlaps(monkeypatch):
     check = _check_named(run_suite("mub", 2), "full family pairwise unbiased")
     assert not check["passed"]
     assert check["detail"].endswith("= inf")
+
+
+# every check of one measured value passes only below its tolerance
+
+def test_measured_check_fails_on_nan_inf_and_at_the_tolerance():
+    from dpsmap.suites import TOL, _measured
+    assert _measured("x", 0.5 * TOL, "dev {:.2e}") == {
+        "name": "x", "passed": True, "detail": "dev 5.00e-11"}
+    for value in (np.nan, np.float64(np.nan), np.inf, TOL):
+        assert not _measured("x", value)["passed"], value
+    assert not _measured("x", 1e-8, tol=1e-8)["passed"]
+    assert _measured("x", 2e-9, tol=1e-8)["passed"]
+    assert _measured("x", 1.0, "s in {{-1,0,1}}")["detail"] == "s in {-1,0,1}"
+
+
+def _times_nan(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * np.nan
+
+
+def _nan_grids(fn):
+    def nan_grids(*args, **kwargs):
+        psf = fn(*args, **kwargs)
+        psf.grid = psf.grid * np.nan
+        return psf
+    return nan_grids
+
+
+def _nan_line_sum(fn):
+    def nan_line_sum(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        result.lhs = complex("nan")
+        return result
+    return nan_line_sum
+
+
+def _nan_offdiag(fn):
+    def nan_offdiag(*args, **kwargs):
+        pref, report = fn(*args, **kwargs)
+        report.max_offdiag = np.nan
+        return pref, report
+    return nan_offdiag
+
+
+# (suite, part of the check's name, owner, attribute, patch): the patch turns
+# the value the check measures into NaN at its source
+NAN_SOURCES = [
+    ("pauli", "Z_a, X_b unitary", pauli, "build_Z", _times_nan),
+    ("pauli", "Z_a X_b = chi(ab) X_b Z_a", pauli, "build_Z", _times_nan),
+    ("pauli", ": displacements unitary", pauli, "displacement", _times_nan),
+    ("mub", "V_xi^2 = X_sqrt(xi)", mubrot, "build_V", _times_nan),
+    ("mub", "[V_xi, X_nu] = 0", mubrot, "build_V", _times_nan),
+    ("mub", "full family pairwise unbiased", mubrot, "check_unbiased", _times_nan),
+    ("kernel", ": sum of kernels = 2^n I", KernelSet, "normalization_residual",
+     _times_nan),
+    ("kernel", ": kernels hermitian", KernelSet, "hermiticity_residual", _times_nan),
+    ("kernel", ": covariance", KernelSet, "at", _times_nan),
+    ("kernel", ": s=-1 kernels are coherent-state projectors", KernelSet,
+     "coherent_projector_residual", _times_nan),
+    ("kernel", ": inverse(forward) = identity", kernels, "inverse_map", _times_nan),
+    ("kernel", ": overlap diagonal", kernels, "convolution_prefactor", _nan_offdiag),
+    ("kernel", ": trace convolution matches Tr(fg)", kernels, "trace_convolution",
+     _times_nan),
+    ("tomographic", "line sums = Born probabilities", kernels, "tomographic_check",
+     _nan_line_sum),
+    ("tomographic", "line-state symbols are delta lines", kernels, "forward_map",
+     _nan_grids),
+    ("tomographic", "line-projector kernel equals character-sum kernel", kernels,
+     "wootters_kernel", _times_nan),
+    ("tomographic", "Tr of every kernel = 1", kernels, "wootters_kernel", _times_nan),
+    ("symmetric", "orbit-sum symbols match dense symmetrization", pauli, "symmetrize",
+     _times_nan),
+    ("symmetric", "projected convolution reproduces Tr(rho S)", symproj,
+     "symmetric_average", _times_nan),
+    ("symmetric", "projection preserves total mass", ProjectedFunction, "total",
+     _times_nan),
+]
+
+
+@pytest.mark.parametrize("suite, part, owner, attr, patch", NAN_SOURCES,
+                         ids=[case[1] for case in NAN_SOURCES])
+def test_a_nan_measured_value_fails_its_check(monkeypatch, suite, part, owner, attr,
+                                              patch):
+    monkeypatch.setattr(owner, attr, patch(getattr(owner, attr)))
+    checks = [c for c in run_suite(suite, 3)["checks"] if part in c["name"]]
+    assert checks and not any(c["passed"] for c in checks), checks
+
+
+def test_every_measured_check_has_a_nan_case(monkeypatch):
+    """The cases above name exactly the checks built from a measured value."""
+    from dpsmap import suites
+    measured = []
+    make = suites._measured
+    monkeypatch.setattr(suites, "_measured", lambda name, *args, **kwargs:
+                        measured.append(name) or make(name, *args, **kwargs))
+    for n in (3, 4):
+        run_suite("all", n)
+    parts = {case[1] for case in NAN_SOURCES}
+    assert [name for name in measured if not any(p in name for p in parts)] == []
+    assert [p for p in parts if not any(p in name for name in measured)] == []
+
+
+def test_symmetric_suite_fails_a_kernel_with_a_nan_coefficient(monkeypatch):
+    build_kernel = kernels.build_kernel
+
+    def nan_coefficient(*args):
+        kernel = build_kernel(*args)
+        kernel._wphi = kernel._wphi.copy()
+        kernel._wphi[1, 2] = np.nan
+        return kernel
+
+    monkeypatch.setattr(kernels, "build_kernel", nan_coefficient)
+    check = _check_named(run_suite("symmetric", 3), "invariant-convention kernel")
+    assert check == {"name": "invariant-convention kernel commutes with swaps",
+                     "passed": False, "detail": "max dev inf over 3 transpositions"}

@@ -431,6 +431,16 @@ def test_perminv_kernel_invariance_exact():
         assert rep.transpositions == n * (n - 1) // 2
 
 
+def test_invariance_check_counts_a_nan_coefficient_as_infinitely_far():
+    kern = build_kernel(field_context(3), 0.0, PERMINV)
+    kern._wphi = kern._wphi.copy()
+    kern._wphi[1, 2] = np.nan
+    rep = check_kernel_invariance(kern)
+    assert not rep.invariant
+    assert rep.max_deviation == np.inf
+    assert rep.witness == (1, 2, 0, 0)      # the first transposition already sees it
+
+
 def test_tomographic_kernel_not_invariant():
     ctx = field_context(3)
     rep = check_kernel_invariance(build_kernel(ctx, 0.0, TOMO))
