@@ -7,8 +7,8 @@ line-sum (tomographic) machinery, and projections onto the symmetric
 (m, n, k) measurement space — including the constructive witness that the
 tomographic condition and permutation invariance are incompatible.
 
-Every matrix dpsmap multiplies is at most 64 x 64, where BLAS threads only
-add wake-up latency.  So when numpy is not imported yet and none of
+Every matrix dpsmap multiplies is at most 64 x 64, a stack of them one
+product per slice, where BLAS threads only add wake-up latency.  So when numpy is not imported yet and none of
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set, importing
 dpsmap sets all three to 1; a process that set one of them, or imported
 numpy first, keeps its own BLAS threads.

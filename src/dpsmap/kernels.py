@@ -342,7 +342,8 @@ def tomographic_check(kernel: KernelSet, rho: np.ndarray,
         lhs += column
     lhs /= ctx.order
     states = family.states
-    rhs = np.sum((states.conj() @ rho) * states, axis=1)
+    pencils = states.reshape(-1, ctx.order, ctx.order)      # q x q products, one per pencil
+    rhs = np.sum((pencils.conj() @ rho).reshape(states.shape) * states, axis=1)
     worst = int(np.argmax(np.abs(lhs - rhs)))
     return TomographicCheckResult(line_at(ctx, worst), complex(lhs[worst]),
                                   complex(rhs[worst]))

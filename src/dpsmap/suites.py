@@ -5,9 +5,10 @@ Each suite returns a JSON-serializable report::
     {"suite": name, "n": n, "passed": bool, "checks": [
         {"name": ..., "passed": ..., "detail": ...}, ...]}
 
-The checks mirror the library's defining identities at desk scale; suites
-are deterministic for a fixed seed.  A check that measures one number
-passes when it is below the check's tolerance, so a NaN fails it.
+The field and pauli suites check every input through the generators 2^i,
+as the product is bilinear and Z, X represent (GF(2^n), +); the others
+check seeded samples.  A check that measures one number passes when it is
+below the check's tolerance, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -65,41 +66,36 @@ def _report(suite, n, checks):
 
 def field_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = Sampler(seed)
     q = ctx.order
     checks = []
 
+    # x(y + z) = xy + xz iff column y = column y - t xor column t (y = t zeroes
+    # column 0); a commuting bilinear product is associative if it is on the basis
     mt = ctx.mul_table
-    if n <= 4:
-        a = np.arange(q)
-        assoc = np.array_equal(mt[mt[a][:, :, None], a[None, None, :]],
-                               mt[a[:, None, None], mt[a][None, :, :]])
-        distrib = np.array_equal(mt[:, ctx.xor_grid], mt[:, :, None] ^ mt[:, None, :])
-        scope = "exhaustive"
-    else:
-        x, y, z = rng.integers(0, q, (2000, 3)).T
-        assoc = np.array_equal(mt[mt[x, y], z], mt[x, mt[y, z]])
-        distrib = np.array_equal(mt[x, y ^ z], mt[x, y] ^ mt[x, z])
-        scope = "sampled 2000 triples"
-    checks.append(_check("multiplication associative", assoc, scope))
-    checks.append(_check("multiplication distributes over xor", distrib, scope))
-    checks.append(_check("commutativity", np.array_equal(mt, mt.T), "table symmetry"))
+    powers = [1 << i for i in range(n)]
+    linear = all((mt[:, t:2 * t] == mt[:, :t] ^ mt[:, t, None]).all() for t in powers)
+    rows = mt[powers]
+    basis = rows[:, powers]
+    assoc = (mt[basis[..., None], powers] == rows[:, basis]).all()
+    checks.append(_check("multiplication associative", assoc, f"the {n ** 3} basis triples"))
+    checks.append(_check("multiplication distributes over xor", linear,
+                         "xy = x(y - t) + xt for all x, y; t the highest bit of y"))
+    checks.append(_check("commutativity", (mt == mt.T).all(), "table symmetry"))
+    checks.append(_check("1 is the multiplicative identity", (mt[1] == np.arange(q)).all(),
+                         "1x = x for every x"))
     units = np.arange(1, q)
-    inv_ok = np.all(mt[units, ctx.inv_table[units]] == 1)
+    inv_ok = (mt[units, ctx.inv_table[units]] == 1).all()
     checks.append(_check("multiplicative inverses", inv_ok, "all nonzero elements"))
 
     tr = ctx.trace_table
-    lin = np.array_equal(tr[ctx.xor_grid], (tr[:, None] + tr[None, :]) % 2)
-    checks.append(_check("trace additive", lin, "exhaustive pair table"))
-    frob = np.array_equal(tr, tr[np.diagonal(mt)])
+    lin = all((tr[t:2 * t] == tr[:t] ^ tr[t]).all() for t in powers)
+    checks.append(_check("trace additive", lin, "tr(y) = tr(y - t) + tr(t) for every y"))
+    frob = (tr == tr[np.diagonal(mt)]).all()
     checks.append(_check("tr(x) = tr(x^2)", frob, "exhaustive"))
 
-    gram = ctx.gram_matrix()
-    checks.append(_check("self-dual Gram matrix = I",
-                         np.array_equal(gram, np.eye(n, dtype=gram.dtype)),
+    checks.append(_check("self-dual Gram matrix = I", (ctx.gram_matrix() == np.eye(n)).all(),
                          f"basis {ctx.selfdual_basis}"))
-    unit_coords = ctx.to_coords(1) == (1,) * n
-    checks.append(_check("field unit has all-ones coordinates", unit_coords,
+    checks.append(_check("field unit has all-ones coordinates", ctx.to_coords(1) == (1,) * n,
                          "tr(theta_i) = 1 for every self-dual element"))
     return _report("field", n, checks)
 
@@ -112,49 +108,51 @@ CONVENTION_NAMES = ("tomographic-p1", "perminv-sqrt", "perminv-f0",
 
 def pauli_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = Sampler(seed)
     q = ctx.order
     checks = []
-
-    pairs = ([(g, d) for g in range(q) for d in range(q)] if n <= 3
-             else [tuple(int(x) for x in p)
-                   for p in rng.integers(0, q, (50, 2))])
-    scope = "all 4^n pairs" if n <= 3 else "sampled 50 pairs"
-
-    unit_dev = comm_dev = 0.0
     eye = np.eye(q)
-    sample = pairs if n <= 3 else pairs[:20]
-    gs, ds = np.array(sample).T
-    for part in _chunks(ctx, len(sample)):
+    gens = 1 << np.arange(n)
+
+    # at a = t, Z_a = Z_(a-t) Z_t makes Z_0 = I
+    a, top = np.arange(1, q), np.repeat(gens, gens)
+    hom_dev = 0.0
+    for part in _chunks(ctx, q - 1):
+        for build in (pauli.build_Z, pauli.build_X):
+            ops = build(ctx, a[part] ^ top[part]) @ build(ctx, top[part])
+            hom_dev = max(hom_dev, _dev(build(ctx, a[part]), ops))
+    checks.append(_measured("Z_a = Z_(a-t) Z_t and X_a = X_(a-t) X_t", hom_dev,
+                            "every a, t its highest bit"))
+
+    # chi(ab) is bimultiplicative, so the generator pairs give every pair (a, b)
+    unit_dev = comm_dev = 0.0
+    gs, ds = gens[np.indices((n, n)).reshape(2, -1)]
+    for part in _chunks(ctx, n * n):
         g, d = gs[part], ds[part]
         z, x = pauli.build_Z(ctx, g), pauli.build_X(ctx, d)
         unit_dev = max(unit_dev, _dev(z @ _dagger(z), eye), _dev(x @ _dagger(x), eye))
         chi = ctx.chi_table[ctx.mul_table[g, d]][:, None, None]
         comm_dev = max(comm_dev, _dev(z @ x, chi * (x @ z)))
+    scope = f"the {n * n} generator pairs (2^i, 2^j)"
     checks.append(_measured("Z_a, X_b unitary", unit_dev, scope))
     checks.append(_measured("Z_a X_b = chi(ab) X_b Z_a", comm_dev, scope))
 
     for name in CONVENTION_NAMES:
         conv = pauli.convention_from_name(name)
         exps = conv.exponent_table(ctx)
-        vals = pauli.I4[exps]
-        boundary = np.all(exps[0, :] == 0) and np.all(exps[:, 0] == 0)
-        checks.append(_check(f"{name}: phi = 1 on axes", boundary, ""))
-        herm_pointwise = _dev(vals * vals, ctx.char_matrix_c) < TOL
-        checks.append(_check(
-            f"{name}: hermitian flag matches phi^2 = chi(gd)",
-            herm_pointwise == conv.hermitian,
-            f"flag={conv.hermitian}"))
+        checks.append(_check(f"{name}: phi = 1 on axes", not (exps[0].any() or exps[:, 0].any())))
+        herm_pointwise = _dev(pauli.I4[exps] ** 2, ctx.char_matrix_c) < TOL
+        checks.append(_check(f"{name}: hermitian flag matches phi^2 = chi(gd)",
+                             herm_pointwise == conv.hermitian, f"flag={conv.hermitian}"))
         d_dev = 0.0
-        gs, ds = np.array((pairs if n <= 2 else sample)[:40]).T
-        for part in _chunks(ctx, len(gs)):
-            dm = pauli.displacement(ctx, conv, gs[part], ds[part])
+        for part in _chunks(ctx, n):
+            dm = pauli.displacement(ctx, conv, gens[part], gens[part])
             d_dev = max(d_dev, _dev(dm @ _dagger(dm), eye))
             if conv.hermitian:
                 d_dev = max(d_dev, _dev(dm, _dagger(dm)))
         checks.append(_measured(f"{name}: displacements unitary"
-                                + (" and hermitian" if conv.hermitian else ""),
-                                d_dev, scope))
+                                + (" and hermitian" if conv.hermitian else ""), d_dev,
+                                "pairs (2^i, 2^i); every other pair follows from "
+                                "|phi| = 1 and the pointwise phi^2 = chi(gd) check"))
     return _report("pauli", n, checks)
 
 

@@ -17,6 +17,10 @@ here rather than in the package:
   ``kernels.wootters_kernel``;
 * schoolbook carry-less multiplication, and the product table built from
   it one bit of b at a time, the oracles of the field tables;
+* the field and pauli suites' checks over every input at small n: the
+  product's associativity and distributivity over all q^3 triples, and
+  unitarity and Z_a X_b = chi(ab) X_b Z_a over all 4^n dense pairs, the
+  oracles of the checks that go through the generators;
 * the per-key comparison of two projections, the oracle of
   ``serialize.diff_projected``;
 * the per-value ``complex(re, im)`` reading of a symbol record's grid,
@@ -38,7 +42,7 @@ import numpy as np
 from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
                     DiffReport, PhaseSpaceFunction, ProjectedFunction, cli,
                     convention_from_name, dual_basis_matrix, logical_state,
-                    suites)
+                    pauli, suites)
 from dpsmap._version import __version__
 from dpsmap.mubrot import SCHEMES, recurrence_holds
 from dpsmap.pauli import I4, require_operator_n
@@ -77,6 +81,32 @@ def mul_table_by_bits(n: int, poly: int) -> np.ndarray:
     for j in range(2 * n - 2, n - 1, -1):
         prod ^= np.where((prod >> j) & 1 == 1, poly << (j - n), 0)
     return prod
+
+
+def field_axioms_by_triples(ctx: FieldContext) -> dict:
+    """check name -> verdict over every triple (x, y, z) of ``ctx.mul_table``:
+    (xy)z = x(yz), and x(y + z) = xy + xz."""
+    mt = ctx.mul_table
+    a = np.arange(ctx.order)
+    return {"multiplication associative": np.array_equal(
+                mt[mt[a][:, :, None], a[None, None, :]], mt[a[:, None, None], mt[a][None, :, :]]),
+            "multiplication distributes over xor": np.array_equal(
+                mt[:, ctx.xor_grid], mt[:, :, None] ^ mt[:, None, :])}
+
+
+def pauli_relations_by_pairs(ctx: FieldContext) -> dict:
+    """check name -> verdict over every pair (a, b), on the dense operators of
+    ``pauli.build_Z`` and ``pauli.build_X``: Z_a and X_b unitary, and
+    Z_a X_b = chi(ab) X_b Z_a, each to within ``suites.TOL``."""
+    q = ctx.order
+    eye = np.eye(q)
+    g, d = np.divmod(np.arange(q * q), q)
+    z, x = pauli.build_Z(ctx, g), pauli.build_X(ctx, d)
+    unit = max(np.abs(ops @ ops.conj().swapaxes(1, 2) - eye).max() for ops in (z, x))
+    chi = ctx.chi_table[ctx.mul_table[g, d]][:, None, None]
+    comm = np.abs(z @ x - chi * (x @ z)).max()
+    return {"Z_a, X_b unitary": bool(unit < suites.TOL),
+            "Z_a X_b = chi(ab) X_b Z_a": bool(comm < suites.TOL)}
 
 
 # ----------------------------------------------------------------------

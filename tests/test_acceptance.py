@@ -53,13 +53,14 @@ def test_criterion_01_field_suite():
     for n in range(1, 9):
         report = run_suite("field", n)
         ok &= report["passed"]
-        details = " ".join(c["detail"] for c in report["checks"])
-        if n <= 4:
-            ok &= "exhaustive" in details
-        else:
-            ok &= "sampled" in details
+        details = {c["name"]: c["detail"] for c in report["checks"]}
+        # complete at every n: the axioms on the n^3 basis triples and the
+        # linear columns, nothing drawn from the seed
+        ok &= details["multiplication associative"] == f"the {n ** 3} basis triples"
+        ok &= not any("sampled" in detail for detail in details.values())
+        ok &= run_suite("field", n, seed=1) == report
     _verdict(1, "field axioms, trace identities, self-dual Gram", ok,
-             "n=1..4 exhaustive, n=5..8 sampled")
+             "n=1..8 complete through the basis")
 
 
 def test_criterion_02_displacement_suite():

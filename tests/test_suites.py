@@ -1,6 +1,7 @@
 # tests/test_suites.py
 import numpy as np
 import pytest
+from oracles import field_axioms_by_triples, pauli_relations_by_pairs
 
 from dpsmap import (SUITE_NAMES, ConfigurationError, KernelSet, ProjectedFunction,
                     kernels, mubrot, pauli, run_suite, symproj)
@@ -117,9 +118,9 @@ def _last_chunk_only(samples, fault):
 
 def test_pauli_suite_catches_nan_in_the_last_chunk_only(monkeypatch):
     from dpsmap import pauli
-    pairs = [tuple(p) for p in Sampler(0).integers(0, 32, (50, 2)).tolist()]
-    fault = pairs[19]                       # the last of the 20 displacement samples
-    _last_chunk_only(pairs[:20], fault)
+    pairs = [(1 << i, 1 << i) for i in range(5)]     # the displacement pairs at n = 5
+    fault = pairs[-1]
+    _last_chunk_only(pairs, fault)
     displacement = pauli.displacement
 
     def nan_at_last_pair(ctx, conv, g, d):
@@ -153,32 +154,193 @@ def test_kernel_suite_catches_a_broken_tuple_in_the_last_chunk_only(monkeypatch)
     assert not report["passed"]
 
 
-@pytest.mark.parametrize("n", range(5, 9))
-def test_sampled_field_check_matches_scalar_loop(monkeypatch, n):
+# the field and pauli suites check every input through the generators; the
+# exhaustive checks they replaced are the oracles at small n
+
+AXIOMS = ("multiplication associative", "multiplication distributes over xor",
+          "commutativity")
+
+
+def _own_field(monkeypatch, n):
+    """A new context for ``n``, the one the suites then read."""
     from dpsmap import gf2n
-    flagged = 0
-    for corrupt in (0, 1, 40, 4000):
-        ctx = gf2n.FieldContext(n)
-        q = ctx.order
-        rng = np.random.default_rng(corrupt)
-        mt = ctx.mul_table.copy()
-        a, b = rng.integers(0, q, size=(2, corrupt))
-        mt[a, b] ^= rng.integers(1, q, size=corrupt).astype(mt.dtype)
-        ctx.mul_table = mt
-        monkeypatch.setattr(gf2n, "field_context", lambda n, poly=None: ctx)
-        report = run_suite("field", n, seed=3)
-        trips = Sampler(3).integers(0, q, (2000, 3))
-        assoc = all(ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
-                    for x, y, z in trips)
-        distrib = all(ctx.mul(x, y ^ z) == (ctx.mul(x, y) ^ ctx.mul(x, z))
-                      for x, y, z in trips)
-        for name, want in (("multiplication associative", assoc),
-                           ("multiplication distributes over xor", distrib)):
-            check = _check_named(report, name)
-            assert check["passed"] == want
-            assert check["detail"] == "sampled 2000 triples"
-            flagged += not want
-    assert flagged >= 4
+    ctx = gf2n.FieldContext(n)
+    monkeypatch.setattr(gf2n, "field_context", lambda n: ctx)
+    return ctx
+
+
+def _field_verdicts(ctx, mt):
+    """check name -> the field suite's verdict on ``ctx`` with its product
+    table replaced by ``mt``."""
+    ctx.mul_table = mt
+    return {c["name"]: c["passed"] for c in run_suite("field", ctx.n)["checks"]}
+
+
+def _field_oracle(ctx):
+    oracle = field_axioms_by_triples(ctx)
+    oracle["commutativity"] = bool(np.array_equal(ctx.mul_table, ctx.mul_table.T))
+    return oracle
+
+
+def _flipped(mt, x, y, value):
+    out = mt.copy()
+    out[x, y] = value
+    return out
+
+
+def _assert_axioms_match(verdicts, oracle):
+    # x(y + z) = xy + xz is the same identity either way; associativity on the
+    # basis is all of it once the product is bilinear, that is distributive
+    # and commutative
+    distrib = "multiplication distributes over xor"
+    assert verdicts[distrib] == oracle[distrib]
+    assert all(verdicts[name] for name in AXIOMS) == all(oracle[name] for name in AXIOMS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_field_verdicts_match_the_exhaustive_oracles(monkeypatch, n):
+    ctx = _own_field(monkeypatch, n)
+    intact = ctx.mul_table
+    q = ctx.order
+    assert all(_field_verdicts(ctx, intact).values())
+    assert all(_field_oracle(ctx).values())
+    if n <= 3:
+        flips = [(x, y, v) for x in range(q) for y in range(q) for v in range(q)
+                 if v != intact[x, y]]
+    else:
+        flips = [(x, y, v) for x, y, v in np.random.default_rng(n).integers(0, q, (64, 3))
+                 if v != intact[x, y]]
+    for x, y, value in flips:
+        verdicts = _field_verdicts(ctx, _flipped(intact, x, y, value))
+        _assert_axioms_match(verdicts, _field_oracle(ctx))
+
+
+def test_field_flip_to_the_zero_product_at_n1_fails_the_unit_checks(monkeypatch):
+    """At n = 1 the only flip that keeps the table commutative and column 0
+    zero makes 1 * 1 = 0: the zero product is bilinear and associative, so
+    the axioms pass with their oracles, and only the checks that read the
+    product of the unit fail."""
+    ctx = _own_field(monkeypatch, 1)
+    verdicts = _field_verdicts(ctx, _flipped(ctx.mul_table, 1, 1, 0))
+    assert all(_field_oracle(ctx).values())
+    assert [name for name, ok in verdicts.items() if not ok] == [
+        "1 is the multiplicative identity", "multiplicative inverses", "tr(x) = tr(x^2)",
+        "self-dual Gram matrix = I"]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_field_suite_fails_a_flipped_entry(monkeypatch, n):
+    """Above n = 1 a flipped entry leaves some row nonlinear, so the
+    distributivity check fails on every flip."""
+    ctx = _own_field(monkeypatch, n)
+    intact = ctx.mul_table
+    rng = np.random.default_rng(100 + n)
+    xs, ys = rng.integers(0, ctx.order, (2, 20))
+    for x, y, step in zip(xs, ys, rng.integers(1, ctx.order, 20)):
+        verdicts = _field_verdicts(ctx, _flipped(intact, x, y, intact[x, y] ^ step))
+        assert not verdicts["multiplication distributes over xor"], (x, y, step)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trace_check_fails_a_flipped_trace(monkeypatch, n):
+    """A linear map to GF(2) changed at one point is not linear once there
+    are two nonzero points."""
+    ctx = _own_field(monkeypatch, n)
+    intact = ctx.trace_table
+    for y in np.random.default_rng(200 + n).integers(0, ctx.order, 8):
+        ctx.trace_table = intact.copy()
+        ctx.trace_table[y] ^= 1
+        assert not _check_named(run_suite("field", n), "trace additive")["passed"], y
+
+
+def _bilinear_table(products):
+    """The table of the bilinear product whose basis products 2^i * 2^j are
+    ``products[i, j]``, built by doubling in each argument."""
+    n = len(products)
+    cols = np.zeros((n, 1 << n), dtype=np.int64)
+    for j in range(n):
+        cols[:, 1 << j:2 << j] = cols[:, :1 << j] ^ products[:, j, None]
+    table = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    for i in range(n):
+        table[1 << i:2 << i] = table[:1 << i] ^ cols[i]
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_only_the_basis_triples_see_a_bilinear_nonassociative_product(monkeypatch, n):
+    ctx = _own_field(monkeypatch, n)
+    powers = 1 << np.arange(n)
+    products = ctx.mul_table[np.ix_(powers, powers)].copy()
+    assert np.array_equal(_bilinear_table(products), ctx.mul_table)
+    products[0, 0] ^= 1                     # 1 * 1 = 1 + 1 = 0
+    verdicts = _field_verdicts(ctx, _bilinear_table(products))
+    assert not verdicts["multiplication associative"]
+    assert verdicts["multiplication distributes over xor"] and verdicts["commutativity"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_identity_check_fails_a_scaled_product(monkeypatch, n):
+    """x * y = cxy with c != 1 is commutative, associative and bilinear;
+    only its unit is wrong."""
+    ctx = _own_field(monkeypatch, n)
+    verdicts = _field_verdicts(ctx, ctx.mul_table[2][ctx.mul_table])
+    assert all(verdicts[name] for name in AXIOMS)
+    assert not verdicts["1 is the multiplicative identity"]
+
+
+def _wrong_sign(build_Z, t):
+    """``build_Z`` with the first diagonal entry of Z_t negated."""
+    def wrong_sign(ctx, alpha):
+        ops = build_Z(ctx, alpha)
+        ops[np.asarray(alpha) == t, 0, 0] *= -1
+        return ops
+    return wrong_sign
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_verdicts_match_the_all_pairs_oracle(monkeypatch, n):
+    from dpsmap import field_context
+    ctx = field_context(n)
+    build_Z = pauli.build_Z
+    for t in [None] + [1 << i for i in range(n)]:
+        monkeypatch.setattr(pauli, "build_Z", build_Z if t is None else _wrong_sign(build_Z, t))
+        verdicts = {c["name"]: c["passed"] for c in run_suite("pauli", n)["checks"]}
+        oracle = pauli_relations_by_pairs(ctx)
+        assert all(oracle.values()) == (t is None)
+        assert {name: verdicts[name] for name in oracle} == oracle, t
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_suite_fails_a_wrong_sign_in_any_Z_generator(monkeypatch, n):
+    build_Z = pauli.build_Z
+    for i in range(n):
+        monkeypatch.setattr(pauli, "build_Z", _wrong_sign(build_Z, 1 << i))
+        report = run_suite("pauli", n)
+        assert not _check_named(report, "Z_a X_b = chi(ab) X_b Z_a")["passed"], i
+        assert not report["passed"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_only_the_product_check_sees_a_wrong_non_generator(monkeypatch, n):
+    """X_3 = -X_1 X_2 leaves the generators and the displacements intact."""
+    build_X = pauli.build_X
+
+    def negated_x3(ctx, beta):
+        ops = build_X(ctx, beta)
+        ops[np.asarray(beta) == 3] *= -1
+        return ops
+
+    monkeypatch.setattr(pauli, "build_X", negated_x3)
+    failed = [c["name"] for c in run_suite("pauli", n)["checks"] if not c["passed"]]
+    assert failed == ["Z_a = Z_(a-t) Z_t and X_a = X_(a-t) X_t"]
+
+
+@pytest.mark.parametrize("suite, hi", [("field", 8), ("pauli", 5)])
+def test_field_and_pauli_reports_do_not_depend_on_the_seed(suite, hi):
+    for n in range(1, hi + 1):
+        report = run_suite(suite, n, seed=0)
+        assert report["passed"]
+        assert all(run_suite(suite, n, seed=seed) == report for seed in range(1, 10))
 
 
 # the suites' seeded generator
@@ -376,6 +538,7 @@ def _nan_offdiag(fn):
 # (suite, part of the check's name, owner, attribute, patch): the patch turns
 # the value the check measures into NaN at its source
 NAN_SOURCES = [
+    ("pauli", "Z_a = Z_(a-t) Z_t and X_a = X_(a-t) X_t", pauli, "build_Z", _times_nan),
     ("pauli", "Z_a, X_b unitary", pauli, "build_Z", _times_nan),
     ("pauli", "Z_a X_b = chi(ab) X_b Z_a", pauli, "build_Z", _times_nan),
     ("pauli", ": displacements unitary", pauli, "displacement", _times_nan),
