@@ -30,14 +30,12 @@ class Sampler:
                              "<u8").reshape(shape)
 
     def integers(self, lo, hi, size=()):
-        """Ints in [lo, hi) of shape ``size``: the top bits of a word when
-        hi - lo is a power of two, ``randrange`` otherwise."""
+        """Ints in [lo, hi) of shape ``size``: the top bits of a word.  The
+        span hi - lo must be a power of two."""
         span = hi - lo
-        if span & (span - 1):
-            out = np.array([self._random.randrange(span)
-                            for _ in range(math.prod(size))]).reshape(size)
-        else:
-            out = self._words(size) >> np.uint64(65 - span.bit_length())
+        if span < 1 or span & (span - 1):
+            raise ValueError(f"span {span} of [{lo}, {hi}) is not a power of two")
+        out = self._words(size) >> np.uint64(65 - span.bit_length())
         return lo + out.astype(np.int64)
 
     def complex(self, shape):

@@ -5,10 +5,10 @@ Each suite returns a JSON-serializable report::
     {"suite": name, "n": n, "passed": bool, "checks": [
         {"name": ..., "passed": ..., "detail": ...}, ...]}
 
-The field and pauli suites check every input through the generators 2^i,
-as the product is bilinear and Z, X represent (GF(2^n), +); the others
-check seeded samples.  A check that measures one number passes when it is
-below the check's tolerance, so a NaN fails it.
+The field, pauli and mub suites draw nothing.  Field and pauli check every
+input through the generators 2^i (the product is bilinear, and Z, X represent
+(GF(2^n), +)), mub through X-covariance; the others check seeded samples.  A
+check of one measured number passes below its tolerance, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _dev(a, b) -> float:
 
 
 def _chunks(ctx, count):
-    """Slices of ``count`` samples, each small enough that a (P, q, q)
+    """Slices of ``count`` items, each small enough that a (P, q, q)
     complex stack of them holds at most ``_STACK_ENTRIES`` entries."""
     step = max(1, _STACK_ENTRIES // ctx.order ** 2)
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
@@ -160,7 +160,6 @@ def pauli_suite(n: int, seed: int = 0) -> dict:
 
 def mub_suite(n: int, seed: int = 0) -> dict:
     ctx = gf2n.field_context(n)
-    rng = Sampler(seed)
     q = ctx.order
     checks = []
 
@@ -175,24 +174,26 @@ def mub_suite(n: int, seed: int = 0) -> dict:
         label = f"closed form p={conv.p}" if tomographic else scheme
         checks.append(_check(f"recurrence exact, {label}", ok, "all nonzero slopes"))
 
-    slopes = np.arange(1, q) if n <= 3 else rng.integers(1, q, (6,))
+    # X_nu moves basis index r to r ^ index(nu), so V commutes with every X_nu iff
+    # V[r, c] = V[r ^ c, 0]; so then does V^2, whose column 0 settles V^2 = X_sqrt(xi)
+    slopes = np.arange(1, q)
     tomo = pauli.convention_from_name("tomographic-p1")
-    vs = mubrot.build_V(ctx, tomo, slopes)
-    nus = rng.integers(0, q, slopes.shape)
+    heads = np.eye(q, dtype=complex)        # row 0 is |0>; row xi becomes V_xi |0>
     sq_dev = comm_dev = 0.0
-    for part in _chunks(ctx, len(slopes)):
-        v = vs[part]
-        sq_dev = max(sq_dev, _dev(v @ v, pauli.build_X(ctx, ctx.sqrt_table[slopes[part]])))
-        x = pauli.build_X(ctx, nus[part])
-        comm_dev = max(comm_dev, _dev(v @ x, x @ v))
-    checks.append(_measured("V_xi^2 = X_sqrt(xi)", sq_dev, "p=1 family"))
-    checks.append(_measured("[V_xi, X_nu] = 0", comm_dev, "one random nu per slope"))
+    for xi in (slopes[part] for part in _chunks(ctx, q - 1)):
+        v = mubrot.build_V(ctx, tomo, xi)
+        comm_dev = max(comm_dev, _dev(v, v[:, ctx.xor_grid, 0]))
+        sq_dev = max(sq_dev, _dev(v @ v[..., :1], pauli.build_X(ctx, ctx.sqrt_table[xi])[..., :1]))
+        heads[xi] = v[..., 0]
+    checks.append(_measured("V_xi^2 = X_sqrt(xi)", sq_dev, "p=1 family, every slope"))
+    checks.append(_measured("[V_xi, X_nu] = 0", comm_dev, "every slope and every nu"))
 
-    if n <= 3:
-        bases = mubrot.mub_family(ctx, "p1").states.reshape(q + 1, q, q)
-        checks.append(_measured("full family pairwise unbiased", max(
-            _dev(mubrot.check_unbiased(ctx, sa, bases[i + 1:].reshape(-1, q)), 0)
-            for i, sa in enumerate(bases[:-1])), "max | |<a|b>|^2 - 1/q | = {:.2e}"))
+    # sloped pencil p holds the X_nu shifts of its head, the vertical one X_nu eigenstates,
+    # so each pencil against the other heads covers every pair of states in two pencils
+    dual = mubrot.dual_basis_matrix(ctx).T
+    checks.append(_measured("full family pairwise unbiased", max(_dev(mubrot.check_unbiased(
+        ctx, heads[np.arange(q) != p], heads[p][ctx.xor_grid] if p < q else dual), 0)
+        for p in range(q + 1)), "max | |<a|b>|^2 - 1/q | = {:.2e}"))
     return _report("mub", n, checks)
 
 

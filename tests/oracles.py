@@ -17,10 +17,12 @@ here rather than in the package:
   ``kernels.wootters_kernel``;
 * schoolbook carry-less multiplication, and the product table built from
   it one bit of b at a time, the oracles of the field tables;
-* the field and pauli suites' checks over every input at small n: the
-  product's associativity and distributivity over all q^3 triples, and
-  unitarity and Z_a X_b = chi(ab) X_b Z_a over all 4^n dense pairs, the
-  oracles of the checks that go through the generators;
+* the field, pauli and mub suites' checks over every input at small n:
+  the product's associativity and distributivity over all q^3 triples,
+  unitarity and Z_a X_b = chi(ab) X_b Z_a over all 4^n dense pairs, and
+  [V_xi, X_nu] = 0, V_xi^2 = X_sqrt(xi) and unbiasedness over every slope,
+  every nu and every pair of bases, the oracles of the checks that go
+  through the generators or through X-covariance;
 * the per-key comparison of two projections, the oracle of
   ``serialize.diff_projected``;
 * the per-value ``complex(re, im)`` reading of a symbol record's grid,
@@ -42,7 +44,7 @@ import numpy as np
 from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
                     DiffReport, PhaseSpaceFunction, ProjectedFunction, cli,
                     convention_from_name, dual_basis_matrix, logical_state,
-                    pauli, suites)
+                    mub_family, pauli, suites)
 from dpsmap._version import __version__
 from dpsmap.mubrot import SCHEMES, recurrence_holds
 from dpsmap.pauli import I4, require_operator_n
@@ -107,6 +109,28 @@ def pauli_relations_by_pairs(ctx: FieldContext) -> dict:
     comm = np.abs(z @ x - chi * (x @ z)).max()
     return {"Z_a, X_b unitary": bool(unit < suites.TOL),
             "Z_a X_b = chi(ab) X_b Z_a": bool(comm < suites.TOL)}
+
+
+def mub_relations_by_pairs(ctx: FieldContext) -> dict:
+    """check name -> the largest deviation over every input, on the dense
+    operators of the p=1 family, each V_xi from ``line_rotation``:
+    |V_xi X_nu - X_nu V_xi| over every (xi, nu), |V_xi^2 - X_sqrt(xi)| over
+    every slope, and | |<a|b>|^2 - 1/q | over every pair of ``mub_family``
+    states in different bases."""
+    q = ctx.order
+    conv = convention_from_name("tomographic-p1")
+    x = pauli.build_X(ctx, np.arange(q))
+    comm = square = 0.0
+    for xi in range(1, q):
+        v = line_rotation(ctx, conv, xi)
+        comm = max(comm, np.abs(v @ x - x @ v).max())
+        square = max(square, np.abs(v @ v - x[ctx.sqrt_table[xi]]).max())
+    states = mub_family(ctx, "p1").states
+    basis = np.arange(q * (q + 1)) // q
+    overlaps = np.abs(states.conj() @ states.T) ** 2
+    unbiased = np.abs(overlaps - 1 / q)[basis[:, None] != basis].max()
+    return {"V_xi^2 = X_sqrt(xi)": float(square), "[V_xi, X_nu] = 0": float(comm),
+            "full family pairwise unbiased": float(unbiased)}
 
 
 # ----------------------------------------------------------------------
@@ -176,15 +200,21 @@ def line_exponents(ctx: FieldContext, conv, xi: int) -> np.ndarray:
     return conv.exponent_table(ctx)[np.arange(ctx.order), ctx.mul_table[xi]]
 
 
-def line_states(ctx: FieldContext, conv, xi: int) -> list[np.ndarray]:
-    """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu, with V_xi
-    built for the one slope xi from the coefficients of ``line_exponents``."""
+def line_rotation(ctx: FieldContext, conv, xi: int) -> np.ndarray:
+    """V_xi built for the one slope xi from the coefficients of
+    ``line_exponents``."""
     exps = line_exponents(ctx, conv, xi)
     if not recurrence_holds(ctx, xi, exps):
         raise ConfigurationError(
             f"{conv.name} does not satisfy the rotation recurrence on slope {xi}")
     dual = dual_basis_matrix(ctx)
-    v = (dual * I4[exps][None, :]) @ dual.conj().T
+    return (dual * I4[exps][None, :]) @ dual.conj().T
+
+
+def line_states(ctx: FieldContext, conv, xi: int) -> list[np.ndarray]:
+    """|psi_nu^xi> = V_xi X_nu |0>, ordered by the intercept nu, with V_xi
+    from ``line_rotation``."""
+    v = line_rotation(ctx, conv, xi)
     return [v[:, ctx.basis_index(nu)].copy() for nu in range(ctx.order)]
 
 

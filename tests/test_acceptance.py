@@ -185,10 +185,20 @@ def test_criterion_05_mub_suite():
         for i, ka in enumerate(bases):
             for kb in bases[i + 1:]:
                 unbiased_dev = max(unbiased_dev, check_unbiased(ctx, ka, kb))
-    ok = recurrence_ok and worst < TOL and unbiased_dev < TOL
+    suite_ok = True
+    for n in range(1, 6):
+        report = run_suite("mub", n)
+        suite_ok &= report["passed"]
+        # complete at every n through X-covariance, nothing drawn from the seed
+        details = {c["name"]: c["detail"] for c in report["checks"]}
+        suite_ok &= "full family pairwise unbiased" in details
+        suite_ok &= not any("random" in detail for detail in details.values())
+        suite_ok &= run_suite("mub", n, seed=1) == report
+    ok = recurrence_ok and worst < TOL and unbiased_dev < TOL and suite_ok
     _verdict(5, "rotation recurrence (exact), V^2 and commutation, "
                 "full-family unbiasedness", ok,
-             f"n<=4 recurrence, n<=3 family dev {unbiased_dev:.1e}")
+             f"n<=4 recurrence, n<=3 dense family dev {unbiased_dev:.1e}, "
+             "suite n=1..5 complete through X-covariance")
 
 
 def test_criterion_06_tomography_suite():

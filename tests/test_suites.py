@@ -1,7 +1,8 @@
 # tests/test_suites.py
 import numpy as np
 import pytest
-from oracles import field_axioms_by_triples, pauli_relations_by_pairs
+from oracles import (field_axioms_by_triples, mub_relations_by_pairs,
+                     pauli_relations_by_pairs)
 
 from dpsmap import (SUITE_NAMES, ConfigurationError, KernelSet, ProjectedFunction,
                     kernels, mubrot, pauli, run_suite, symproj)
@@ -335,12 +336,91 @@ def test_only_the_product_check_sees_a_wrong_non_generator(monkeypatch, n):
     assert failed == ["Z_a = Z_(a-t) Z_t and X_a = X_(a-t) X_t"]
 
 
-@pytest.mark.parametrize("suite, hi", [("field", 8), ("pauli", 5)])
+# the suites that draw nothing, mub included
+@pytest.mark.parametrize("suite, hi", [("field", 8), ("pauli", 5), ("mub", 5)])
 def test_field_and_pauli_reports_do_not_depend_on_the_seed(suite, hi):
     for n in range(1, hi + 1):
         report = run_suite(suite, n, seed=0)
         assert report["passed"]
         assert all(run_suite(suite, n, seed=seed) == report for seed in range(1, 10))
+
+
+# the mub suite checks every slope and every nu through X-covariance; the
+# dense all-pairs checks it replaced are the oracles at small n
+
+def _measured_values(monkeypatch, suite, n):
+    """check name -> the value each measured check of ``suite`` compared."""
+    from dpsmap import suites
+    values, measured = {}, suites._measured
+
+    def record(name, value, *args, **kwargs):
+        values[name] = value
+        return measured(name, value, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "_measured", record)
+    run_suite(suite, n)
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mub_values_match_the_all_pairs_oracle(monkeypatch, n):
+    from dpsmap import field_context
+    from dpsmap.suites import TOL
+    oracle = mub_relations_by_pairs(field_context(n))
+    values = _measured_values(monkeypatch, "mub", n)
+    assert values.keys() == oracle.keys()
+    for name, value in oracle.items():
+        assert value < TOL and abs(values[name] - value) <= 1e-15, (name, values[name], value)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mub_suite_pencils_are_the_family_bases(monkeypatch, n):
+    """Row r of sloped pencil xi is X_nu V_xi |0> for the nu of basis index r,
+    so reordered by ``index_table`` it is the family's block of slope xi; the
+    vertical pencil is the family's dual block as it stands."""
+    from dpsmap import field_context
+    ctx = field_context(n)
+    q = ctx.order
+    pencils, check_unbiased = [], mubrot.check_unbiased
+    monkeypatch.setattr(mubrot, "check_unbiased", lambda ctx, heads, states:
+                        pencils.append(states) or check_unbiased(ctx, heads, states))
+    assert run_suite("mub", n)["passed"]
+    bases = mubrot.mub_family(ctx, "p1").states.reshape(q + 1, q, q)
+    assert len(pencils) == q + 1
+    for slope, (pencil, basis) in enumerate(zip(pencils, bases)):
+        rows = ctx.index_table if slope < q else np.arange(q)
+        assert _bits(pencil[rows]) == _bits(basis), slope
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mub_suite_fails_one_moved_entry_of_the_last_slope(monkeypatch, n):
+    q = 1 << n
+    if n == 5:
+        _last_chunk_only(list(range(1, q)), q - 1)
+    build_V = mubrot.build_V
+    # off column 0, and in column 0, which the gather reads every row from
+    for entry in ((0, q - 1), (q - 1, 0)):
+        def moved(ctx, conv, xi, entry=entry):
+            v = build_V(ctx, conv, xi)
+            v[(np.asarray(xi) == q - 1,) + entry] += 1e-6
+            return v
+
+        monkeypatch.setattr(mubrot, "build_V", moved)
+        report = run_suite("mub", n)
+        assert not _check_named(report, "[V_xi, X_nu] = 0")["passed"], entry
+        assert not report["passed"]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_mub_suite_fails_one_slopes_rotation_given_for_another(monkeypatch, n):
+    """V_1 given for the last slope commutes with every X_nu, but squares to
+    the wrong X and repeats the basis of slope 1."""
+    q = 1 << n
+    build_V = mubrot.build_V
+    monkeypatch.setattr(mubrot, "build_V", lambda ctx, conv, xi:
+                        build_V(ctx, conv, np.where(xi == q - 1, 1, xi)))
+    failed = [c["name"] for c in run_suite("mub", n)["checks"] if not c["passed"]]
+    assert failed == ["V_xi^2 = X_sqrt(xi)", "full family pairwise unbiased"]
 
 
 # the suites' seeded generator
@@ -350,19 +430,23 @@ def test_generator_first_draws_are_pinned():
     Python versions fails here."""
     rng = Sampler(7)
     assert rng.integers(0, 32, (2, 3)).tolist() == [[30, 12, 1], [26, 3, 18]]
-    assert rng.integers(1, 32, (3,)).tolist() == [2, 30, 17]
-    assert rng.integers(0, 4) == 0
+    with pytest.raises(ValueError, match="power of two"):
+        rng.integers(1, 32, (3,))
+    assert rng.integers(0, 4) == 3
     assert rng.complex((2,)).tolist() == [complex(*map(float.fromhex, pair)) for pair in (
-        ("-0x1.0fc98a5e9ff60p-3", "-0x1.a31c209b098fcp-1"),
-        ("-0x1.b877d1c253cacp-1", "-0x1.352b5d972eea0p-3"))]
+        ("-0x1.242628cdf8630p-1", "-0x1.4f2ab6490fca0p-3"),
+        ("-0x1.a7fd7297d99acp-1", "-0x1.098fa36fb8780p-1"))]
 
 
 def test_generator_draws_stay_in_range():
     rng = Sampler(0)
-    for lo, hi in ((0, 2), (0, 16), (1, 8), (3, 4), (1, 2)):
+    for lo, hi in ((0, 2), (0, 16), (3, 4), (1, 2)):
         x = rng.integers(lo, hi, (400, 2))
         assert x.dtype == np.int64 and x.shape == (400, 2)
         assert set(x.ravel().tolist()) == set(range(lo, hi))
+    for lo, hi in ((1, 8), (0, 3), (2, 2), (4, 0)):
+        with pytest.raises(ValueError, match="power of two"):
+            rng.integers(lo, hi, (400, 2))
     z = rng.complex((300, 4))
     assert z.shape == (300, 4)
     for part in (z.real, z.imag):
@@ -393,24 +477,12 @@ def test_stacked_draws_are_bitwise_the_single_draws(seed):
 
 @pytest.mark.parametrize("q", [2, 8, 32])
 def test_one_integer_draw_is_the_per_item_draws(q):
-    """The kernel suite's covariance tuples and the MUB suite's nus, drawn
-    in one call, are the words the per-item draws read."""
+    """An integer stack drawn in one call, as the kernel suite draws its
+    covariance tuples, is the words the per-item draws read."""
     for shape, item in (((50, 4), (4,)), ((6,), ())):
         one, stacked = Sampler(q), Sampler(q)
         per_item = np.array([one.integers(0, q, item) for _ in range(shape[0])])
         assert np.array_equal(stacked.integers(0, q, shape), per_item)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_family_unbiasedness_is_the_pairwise_maximum(n):
-    from dpsmap import field_context, mubrot
-    ctx = field_context(n)
-    q = ctx.order
-    bases = mubrot.mub_family(ctx, "p1").states.reshape(q + 1, q, q)
-    worst = max(mubrot.check_unbiased(ctx, sa, sb)
-                for i, sa in enumerate(bases) for sb in bases[i + 1:])
-    check = _check_named(run_suite("mub", n), "full family pairwise unbiased")
-    assert check["detail"] == f"max | |<a|b>|^2 - 1/q | = {worst:.2e}"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -489,9 +561,10 @@ def test_tomographic_line_sums_fail_on_nan_grids(monkeypatch):
 def test_mub_family_unbiasedness_fails_on_nan_overlaps(monkeypatch):
     from dpsmap import mubrot
     monkeypatch.setattr(mubrot, "check_unbiased", lambda ctx, a, b: np.nan)
-    check = _check_named(run_suite("mub", 2), "full family pairwise unbiased")
-    assert not check["passed"]
-    assert check["detail"].endswith("= inf")
+    for n in (2, 5):
+        check = _check_named(run_suite("mub", n), "full family pairwise unbiased")
+        assert not check["passed"], n
+        assert check["detail"].endswith("= inf"), n
 
 
 # every check of one measured value passes only below its tolerance
