@@ -204,7 +204,8 @@ def _map_pipeline(cfg: RunConfig):
     if cfg.mode == "dense" and cfg.n > kernels.MAX_DENSE_N:
         raise ConfigurationError(f"dense kernels are capped at n <= {kernels.MAX_DENSE_N}")
     if cfg.s != 0 and (cfg.n == 5 or cfg.mode == "lazy"):
-        raise ConfigurationError("lazy maps support s = 0 only")
+        asked = "--mode lazy" if cfg.mode == "lazy" else "--n 5"
+        raise ConfigurationError(f"map {asked} supports s = 0 only, got s = {cfg.s:g}")
     ctx = gf2n.field_context(cfg.n)
     conv = pauli.convention_from_name(cfg.conv)
     fid_zeta = (pauli.DEFAULT_FIDUCIAL_ZETA if cfg.fiducial is None

@@ -2,12 +2,13 @@
 
 Field elements are plain Python ints whose bits hold the coefficients in
 the fixed polynomial basis: addition is XOR, multiplication is carry-less
-multiplication reduced modulo an irreducible polynomial.  Each context
-additionally carries a self-dual basis {theta_1 .. theta_n}, i.e. one with
-tr(theta_i * theta_j) = delta_ij.  In that basis the expansion coefficients
-of an element double as qubit labels, the trace of a product becomes the
-mod-2 dot product of coordinate strings, and swapping two qubits becomes a
-linear map on the field.
+multiplication reduced modulo the tabled irreducible polynomial of degree
+n.  Each context additionally carries the canonical self-dual basis
+{theta_1 .. theta_n}, i.e. one with tr(theta_i * theta_j) = delta_ij, the
+first such tuple in increasing element order.  In that basis the
+expansion coefficients of an element double as qubit labels, the trace of
+a product becomes the mod-2 dot product of coordinate strings, and
+swapping two qubits becomes a linear map on the field.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# ----------------------------------------------------------------------
-# polynomial helpers (bit i of an int = coefficient of x^i)
-# ----------------------------------------------------------------------
-
-#: default irreducible polynomial per extension degree
+#: the irreducible polynomial of each extension degree (bit i = coefficient of x^i)
 IRREDUCIBLE_POLYS = {
     1: 0b11,         # x + 1
     2: 0b111,        # x^2 + x + 1
@@ -40,71 +37,23 @@ IRREDUCIBLE_POLYS = {
 MAX_N = 8
 
 
-def poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
-def poly_mod(p: int, mod: int) -> int:
-    """Remainder of p modulo mod in GF(2)[x]."""
-    dm = poly_degree(mod)
-    while poly_degree(p) >= dm and p:
-        p ^= mod << (poly_degree(p) - dm)
-    return p
-
-
-def is_irreducible(poly: int) -> bool:
-    """Trial division over GF(2)[x]; fine for the degrees we support."""
-    deg = poly_degree(poly)
-    if deg < 1:
-        return False
-    if not poly & 1:
-        return poly == 0b10  # x itself is the only irreducible multiple of x
-    for d in range(1, deg // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if poly_mod(poly, q) == 0:
-                return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # field context
 # ----------------------------------------------------------------------
 
 class FieldContext:
-    """GF(2^n) lookup tables plus a deterministic self-dual basis.
+    """GF(2^n) modulo ``IRREDUCIBLE_POLYS[n]``: lookup tables plus the
+    canonical self-dual basis, for 1 <= n <= 8."""
 
-    Parameters
-    ----------
-    n : extension degree (1 <= n <= 8).
-    poly : optional irreducible polynomial override (bit i = coeff of x^i).
-        Must have degree n; irreducibility is verified at construction.
-    selfdual_basis : optional basis to use instead of the canonical one;
-        it must pass the Gram check.
-    """
-
-    def __init__(self, n: int, poly: int | None = None, *,
-                 selfdual_basis: tuple[int, ...] | None = None):
+    def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
             raise ConfigurationError(f"n must be in 1..{MAX_N}, got {n}")
-        if poly is None:
-            poly = IRREDUCIBLE_POLYS[n]
-        if poly_degree(poly) != n:
-            raise ConfigurationError(
-                f"polynomial 0b{poly:b} has degree {poly_degree(poly)}, expected {n}")
-        if not is_irreducible(poly):
-            raise ConfigurationError(f"polynomial 0b{poly:b} is reducible over GF(2)")
         self.n = n
-        self.poly = poly
+        self.poly = IRREDUCIBLE_POLYS[n]
         self.order = 1 << n
 
         self._build_tables()
-        if selfdual_basis:
-            self.selfdual_basis = tuple(selfdual_basis)
-            if (not all(0 < x < self.order for x in self.selfdual_basis)
-                    or not np.array_equal(self.gram_matrix(), np.eye(n, dtype=np.int64))):
-                raise ConfigurationError("stored basis fails the self-duality check")
-        else:
-            self.selfdual_basis = self._find_selfdual_basis()
+        self.selfdual_basis = self._find_selfdual_basis()
         self._build_coord_tables()
         # filled by ``PhaseConvention.exponent_table``
         self.phase_tables: dict[tuple, np.ndarray] = {}
@@ -134,8 +83,6 @@ class FieldContext:
         for _ in range(n - 1):
             cur = prod[cur, cur]
             acc ^= cur
-        if acc.max() > 1:
-            raise ConfigurationError("trace not GF(2)-valued; polynomial is bad")
         self.trace_table = acc
         self.chi_table = (1 - 2 * acc).astype(np.int64)
 
@@ -359,12 +306,6 @@ class FieldContext:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "FieldContext":
-        # accepts any basis that passes the Gram check, not just ours
-        return cls(int(record["n"]), int(record["poly"]), selfdual_basis=tuple(
-            int(x) for x in record.get("selfdual_basis", ())))
 
     def __repr__(self):
         return f"FieldContext(n={self.n}, poly=0b{self.poly:b})"

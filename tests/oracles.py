@@ -16,7 +16,9 @@ here rather than in the package:
 * the per-point loop of the line-projector kernel, the oracle of
   ``kernels.wootters_kernel``;
 * schoolbook carry-less multiplication, and the product table built from
-  it one bit of b at a time, the oracles of the field tables;
+  it one bit of b at a time, the oracles of the field tables; trial
+  division in GF(2)[x], which pins that every tabled modulus is
+  irreducible; and the canonical self-dual basis of each tabled field;
 * the field, pauli and mub suites' checks over every input at small n:
   the product's associativity and distributivity over all q^3 triples,
   unitarity and Z_a X_b = chi(ab) X_b Z_a over all 4^n dense pairs, and
@@ -83,6 +85,39 @@ def mul_table_by_bits(n: int, poly: int) -> np.ndarray:
     for j in range(2 * n - 2, n - 1, -1):
         prod ^= np.where((prod >> j) & 1 == 1, poly << (j - n), 0)
     return prod
+
+
+def poly_degree(p: int) -> int:
+    return p.bit_length() - 1
+
+
+def poly_mod(p: int, mod: int) -> int:
+    """Remainder of p modulo mod in GF(2)[x]."""
+    dm = poly_degree(mod)
+    while poly_degree(p) >= dm and p:
+        p ^= mod << (poly_degree(p) - dm)
+    return p
+
+
+def is_irreducible(poly: int) -> bool:
+    """Trial division over GF(2)[x]; fine for the degrees the package tables."""
+    deg = poly_degree(poly)
+    if deg < 1:
+        return False
+    if not poly & 1:
+        return poly == 0b10  # x itself is the only irreducible multiple of x
+    for d in range(1, deg // 2 + 1):
+        for q in range(1 << d, 1 << (d + 1)):
+            if poly_mod(poly, q) == 0:
+                return False
+    return True
+
+
+#: the canonical self-dual bases of the tabled moduli
+SELFDUAL_BASES = {1: (1,), 2: (2, 3), 3: (3, 5, 7), 4: (8, 11, 13, 15),
+                  5: (3, 5, 12, 17, 26), 6: (32, 35, 49, 55, 59, 63),
+                  7: (3, 65, 71, 97, 109, 117, 125),
+                  8: (32, 35, 48, 54, 58, 121, 176, 247)}
 
 
 def field_axioms_by_triples(ctx: FieldContext) -> dict:

@@ -19,7 +19,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from dpsmap import (ConfigurationError, FieldContext, build_kernel,
+from oracles import SELFDUAL_BASES
+
+from dpsmap import (IRREDUCIBLE_POLYS, ConfigurationError, build_kernel,
                     convention_from_name, field_context, forward_map,
                     ghz_state)
 from dpsmap import cli, serialize
@@ -137,8 +139,15 @@ def test_field_prints_and_exports(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "GF(2^3)" in out
     assert "gram check: ok" in out
-    restored = FieldContext.from_json_dict(json.loads((tmp_path / "ctx.json").read_text()))
-    assert restored.n == 3
+    assert (tmp_path / "ctx.json").exists()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_field_export_is_the_tabled_modulus_and_its_selfdual_basis(tmp_path, capsys, n):
+    assert run("field", "--n", str(n), "--out", str(tmp_path / "ctx.json")) == 0
+    record = {"n": n, "poly": IRREDUCIBLE_POLYS[n], "selfdual_basis": list(SELFDUAL_BASES[n])}
+    assert (tmp_path / "ctx.json").read_text() == json.dumps(record, sort_keys=True) + "\n"
+    assert capsys.readouterr().out.endswith(f"{tmp_path / 'ctx.json'}\n")
 
 
 # ---------------------------------------------------------
@@ -279,9 +288,9 @@ def test_map_size_and_mode_rules(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "big.grid.json").exists()
     capsys.readouterr()
     for argv, line in ((("--n", "5", "--mode", "dense"), "dense kernels are capped at n <= 4"),
-                       (("--n", "5", "--s", "-1"), "lazy maps support s = 0 only"),
+                       (("--n", "5", "--s", "-1"), "map --n 5 supports s = 0 only, got s = -1"),
                        (("--n", "3", "--mode", "lazy", "--s", "1"),
-                        "lazy maps support s = 0 only"),
+                        "map --mode lazy supports s = 0 only, got s = 1"),
                        (("--n", "6"), "map is capped at n <= 5")):
         assert run("map", *argv, "--state", "w") == 2
         assert capsys.readouterr().err == f"error: {line}\n"

@@ -3,10 +3,11 @@ import json
 
 import numpy as np
 import pytest
-from oracles import clmul, mul_table_by_bits
+from oracles import (SELFDUAL_BASES, clmul, is_irreducible, mul_table_by_bits,
+                     poly_degree, poly_mod)
 
 from dpsmap import ConfigurationError, FieldContext, field_context
-from dpsmap.gf2n import IRREDUCIBLE_POLYS, is_irreducible, poly_degree, poly_mod
+from dpsmap.gf2n import IRREDUCIBLE_POLYS
 
 
 # ---------------------------------------------------------
@@ -57,17 +58,11 @@ def test_every_modulus_of_degree_up_to_8_is_listed():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_mul_table_is_the_bit_by_bit_table_for_every_modulus(n):
-    for poly in IRREDUCIBLE_BY_DEGREE[n]:
-        table, oracle = FieldContext(n, poly).mul_table, mul_table_by_bits(n, poly)
-        assert table.dtype == oracle.dtype == np.int64
-        assert np.array_equal(table, oracle), f"modulus 0b{poly:b}"
-
-
-#: the canonical self-dual bases of the default moduli
-SELFDUAL_BASES = {1: (1,), 2: (2, 3), 3: (3, 5, 7), 4: (8, 11, 13, 15),
-                  5: (3, 5, 12, 17, 26), 6: (32, 35, 49, 55, 59, 63),
-                  7: (3, 65, 71, 97, 109, 117, 125),
-                  8: (32, 35, 48, 54, 58, 121, 176, 247)}
+    """Every modulus the package builds, the tabled one of each degree."""
+    poly = IRREDUCIBLE_POLYS[n]
+    table, oracle = FieldContext(n).mul_table, mul_table_by_bits(n, poly)
+    assert table.dtype == oracle.dtype == np.int64
+    assert np.array_equal(table, oracle), f"modulus 0b{poly:b}"
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -358,29 +353,13 @@ def test_listed_polys_are_irreducible():
 
 
 def test_json_roundtrip():
-    ctx = field_context(3)
-    restored = FieldContext.from_json_dict(json.loads(ctx.to_json()))
-    assert restored.n == 3
-    assert restored.poly == ctx.poly
-    assert restored.selfdual_basis == ctx.selfdual_basis
-    assert np.array_equal(restored.mul_table, ctx.mul_table)
-
-
-def test_stored_basis_is_used_without_a_search(monkeypatch):
-    """A stored basis that passes the Gram check is taken as it is; one that
-    fails it is refused."""
-    monkeypatch.setattr(FieldContext, "_find_selfdual_basis",
-                        lambda self: pytest.fail("searched for a basis"))
-    record = {"n": 4, "poly": 0b10011, "selfdual_basis": [9, 10, 12, 14]}
-    ctx = FieldContext.from_json_dict(record)
-    assert ctx.selfdual_basis == (9, 10, 12, 14)
-    assert np.array_equal(ctx.gram_matrix(), np.eye(4, dtype=np.int64))
-    restored = FieldContext.from_json_dict(json.loads(ctx.to_json()))
-    assert restored.selfdual_basis == ctx.selfdual_basis
-    # not self-dual; out of range; -7 would index element 9 of the tables
-    for bad in ([1, 2, 4, 8], [99, 10, 12, 14], [-7, 10, 12, 14]):
-        with pytest.raises(ConfigurationError, match="self-duality"):
-            FieldContext.from_json_dict(dict(record, selfdual_basis=bad))
+    """A field's record names the one context of its n: reading it back is
+    a dict comparison with that context's own record."""
+    for n in range(1, 9):
+        record = json.loads(FieldContext(n).to_json())
+        assert record == field_context(record["n"]).to_json_dict()
+        assert record == {"n": n, "poly": IRREDUCIBLE_POLYS[n],
+                          "selfdual_basis": list(SELFDUAL_BASES[n])}
 
 
 def test_field_context_is_cached():

@@ -175,8 +175,6 @@ print(json.dumps(sorted(never)))
 # function -> why it stays in the package although the sweep never runs it
 _NOT_ON_A_CLI_PATH = {
     "gf2n.FieldContext.__repr__": "debugging aid; no output prints a context",
-    "gf2n.FieldContext.from_json_dict": "reads back what to_json_dict writes, "
-                                        "for symbol files that embed their field",
     "pauli.PhaseConvention.__repr__": "debugging aid; no output prints a convention",
     "pauli.PhaseConvention._exponent_table": "abstract; every convention overrides it",
     "pauli.permutation_op": "traced by bench/tracing.py, which looks it up",

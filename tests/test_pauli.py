@@ -150,16 +150,22 @@ def test_boundary_phases_are_one():
                 assert phis[0, x] == 1
 
 
+def _context(reversed_coords):
+    """A new GF(8) context, its coordinate table reversed on request."""
+    ctx = FieldContext(3)
+    if reversed_coords:
+        ctx.coords_table = ctx.coords_table[:, ::-1]
+    return ctx
+
+
 def test_exponent_cache_follows_the_field_not_its_id():
     """Uncached contexts are collected and their ids reused; the cached
     table must still belong to the field it is asked for."""
-    polys = (0b1011, 0b1101)
-    expect = {p: GraphPhase(1).exponent_table(FieldContext(3, p)).copy() for p in polys}
+    expect = {r: GraphPhase(1).exponent_table(_context(r)).copy() for r in (False, True)}
     assert not np.array_equal(*expect.values())
     c = GraphPhase(1)
     for i in range(400):
-        poly = polys[i % 2]
-        assert np.array_equal(c.exponent_table(FieldContext(3, poly)), expect[poly])
+        assert np.array_equal(c.exponent_table(_context(i % 2 == 1)), expect[i % 2 == 1])
 
 
 def test_phase_tables_are_shared_per_field_and_read_only():

@@ -680,3 +680,20 @@ def test_symmetric_suite_fails_a_kernel_with_a_nan_coefficient(monkeypatch):
     check = _check_named(run_suite("symmetric", 3), "invariant-convention kernel")
     assert check == {"name": "invariant-convention kernel commutes with swaps",
                      "passed": False, "detail": "max dev inf over 3 transpositions"}
+
+
+@pytest.mark.parametrize("n, hits, assignments", [(2, 8, 32), (3, 16, 8192)])
+def test_theorem_suite_fails_when_no_invariant_phase_solves_the_recurrences(
+        monkeypatch, n, hits, assignments):
+    """At n <= 3 the suite passes on the hits the search finds, and fails
+    when it finds none."""
+    name = "some invariant hermitian phase satisfies every line recurrence"
+    (check,) = run_suite("theorem", n)["checks"]
+    assert check["name"] == name and check["passed"]
+    assert check["detail"].startswith(f"{hits} of {assignments} ")
+    monkeypatch.setattr(symproj, "_sign_solutions", lambda *args: [])
+    report = run_suite("theorem", n)
+    assert not report["passed"]
+    assert report["checks"] == [{"name": name, "passed": False, "detail": (
+        f"0 of {assignments} invariant hermitian phases satisfy every line "
+        f"recurrence; closed-form p=1 among them: False")}]

@@ -3,8 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import (REFERENCE_IDS, dense, fit_constant, pair_counts, r_factor,
-                     reference_symbol, su2_group_element, valid_triples)
+from oracles import (REFERENCE_IDS, SELFDUAL_BASES, dense, fit_constant, pair_counts,
+                     r_factor, reference_symbol, su2_group_element, valid_triples)
 
 from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
                     check_kernel_invariance, convention_from_name,
@@ -113,14 +113,13 @@ def test_orbit_size_map_is_r_factor_once_per_n(n):
         sizes[(0, 0, 0)] = 2
 
 
-@pytest.mark.parametrize("n, basis", [*((n, []) for n in range(1, 9)),
-                                      (4, [9, 10, 12, 14])])
+@pytest.mark.parametrize("n, basis", SELFDUAL_BASES.items())
 def test_context_orbit_sizes_are_the_closed_form(n, basis):
-    """R_mnk counted from a context's own orbit runs, in any self-dual basis,
-    is the closed-form multinomial; the map is cached and read-only."""
-    ctx = FieldContext.from_json_dict(
-        {"n": n, "poly": field_context(n).poly, "selfdual_basis": basis})
-    assert ctx.selfdual_basis == (tuple(basis) or field_context(n).selfdual_basis)
+    """R_mnk counted from a new context's own orbit runs, in its canonical
+    self-dual basis, is the closed-form multinomial; the map is cached and
+    read-only."""
+    ctx = FieldContext(n)
+    assert ctx.selfdual_basis == basis
     sizes = ctx.orbit_sizes
     assert list(sizes) == valid_triples(ctx.n)
     assert all(type(x) is int for t, r in sizes.items() for x in (*t, r))
@@ -139,17 +138,6 @@ def test_orbit_index_matches_point_labels(n):
     assert ctx.orbit_weights.tolist() == [list(t) for t in valid_triples(n)]
     sizes = np.bincount(ctx.orbit_index.ravel())
     assert sizes.tolist() == [r_factor(n, *t) for t in valid_triples(n)]
-
-
-def test_orbit_index_follows_a_new_basis():
-    """A context loaded with another self-dual basis labels its orbits in
-    that basis's coordinates."""
-    before = FieldContext(4).orbit_index
-    loaded = FieldContext.from_json_dict({"n": 4, "poly": 0b10011,
-                                          "selfdual_basis": [9, 10, 12, 14]})
-    assert loaded.selfdual_basis == (9, 10, 12, 14)
-    assert np.array_equal(loaded.orbit_index, orbit_positions(loaded))
-    assert not np.array_equal(loaded.orbit_index, before)
 
 
 def test_pair_counts_consistency():
@@ -218,18 +206,6 @@ def test_project_is_bitwise_the_mask_sum(n):
         grid = (rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))) * scale
         psf = PhaseSpaceFunction(n=n, s=0.0, grid=grid, convention="plain")
         assert np.array_equal(bits(project(ctx, psf).values), bits(project_by_masks(ctx, grid)))
-
-
-def test_project_runs_follow_a_new_basis():
-    """The cached orbit runs of a context loaded with another self-dual
-    basis group its own orbits."""
-    loaded = FieldContext.from_json_dict({"n": 4, "poly": 0b10011,
-                                          "selfdual_basis": [9, 10, 12, 14]})
-    grid = np.random.default_rng(4).normal(size=(16, 16)) * (1 + 1j)
-    psf = PhaseSpaceFunction(n=4, s=0.0, grid=grid, convention="plain")
-    assert np.array_equal(project(loaded, psf).values, project_by_masks(loaded, grid))
-    assert not np.array_equal(project(loaded, psf).values,
-                              project(field_context(4), psf).values)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
