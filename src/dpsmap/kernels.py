@@ -27,7 +27,7 @@ from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
                     check_fiducial, displacement_overlaps, require_operator_n,
                     spin_coherent)
 
-#: size cap of the line-projector table (and of ``map --mode dense``)
+#: size cap of ``map --mode dense``
 MAX_DENSE_N = 4
 
 
@@ -288,27 +288,22 @@ def trace_convolution(wf: PhaseSpaceFunction, wg: PhaseSpaceFunction,
 # ----------------------------------------------------------------------
 
 def wootters_kernel(ctx: FieldContext, family: MubFamily) -> np.ndarray:
-    """The (q, q, q, q) table ``table[a, b]`` of the line-projector kernels
-    Delta^(0)(a, b) = |a~><a~| + sum_xi P^xi_(b + xi a) - I.
+    """The q x q line-projector kernel at the origin,
+    Delta^(0)(0, 0) = |0~><0~| + sum_xi P^xi_0 - I.
 
-    P^xi_nu projects on the line state of slope xi through (a, b).  The
-    table equals the s = 0 kernels of the matching tomographic phase
-    convention (Wootters, Ann. Phys. 176, 1 (1987)); the tomographic suite
-    compares it with them point by point.
+    P^xi_0 projects on the state of the line of slope xi through the origin,
+    the head of its pencil (rows ``::q`` of ``family.states``).  It equals the
+    s = 0 kernel of the matching tomographic phase convention at the origin
+    (Wootters, Ann. Phys. 176, 1 (1987)), and both forms obey
+    Delta(a, b) = X_b Z_a Delta(0, 0) Z_a^dagger X_b, so the tomographic suite
+    compares them there.
     """
     require_operator_n(ctx)
-    if ctx.n > MAX_DENSE_N:
-        raise ConfigurationError(f"line-projector tables are capped at n <= {MAX_DENSE_N}")
     q = ctx.order
-    states = family.states
-    # proj[slope, nu] = |psi><psi| of the line's state; slope q is vertical
-    proj = (states[:, :, None] * states.conj()[:, None, :]).reshape(q + 1, q, q, q)
-    table = np.repeat((proj[q] - np.eye(q))[:, None], q, axis=1)
-    b = np.arange(q)
+    heads = family.states[::q]
+    proj = heads[:, :, None] * heads.conj()[:, None, :]
     # the slopes in increasing order, as the per-point sum adds them
-    for xi in range(q):
-        table += proj[xi][ctx.mul_table[xi][:, None] ^ b]
-    return table
+    return sum(proj[:q], proj[q] - np.eye(q))
 
 
 @dataclass

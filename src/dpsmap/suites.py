@@ -7,7 +7,10 @@ Each suite returns a JSON-serializable report::
 
 The field, pauli and mub suites draw nothing.  Field and pauli check every
 input through the generators 2^i (the product is bilinear, and Z, X represent
-(GF(2^n), +)), mub through X-covariance; the others check seeded samples.  A
+(GF(2^n), +)), mub through X-covariance.  The tomographic suite checks every
+line and every kernel through the q + 1 pencil heads and the origin kernel
+(each line state is an X_nu or Z_nu shift of its head, and the kernels are
+covariant); its Born check and the other suites check seeded samples.  A
 check of one measured number passes below its tolerance, so a NaN fails it.
 """
 
@@ -267,27 +270,25 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
     checks.append(_measured("line sums = Born probabilities", worst,
                             "10 random pure states, all lines, max dev {:.2e}"))
 
+    # row xi q + nu holds X_nu times its pencil's head, row q^2 + nu holds Z_nu times
+    # |0~>, and the kernels are covariant, so the heads' symbols settle every line's
     line_dev = 0.0
-    # every line, or those of slopes 0 and 1 and of the vertical pencil
-    rows = np.arange(q * q + q) if n <= 3 else np.r_[:2 * q, q * q:q * q + q]
-    states, points = family.states[rows], ctx.line_points[rows]
-    for part in _chunks(ctx, len(states)):
+    states, points = family.states[::q], ctx.line_points[::q]
+    for part in _chunks(ctx, q + 1):
         psi = states[part]
         w = kernels.forward_map(k0, psi[:, :, None] * psi.conj()[:, None, :]).grid
         expect = np.zeros((len(psi), q * q))
         np.put_along_axis(expect, points[part], 1.0, axis=1)
         line_dev = max(line_dev, _dev(w, expect.reshape(-1, q, q)))
     checks.append(_measured("line-state symbols are delta lines", line_dev,
-                            f"slopes checked: {len(rows) // q}"))
+                            f"intercept 0 of all {q + 1} pencils"))
 
-    if n <= 3:
-        wk = kernels.wootters_kernel(ctx, family).reshape(q * q, q, q)
-        a, b = np.divmod(np.arange(q * q), q)
-        dev = max(_dev(wk[part], k0.at(a[part], b[part])) for part in _chunks(ctx, q * q))
-        checks.append(_measured("line-projector kernel equals character-sum kernel",
-                                dev, "max entry dev {:.2e}"))
-        checks.append(_measured("Tr of every kernel = 1",
-                                _dev(np.trace(wk, axis1=1, axis2=2), 1)))
+    # both kernels obey Delta(a, b) = X_b Z_a Delta(0, 0) Z_a^dagger X_b
+    wk = kernels.wootters_kernel(ctx, family)
+    checks.append(_measured("line-projector kernel equals character-sum kernel",
+                            _dev(wk, k0.at(0, 0)), "at the origin, max entry dev {:.2e}"))
+    checks.append(_measured("Tr of every kernel = 1", _dev(np.trace(wk), 1),
+                            "at the origin; the others are its conjugates"))
     return _report("tomographic", n, checks)
 
 

@@ -13,8 +13,9 @@ here rather than in the package:
   ``MubFamily.states``: the lines one at a time, their points, their
   states (each slope's rotation built on its own, against the stacks of
   ``build_V``) and the line sums of a symbol;
-* the per-point loop of the line-projector kernel, the oracle of
-  ``kernels.wootters_kernel``;
+* the line-projector kernel one point at a time, the full (q, q, q, q)
+  table: its origin kernel is ``kernels.wootters_kernel``, and every point
+  is compared with ``KernelSet.at``;
 * schoolbook carry-less multiplication, and the product table built from
   it one bit of b at a time, the oracles of the field tables; trial
   division in GF(2)[x], which pins that every tabled modulus is

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 from oracles import (all_lines, dense, fit_constant, line_exponents,
-                     line_points_of, reference_symbol, su2_group_element)
+                     line_points_of, reference_symbol, su2_group_element,
+                     wootters_kernel_by_points)
 
 from dpsmap import (build_kernel, check_kernel_invariance,
                     convention_from_name, convolution_prefactor, displacement,
@@ -226,15 +227,18 @@ def test_criterion_06_tomography_suite():
     for n in (1, 2, 3):
         ctx = field_context(n)
         kern = build_kernel(ctx, 0.0, TOMO)
-        woot = wootters_kernel(ctx, mub_family(ctx))
+        fam = mub_family(ctx)
+        woot = wootters_kernel_by_points(ctx, fam)
+        assert np.array_equal(wootters_kernel(ctx, fam), woot[0, 0])
         for a, b in np.ndindex(ctx.order, ctx.order):
             worst_w = max(worst_w, float(np.max(np.abs(
                 woot[a, b] - kern.at(a, b)))))
-    ok = worst_tc < TOL and worst_line < TOL and worst_w < TOL
+    suite_ok = all(run_suite("tomographic", n)["passed"] for n in range(1, 6))
+    ok = worst_tc < TOL and worst_line < TOL and worst_w < TOL and suite_ok
     _verdict(6, "line sums = Born probabilities, delta-line states, "
                 "projector form of the kernel", ok,
              f"10 states/size n<=4, TC dev {worst_tc:.1e}, "
-             f"kernel match {worst_w:.1e}")
+             f"kernel match {worst_w:.1e}, suite n=1..5 through the pencil heads")
 
 
 def test_criterion_07_symmetry_suite():

@@ -553,37 +553,62 @@ def test_line_marginal_equals_born_probability():
 
 
 def test_wootters_form_equals_character_sum():
-    """Sum of line projectors through a point minus identity, compared
-    entrywise with the character-sum construction at every point; the
-    table sums to q I and holds hermitian kernels of unit trace."""
+    """Sum of line projectors through a point minus identity, from the
+    per-point oracle, compared entrywise with the character-sum construction
+    at every point; the table sums to q I and holds hermitian kernels of unit
+    trace."""
     for n in (1, 2, 3):
         ctx = field_context(n)
         q = ctx.order
         kern = build_kernel(ctx, 0.0, TOMO)
-        woot = wootters_kernel(ctx, mub_family(ctx))
-        chars = np.array([[kern.at(a, b) for b in range(ctx.order)] for a in range(ctx.order)])
-        assert woot.shape == (q, q, q, q)
-        assert np.max(np.abs(woot - chars)) < 1e-10
+        woot = wootters_kernel_by_points(ctx, mub_family(ctx))
+        a, b = np.divmod(np.arange(q * q), q)
+        assert np.max(np.abs(woot.reshape(q * q, q, q) - kern.at(a, b))) < 1e-10
         assert np.max(np.abs(woot.sum(axis=(0, 1)) - q * np.eye(q))) < 1e-12
         assert np.max(np.abs(woot - np.conj(np.swapaxes(woot, 2, 3)))) < 1e-12
         assert np.max(np.abs(np.trace(woot, axis1=2, axis2=3) - 1)) < 1e-12
 
 
-def test_wootters_kernel_cap():
-    with pytest.raises(ConfigurationError):
-        wootters_kernel(field_context(5), mub_family(field_context(5)))
-
-
 @pytest.mark.parametrize("n", (1, 2, 3))
 @pytest.mark.parametrize("scheme", ("p1", "graph+"))
 def test_wootters_kernel_is_bitwise_the_per_point_sum(n, scheme):
-    """Every entry adds the same projectors in the same order as the loop
-    over points."""
+    """The q x q origin kernel adds the same projectors in the same order as
+    the loop over points."""
     ctx = field_context(n)
     fam = mub_family(ctx, scheme)
     got = wootters_kernel(ctx, fam)
+    assert got.shape == (ctx.order, ctx.order)
     assert np.array_equal(got.view(np.uint64),
-                          wootters_kernel_by_points(ctx, fam).view(np.uint64))
+                          wootters_kernel_by_points(ctx, fam)[0, 0].view(np.uint64))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_both_kernels_are_conjugates_of_the_origin_kernel(n):
+    """Delta(a, b) = X_b Z_a Delta(0, 0) Z_a^dagger X_b for the line-projector
+    and the character-sum kernel: the origin settles every point."""
+    ctx = field_context(n)
+    q = ctx.order
+    kern = build_kernel(ctx, 0.0, TOMO)
+    woot = wootters_kernel_by_points(ctx, mub_family(ctx))
+    for a, b in np.ndindex(q, q):
+        u = pauli.build_X(ctx, b) @ pauli.build_Z(ctx, a)
+        for table in (woot, kern.at(np.arange(q)[:, None], np.arange(q))):
+            assert np.max(np.abs(u @ table[0, 0] @ u.conj().T - table[a, b])) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_line_state_is_a_shift_of_its_pencils_head(n):
+    """Row xi q + nu of the family is X_nu times row xi q, and row q^2 + nu is
+    Z_nu times row q^2, for every scheme."""
+    ctx = field_context(n)
+    q = ctx.order
+    nu = np.arange(q)
+    for scheme in ("p1", "graph+"):
+        pencils = mub_family(ctx, scheme).states.reshape(q + 1, q, q)
+        heads = pencils[:, 0]
+        shifted = np.einsum("vrc,xc->xvr", pauli.build_X(ctx, nu), heads[:q])
+        assert np.max(np.abs(pencils[:q] - shifted)) < 1e-12
+        assert np.max(np.abs(pencils[q] - pauli.build_Z(ctx, nu) @ heads[q])) < 1e-12
 
 
 def test_wstate_symbol_is_real_for_hermitian_convention():

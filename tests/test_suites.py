@@ -29,7 +29,7 @@ def test_out_of_range_suite_is_skipped_by_all():
     report = run_suite("all", 6)
     assert report["passed"]
     skipped = {r["suite"] for r in report["suites"] if r.get("skipped")}
-    assert "kernel" in skipped  # needs symmetrize, capped below n=6
+    assert "kernel" in skipped  # _SUITES caps the kernel suite at n = 5
     assert "field" not in skipped
     assert "theorem" not in skipped
 
@@ -421,6 +421,38 @@ def test_mub_suite_fails_one_slopes_rotation_given_for_another(monkeypatch, n):
                         build_V(ctx, conv, np.where(xi == q - 1, 1, xi)))
     failed = [c["name"] for c in run_suite("mub", n)["checks"] if not c["passed"]]
     assert failed == ["V_xi^2 = X_sqrt(xi)", "full family pairwise unbiased"]
+
+
+def _change_one_row(monkeypatch, row):
+    """Make ``mub_family`` return states whose row ``row(q)`` has one
+    amplitude moved, re-normalized."""
+    mub_family = mubrot.mub_family
+
+    def changed(ctx, scheme="p1"):
+        states = mub_family(ctx, scheme).states.copy()
+        r = row(ctx.order)
+        states[r, 1] += 1e-3
+        states[r] /= np.linalg.norm(states[r])
+        return mubrot.MubFamily(ctx, scheme, states)
+
+    monkeypatch.setattr(mubrot, "mub_family", changed)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("head", ("last sloped", "vertical"))
+def test_tomographic_suite_fails_one_changed_amplitude_of_a_head(monkeypatch, n, head):
+    _change_one_row(monkeypatch, lambda q: q * (q - 1) if head == "last sloped" else q * q)
+    failed = [c["name"] for c in run_suite("tomographic", n)["checks"] if not c["passed"]]
+    assert failed == ["line sums = Born probabilities", "line-state symbols are delta lines",
+                      "line-projector kernel equals character-sum kernel"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_only_the_born_check_reads_a_row_off_the_heads(monkeypatch, n):
+    """The last line of the last slope is no pencil's head."""
+    _change_one_row(monkeypatch, lambda q: q * q - 1)
+    failed = [c["name"] for c in run_suite("tomographic", n)["checks"] if not c["passed"]]
+    assert failed == ["line sums = Born probabilities"]
 
 
 # the suites' seeded generator
