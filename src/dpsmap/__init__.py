@@ -25,12 +25,11 @@ from ._version import __version__
 from .errors import ConfigurationError, FiducialError
 from .gf2n import IRREDUCIBLE_POLYS, MAX_N, FieldContext, field_context
 from .kernels import (MAX_DENSE_N, KernelSet, OverlapReport,
-                      PhaseSpaceFunction, TomographicCheckResult, build_kernel,
-                      convolution_prefactor, forward_map, inverse_map,
-                      overlap_check, tomographic_check, trace_convolution,
-                      wootters_kernel)
-from .mubrot import (VERTICAL, LineSpec, MubFamily, build_V, check_unbiased,
-                     dual_basis_matrix, mub_family)
+                      PhaseSpaceFunction, build_kernel, convolution_prefactor,
+                      forward_map, inverse_map, overlap_check,
+                      tomographic_check, trace_convolution, wootters_kernel)
+from .mubrot import (MubFamily, build_V, check_unbiased, dual_basis_matrix,
+                     mub_family)
 from .serialize import (DiffReport, diff_grids, diff_projected, load_symbol,
                         mub_to_json, proj_to_csv, proj_to_gnuplot,
                         proj_to_json, psf_to_csv, psf_to_gnuplot, psf_to_json)
@@ -51,12 +50,10 @@ __all__ = [
     "__version__",
     "ConfigurationError", "FiducialError",
     "IRREDUCIBLE_POLYS", "MAX_N", "FieldContext", "field_context",
-    "MAX_DENSE_N", "KernelSet", "OverlapReport",
-    "PhaseSpaceFunction", "TomographicCheckResult", "build_kernel",
-    "convolution_prefactor", "forward_map", "inverse_map", "overlap_check",
-    "tomographic_check", "trace_convolution", "wootters_kernel",
-    "VERTICAL", "LineSpec", "MubFamily", "build_V", "check_unbiased",
-    "dual_basis_matrix", "mub_family",
+    "MAX_DENSE_N", "KernelSet", "OverlapReport", "PhaseSpaceFunction",
+    "build_kernel", "convolution_prefactor", "forward_map", "inverse_map",
+    "overlap_check", "tomographic_check", "trace_convolution", "wootters_kernel",
+    "MubFamily", "build_V", "check_unbiased", "dual_basis_matrix", "mub_family",
     "DEFAULT_FIDUCIAL_ZETA", "FactorizedPhase", "FiducialReport", "GraphPhase",
     "PhaseConvention", "PlainPhase", "SqrtPhase", "TomographicPhase",
     "build_X", "build_Z", "check_fiducial", "convention_from_name",

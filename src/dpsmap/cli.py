@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple, get_type_hints
@@ -298,7 +298,7 @@ def cmd_diff(args) -> int:
         report = serialize.diff_grids(sym_a, sym_b)
     else:
         report = serialize.diff_projected(sym_a, sym_b)
-    print(serialize._dumps(report.to_dict()))
+    print(serialize._dumps(asdict(report)))
     return 0 if report.max_deviation <= args.tol else 1
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FiducialError
 from .gf2n import FieldContext
-from .mubrot import LineSpec, MubFamily, line_at
+from .mubrot import MubFamily
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
                     check_fiducial, displacement_overlaps, require_operator_n,
                     spin_coherent)
@@ -181,7 +181,7 @@ def forward_map(kernel: KernelSet, op: np.ndarray,
     """Symbol W_f(alpha, beta) = Tr[f Delta^(s)(alpha, beta)].
 
     A (..., q, q) stack of operators gives one symbol whose grid is
-    stacked the same way; only the suites' batch checks use that.
+    stacked the same way, as the batch checks and ``tomographic_check`` use.
     """
     ctx = kernel.ctx
     q = ctx.order
@@ -306,39 +306,31 @@ def wootters_kernel(ctx: FieldContext, family: MubFamily) -> np.ndarray:
     return sum(proj[:q], proj[q] - np.eye(q))
 
 
-@dataclass
-class TomographicCheckResult:
-    line: LineSpec
-    lhs: complex
-    rhs: complex
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
 def tomographic_check(kernel: KernelSet, rho: np.ndarray,
-                      family: MubFamily) -> TomographicCheckResult:
-    """The worst line of the tomographic condition for one state.
+                      family: MubFamily) -> np.ndarray:
+    """|line sum - Born probability| of every line, for one state or a
+    (..., q, q) stack of them: an array of shape (..., q(q+1)) whose row r
+    is line r of ``ctx.line_points``.
 
-    Every line sum 2^-n sum W_rho(a, b) over the line's points is compared
-    with the Born probability <psi|rho|psi> of the line's state in
-    ``family``; the result is the line with the largest deviation, the
-    first in the row order of ``ctx.line_points`` on ties; its ``LineSpec``
-    is the only one built.
+    A line sum is 2^-n sum W_rho(a, b) over the line's points, from one
+    stacked forward map; its Born probability is <psi|rho|psi> for the
+    line's state, the same row of ``family.states``.
     """
     ctx = kernel.ctx
+    q = ctx.order
     rho = np.asarray(rho, dtype=complex)
-    values = forward_map(kernel, rho).grid.ravel()[ctx.line_points]
+    values = forward_map(kernel, rho).grid.reshape(rho.shape[:-2] + (q * q,))
     # added one point at a time in each row's order, so that every sum is
     # bitwise the plain sum over that line's points
-    lhs = values[:, 0].copy()
-    for column in values.T[1:]:
-        lhs += column
-    lhs /= ctx.order
+    points = ctx.line_points.T
+    lhs = values[..., points[0]]
+    for column in points[1:]:
+        lhs += values[..., column]
+    lhs /= q
     states = family.states
-    pencils = states.reshape(-1, ctx.order, ctx.order)      # q x q products, one per pencil
-    rhs = np.sum((pencils.conj() @ rho).reshape(states.shape) * states, axis=1)
-    worst = int(np.argmax(np.abs(lhs - rhs)))
-    return TomographicCheckResult(line_at(ctx, worst), complex(lhs[worst]),
-                                  complex(rhs[worst]))
+    pencils = states.reshape(-1, q, q).conj()   # q x q products, per pencil and state
+    for r, row in zip(rho.reshape(-1, q, q), lhs.reshape(-1, len(states))):
+        born = (pencils @ r).reshape(states.shape)
+        born *= states
+        row -= born.sum(axis=1)
+    return np.abs(lhs)

@@ -33,34 +33,10 @@ from .errors import ConfigurationError
 from .gf2n import FieldContext
 from .pauli import I4, PhaseConvention, convention_from_name, require_operator_n
 
-#: slope tag for vertical lines alpha = const (the dual basis)
-VERTICAL = None
-
 #: MUB scheme -> the phase convention whose line restriction it uses
 SCHEMES = {"p1": "tomographic-p1", "p2": "tomographic-p2",
            "p4": "tomographic-p4", "graph+": "graph-plus",
            "graph-": "graph-minus"}
-
-
-# ----------------------------------------------------------------------
-# lines
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LineSpec:
-    """A line in the (alpha, beta) grid: beta = slope*alpha + intercept,
-    or alpha = intercept when slope is VERTICAL (None)."""
-
-    slope: int | None
-    intercept: int
-
-
-def line_at(ctx: FieldContext, row: int) -> LineSpec:
-    """Line ``row`` of ``ctx.line_points``: slope row // q (q stands for the
-    vertical pencil) and intercept row % q."""
-    q = ctx.order
-    slope, nu = divmod(int(row), q)
-    return LineSpec(VERTICAL if slope == q else slope, nu)
 
 
 # ----------------------------------------------------------------------

@@ -282,12 +282,6 @@ class DiffReport:
     avg_deviation: float
     worst: object = None
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "points": self.points,
-                "max_deviation": self.max_deviation,
-                "avg_deviation": self.avg_deviation,
-                "worst": self.worst}
-
 
 def diff_grids(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> DiffReport:
     ga, gb = np.asarray(a.grid), np.asarray(b.grid)

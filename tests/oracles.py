@@ -9,10 +9,11 @@ here rather than in the package:
   one of those closed forms gives;
 * the closed form of the orbit sizes R_mnk (``r_factor``), the oracle of
   ``FieldContext.orbit_sizes``, with the pair counts it is built from;
-* the per-line oracles of ``FieldContext.line_points`` and
-  ``MubFamily.states``: the lines one at a time, their points, their
-  states (each slope's rotation built on its own, against the stacks of
-  ``build_V``) and the line sums of a symbol;
+* the per-line oracles of ``FieldContext.line_points``, ``MubFamily.states``
+  and ``kernels.tomographic_check``: the lines one at a time, each labelled
+  by a ``LineSpec`` (the package knows a line only as its row), their
+  points, their states (each slope's rotation built on its own, against
+  the stacks of ``build_V``) and the line sums of a symbol;
 * the line-projector kernel one point at a time, the full (q, q, q, q)
   table: its origin kernel is ``kernels.wootters_kernel``, and every point
   is compared with ``KernelSet.at``;
@@ -41,11 +42,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from dpsmap import (VERTICAL, ConfigurationError, FieldContext, LineSpec,
-                    DiffReport, PhaseSpaceFunction, ProjectedFunction, cli,
+from dpsmap import (ConfigurationError, FieldContext, DiffReport,
+                    PhaseSpaceFunction, ProjectedFunction, cli,
                     convention_from_name, dual_basis_matrix, logical_state,
                     mub_family, pauli, suites)
 from dpsmap._version import __version__
@@ -210,6 +212,19 @@ def valid_triples(n: int) -> list[tuple[int, int, int]]:
 # ----------------------------------------------------------------------
 # lines, one at a time
 # ----------------------------------------------------------------------
+
+#: slope tag of the vertical lines alpha = const (the dual basis)
+VERTICAL = None
+
+
+@dataclass(frozen=True)
+class LineSpec:
+    """A line in the (alpha, beta) grid: beta = slope*alpha + intercept,
+    or alpha = intercept when slope is VERTICAL."""
+
+    slope: int | None
+    intercept: int
+
 
 def all_lines(ctx: FieldContext):
     """All 2^n (2^n + 1) lines: every slope plus the vertical pencil, in the

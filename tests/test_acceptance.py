@@ -211,7 +211,7 @@ def test_criterion_06_tomography_suite():
         fam = mub_family(ctx)
         for _ in range(10):
             rho = np.outer(*(lambda v: (v, v.conj()))(random_pure(ctx.order, rng)))
-            worst_tc = max(worst_tc, tomographic_check(kern, rho, fam).deviation)
+            worst_tc = max(worst_tc, tomographic_check(kern, rho, fam).max())
     worst_line = 0.0
     for n in (1, 2):
         ctx = field_context(n)

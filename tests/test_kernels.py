@@ -17,6 +17,7 @@ from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FiducialError,
                     mub_family, overlap_check, spin_coherent,
                     tomographic_check, trace_convolution, w_state,
                     wootters_kernel)
+from dpsmap.mubrot import SCHEMES
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -455,15 +456,11 @@ def test_line_state_symbols_are_delta_lines():
 
 def per_line_tomographic_check(kern, rho, fam):
     """The per-line loop tomographic_check replaces: a forward map, a line
-    sum and a Born probability for every line; the first worst line wins."""
+    sum and a Born probability for every line, one deviation per line."""
     ctx = kern.ctx
-    worst = None
-    for line, ket in zip(all_lines(ctx), fam.states, strict=True):
-        lhs = line_marginal(ctx, kernels.forward_map(kern, rho), line)
-        rhs = complex(ket.conj() @ rho @ ket)
-        if worst is None or abs(lhs - rhs) > abs(worst[1] - worst[2]):
-            worst = (line, lhs, rhs)
-    return worst
+    return np.array([abs(line_marginal(ctx, kernels.forward_map(kern, rho), line)
+                         - ket.conj() @ rho @ ket)
+                     for line, ket in zip(all_lines(ctx), fam.states, strict=True)])
 
 
 def test_tomographic_check_on_random_states():
@@ -478,20 +475,38 @@ def test_tomographic_check_on_random_states():
             psi /= np.linalg.norm(psi)
             rho = np.outer(psi, psi.conj())
             res = tomographic_check(kern, rho, fam)
-            _line, lhs, rhs = per_line_tomographic_check(kern, rho, fam)
-            assert res.deviation < 1e-10
-            assert abs(res.deviation - abs(lhs - rhs)) < 1e-15
-            # the reported line sum is the one line_marginal adds, bit for bit
-            ket = fam.states[list(all_lines(ctx)).index(res.line)]
-            assert res.lhs == line_marginal(ctx, forward_map(kern, rho), res.line)
-            assert abs(res.rhs - ket.conj() @ rho @ ket) < 1e-15
+            assert res.shape == (q * (q + 1),)
+            assert res.max() < 1e-10
+            # row r is line r of all_lines
+            assert np.abs(res - per_line_tomographic_check(kern, rho, fam)).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("scheme", ("p1", "graph+"))
+def test_tomographic_check_of_a_stack_is_its_rows(n, scheme):
+    """A (10, q, q) stack gives, bit for bit, the rows of its states checked
+    one at a time, and a (2, 5, q, q) stack the same rows."""
+    ctx = field_context(n)
+    q = ctx.order
+    kern = build_kernel(ctx, 0.0, convention_from_name(SCHEMES[scheme]))
+    fam = mub_family(ctx, scheme)
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=(10, q)) + 1j * rng.normal(size=(10, q))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    res = tomographic_check(kern, rho, fam)
+    assert res.shape == (10, q * (q + 1))
+    rows = np.array([tomographic_check(kern, r, fam) for r in rho])
+    assert res.tobytes() == rows.tobytes()
+    assert tomographic_check(kern, rho.reshape(2, 5, q, q), fam).tobytes() == res.tobytes()
+    assert res.max() < 1e-10
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_tomographic_check_reports_the_perturbed_line(monkeypatch, n):
     """The symbol is shifted by eps Tr rho on every point of one line, as
     kernels shifted by eps I there would shift it, so that line's sum is off
-    by eps and every other line's by at most eps / q."""
+    by eps and every other line's by at most eps / q: its row is the argmax."""
     ctx = field_context(n)
     q = ctx.order
     kern = build_kernel(ctx, 0.0, TOMO)
@@ -499,19 +514,17 @@ def test_tomographic_check_reports_the_perturbed_line(monkeypatch, n):
     rho = np.outer(ghz_state(ctx), ghz_state(ctx).conj())
     lines = list(all_lines(ctx))
     unbent = kernels.forward_map
-    for target in (lines[0], lines[q + 1], lines[q * q - 1], lines[-1]):
-        def bent(kernel, op, provenance="", target=target):
+    for row in (0, q + 1, q * q - 1, q * (q + 1) - 1):
+        def bent(kernel, op, provenance="", target=lines[row]):
             psf = unbent(kernel, op, provenance)
             for a, b in line_points_of(ctx, target):
                 psf.grid[a, b] += 1e-3 * np.trace(op)
             return psf
         monkeypatch.setattr(kernels, "forward_map", bent)
         res = tomographic_check(kern, rho, fam)
-        line, lhs, rhs = per_line_tomographic_check(kern, rho, fam)
-        assert res.line == line == target
-        assert res.lhs == lhs
-        assert abs(res.rhs - rhs) < 1e-15
-        assert abs(res.deviation - 1e-3) < 1e-12
+        assert np.argmax(res) == row
+        assert abs(res[row] - 1e-3) < 1e-12
+        assert np.abs(res - per_line_tomographic_check(kern, rho, fam)).max() < 1e-15
 
 
 def test_tomographic_tables_are_built_once_and_read_only():

@@ -1,14 +1,14 @@
 # tests/test_mubrot.py
 import numpy as np
 import pytest
-from oracles import (all_lines, line_exponents, line_points_of, line_state,
-                     line_states)
+from oracles import (VERTICAL, all_lines, line_exponents, line_points_of,
+                     line_state, line_states)
 
 from dpsmap import (ConfigurationError, GraphPhase, PhaseConvention, PlainPhase,
-                    TomographicPhase, VERTICAL, build_V, build_X,
+                    TomographicPhase, build_V, build_X,
                     check_unbiased, convention_from_name, dual_basis_matrix,
                     field_context, mub_family)
-from dpsmap.mubrot import SCHEMES, line_at, recurrence_holds
+from dpsmap.mubrot import SCHEMES, recurrence_holds
 from dpsmap.pauli import I4
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -392,14 +392,6 @@ def test_family_states_are_the_oracle_line_states(n, scheme):
         fam.states[0, 0] = 0
     expect = np.array([line_state(ctx, scheme, line) for line in all_lines(ctx)])
     assert np.array_equal(fam.states.view(np.uint64), expect.view(np.uint64))
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_line_at_is_the_row_of_all_lines(n):
-    ctx = field_context(n)
-    q = ctx.order
-    lines = list(all_lines(ctx))
-    assert [line_at(ctx, row) for row in range(q * (q + 1))] == lines
 
 
 def _verify_oracle(ctx, xi, exponents):

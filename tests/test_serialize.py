@@ -189,8 +189,8 @@ def test_diff_projected_is_the_per_key_loop(n):
             z[spots] = rng.choice([np.nan, np.inf, -np.inf, complex(0, np.nan)], size=spots.size)
         pa, pb = (ProjectedFunction(n=n, s=0.0, values=z, convention="plain") for z in (a, b))
         for x, y in ((pa, pb), (pb, pa), (pa, pa)):
-            want = diff_projected_by_keys(x, y).to_dict()
-            assert repr(diff_projected(x, y).to_dict()) == repr(want)
+            want = dataclasses.asdict(diff_projected_by_keys(x, y))
+            assert repr(dataclasses.asdict(diff_projected(x, y))) == repr(want)
 
 
 def test_diff_shape_mismatch_rejected():
@@ -384,7 +384,7 @@ def test_load_symbol_detects_kind():
 
 def test_diff_report_dict():
     _, psf = sample_psf()
-    d = diff_grids(psf, psf).to_dict()
+    d = dataclasses.asdict(diff_grids(psf, psf))
     assert set(d) >= {"kind", "points", "max_deviation", "avg_deviation"}
 
 

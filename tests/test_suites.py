@@ -626,9 +626,9 @@ def _nan_grids(fn):
 
 def _nan_line_sum(fn):
     def nan_line_sum(*args, **kwargs):
-        result = fn(*args, **kwargs)
-        result.lhs = complex("nan")
-        return result
+        deviations = fn(*args, **kwargs)
+        deviations[..., -1] = np.nan
+        return deviations
     return nan_line_sum
 
 
