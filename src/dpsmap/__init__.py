@@ -23,7 +23,8 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 
 from ._version import __version__
 from .errors import ConfigurationError, FiducialError
-from .gf2n import IRREDUCIBLE_POLYS, MAX_N, FieldContext, field_context
+from .gf2n import (IRREDUCIBLE_POLYS, MAX_N, SELFDUAL_BASES, FieldContext,
+                   field_context)
 from .kernels import (MAX_DENSE_N, KernelSet, OverlapReport,
                       PhaseSpaceFunction, build_kernel, convolution_prefactor,
                       forward_map, inverse_map, overlap_check,
@@ -49,7 +50,7 @@ from .symproj import (InvarianceReport, PhaseSearchReport, ProjectedFunction,
 __all__ = [
     "__version__",
     "ConfigurationError", "FiducialError",
-    "IRREDUCIBLE_POLYS", "MAX_N", "FieldContext", "field_context",
+    "IRREDUCIBLE_POLYS", "MAX_N", "SELFDUAL_BASES", "FieldContext", "field_context",
     "MAX_DENSE_N", "KernelSet", "OverlapReport", "PhaseSpaceFunction",
     "build_kernel", "convolution_prefactor", "forward_map", "inverse_map",
     "overlap_check", "tomographic_check", "trace_convolution", "wootters_kernel",

@@ -1,14 +1,15 @@
-"""Arithmetic in GF(2^n) with a verified self-dual basis.
+"""Arithmetic in GF(2^n) with a tabled self-dual basis.
 
 Field elements are plain Python ints whose bits hold the coefficients in
 the fixed polynomial basis: addition is XOR, multiplication is carry-less
 multiplication reduced modulo the tabled irreducible polynomial of degree
 n.  Each context additionally carries the canonical self-dual basis
-{theta_1 .. theta_n}, i.e. one with tr(theta_i * theta_j) = delta_ij, the
-first such tuple in increasing element order.  In that basis the
-expansion coefficients of an element double as qubit labels, the trace of
-a product becomes the mod-2 dot product of coordinate strings, and
-swapping two qubits becomes a linear map on the field.
+{theta_1 .. theta_n} of ``SELFDUAL_BASES``, i.e. one with
+tr(theta_i * theta_j) = delta_ij, the first such tuple in increasing
+element order; the field verify suite checks its Gram matrix.  In that
+basis the expansion coefficients of an element double as qubit labels,
+the trace of a product becomes the mod-2 dot product of coordinate
+strings, and swapping two qubits becomes a linear map on the field.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ IRREDUCIBLE_POLYS = {
     8: 0b100011101,  # x^8 + x^4 + x^3 + x^2 + 1
 }
 
+#: the canonical self-dual basis of each tabled field: the first ascending
+#: tuple of elements with tr(theta_i theta_j) = delta_ij
+SELFDUAL_BASES = {1: (1,), 2: (2, 3), 3: (3, 5, 7), 4: (8, 11, 13, 15),
+                  5: (3, 5, 12, 17, 26), 6: (32, 35, 49, 55, 59, 63),
+                  7: (3, 65, 71, 97, 109, 117, 125),
+                  8: (32, 35, 48, 54, 58, 121, 176, 247)}
+
 #: largest supported extension degree (field level; operators cap lower)
 MAX_N = 8
 
@@ -43,7 +51,7 @@ MAX_N = 8
 
 class FieldContext:
     """GF(2^n) modulo ``IRREDUCIBLE_POLYS[n]``: lookup tables plus the
-    canonical self-dual basis, for 1 <= n <= 8."""
+    canonical self-dual basis ``SELFDUAL_BASES[n]``, for 1 <= n <= 8."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
@@ -53,7 +61,7 @@ class FieldContext:
         self.order = 1 << n
 
         self._build_tables()
-        self.selfdual_basis = self._find_selfdual_basis()
+        self.selfdual_basis = SELFDUAL_BASES[n]
         self._build_coord_tables()
         # filled by ``PhaseConvention.exponent_table``
         self.phase_tables: dict[tuple, np.ndarray] = {}
@@ -93,41 +101,6 @@ class FieldContext:
         self.sqrt_table = cur
         # what the lazy tables read, even if an attribute is replaced later
         self._built = (self.chi_table, prod)
-
-    def _find_selfdual_basis(self) -> tuple[int, ...]:
-        """Lexicographically smallest ascending tuple with Gram matrix I.
-
-        Depth-first search in increasing element order.  Requiring the
-        tuple to be ascending loses nothing (a self-dual set stays
-        self-dual under reordering) and makes the result canonical.
-        """
-        q, n = self.order, self.n
-        tr, mul = self.trace_table, self.mul_table
-        elems = np.arange(q, dtype=np.int64)
-        diag_ok = tr[mul[elems, elems]] == 1
-
-        basis: list[int] = []
-
-        def extend(lo: int) -> bool:
-            if len(basis) == n:
-                return True
-            ok = diag_ok.copy()
-            ok[:lo] = False
-            for th in basis:
-                ok &= tr[mul[th]] == 0
-            cands = np.flatnonzero(ok)
-            if len(cands) < n - len(basis):
-                return False
-            for x in cands:
-                basis.append(int(x))
-                if extend(int(x) + 1):
-                    return True
-                basis.pop()
-            return False
-
-        if not extend(1):
-            raise ConfigurationError("no self-dual basis found (unexpected for GF(2^n))")
-        return tuple(basis)
 
     def _build_coord_tables(self):
         q, n = self.order, self.n

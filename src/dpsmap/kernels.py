@@ -17,6 +17,7 @@ materializing displacement operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .errors import ConfigurationError, FiducialError
 from .gf2n import FieldContext
 from .mubrot import MubFamily
 from .pauli import (DEFAULT_FIDUCIAL_ZETA, PhaseConvention, PlainPhase,
-                    check_fiducial, displacement_overlaps, require_operator_n,
-                    spin_coherent)
+                    check_fiducial, displacement_overlaps, from_monomials,
+                    monomial_traces, require_operator_n, spin_coherent)
 
 #: size cap of ``map --mode dense``
 MAX_DENSE_N = 4
@@ -60,13 +61,13 @@ class KernelSet:
     """All 4^n kernels for one (s, convention, fiducial) choice.
 
     Every kernel is evaluated by character sums from the q x q table
-    ``w * phi`` of its displacement coefficients.  When s != 0 the fiducial
-    (by default the spin-coherent state at ``DEFAULT_FIDUCIAL_ZETA``) is
-    checked and the result kept as ``fiducial_report``; otherwise that is
-    None.  Vanishing displacement overlaps are fatal only when the kernel
-    has to invert them (s > 0): the s = -1 family of coherent-state
-    projectors is well defined for any fiducial, it merely stops being
-    informationally complete.
+    ``w * phi`` of its displacement coefficients; ``at`` moves the origin
+    kernel by displacements.  When s != 0 the fiducial (by default the
+    spin-coherent state at ``DEFAULT_FIDUCIAL_ZETA``) is checked and the
+    result kept as ``fiducial_report``; otherwise that is None.  Vanishing
+    displacement overlaps are fatal only when the kernel has to invert them
+    (s > 0): the s = -1 family of coherent-state projectors is well defined
+    for any fiducial, it merely stops being informationally complete.
     """
 
     def __init__(self, ctx: FieldContext, s: float, conv: PhaseConvention,
@@ -96,23 +97,26 @@ class KernelSet:
         self.fiducial = fiducial
         # wphi[gamma, delta]: the coefficient of Z_gamma X_delta in every kernel
         self._wphi = weights * conv.value_table(ctx)
-        # stable[delta, t] = sum_gamma chi(gamma t) w[gamma, delta] phi[gamma, delta],
-        # both axes permuted to Hilbert-space basis order
-        basis = ctx.element_of_index
-        self._stable = (ctx.char_matrix_c @ self._wphi).T[np.ix_(basis, basis)]
 
     # -- access -----------------------------------------------------------
 
+    @cached_property
+    def _origin(self) -> np.ndarray:
+        """q Delta(0, 0) in basis order, entry (r, c) stored at [r ^ c, r];
+        built on the first call of ``at``."""
+        ctx = self.ctx
+        return from_monomials(ctx, self._wphi)[np.arange(ctx.order), ctx.xor_grid]
+
     def at(self, alpha, beta) -> np.ndarray:
-        """Delta(alpha, beta); a (..., q, q) stack over the broadcast shape
-        of index arrays."""
+        """Delta(alpha, beta) = X_beta Z_alpha Delta(0, 0) Z_alpha^dagger X_beta;
+        a (..., q, q) stack over the broadcast shape of index arrays."""
         ctx = self.ctx
         q = ctx.order
         alpha, beta = np.broadcast_arrays(alpha, beta)
         # the basis index is linear over GF(2), so in basis order entry (r, c)
-        # is chi(alpha d) stable[d, e] / q at d = r ^ c and e = r ^ index(beta)
+        # is chi(alpha d) origin[d, e] / q at d = r ^ c and e = r ^ index(beta)
         chi_a = ctx.char_matrix_c[alpha.reshape(-1)][:, ctx.element_of_index]
-        tab = chi_a[:, :, None] * self._stable
+        tab = chi_a[:, :, None] * self._origin
         tab /= q
         rows = np.arange(q) ^ ctx.index_table[beta.reshape(-1, 1)]
         out = tab[np.arange(len(tab))[:, None, None], ctx.xor_grid, rows[:, :, None]]
@@ -187,14 +191,12 @@ def forward_map(kernel: KernelSet, op: np.ndarray,
     q = ctx.order
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (q, q):
-        raise ValueError(f"operator must be {q}x{q}")
-    a_idx = ctx.index_table
+        raise ConfigurationError(
+            f"forward_map needs {q}x{q} operators for n = {ctx.n}, got shape {op.shape}")
     c = ctx.char_matrix_c
-    # monomial traces Tr[f D(gamma, delta)] via one character transform; each
-    # stage replaces the last, so a stack's earlier stages are freed early
-    t = op[..., a_idx[ctx.xor_grid], a_idx[None, :]]         # [delta, mu]
-    t = t @ c                                                # [delta, gamma]
-    t = kernel._wphi * t.swapaxes(-1, -2)
+    # Tr[f D(gamma, delta)], then one character transform; each stage
+    # replaces the last, so a stack's earlier stages are freed early
+    t = kernel._wphi * monomial_traces(ctx, op)
     t = (c @ t @ c).swapaxes(-1, -2) / q
     return kernel._psf(t, provenance)
 
@@ -219,14 +221,14 @@ def inverse_map(kernel: KernelSet, psf: PhaseSpaceFunction) -> np.ndarray:
             and psf.fiducial is not kernel.fiducial
             and not np.allclose(psf.fiducial, kernel.fiducial)):
         raise ConfigurationError("fiducial mismatch between symbol and kernel")
+    q = ctx.order
     w = np.asarray(psf.grid, dtype=complex)
+    if w.shape[-2:] != (q, q):
+        raise ConfigurationError(
+            f"inverse_map needs {q}x{q} grids for n = {ctx.n}, got shape {w.shape}")
     c = ctx.char_matrix_c
-    # each stage replaces the last, so a stack's earlier stages are freed early
-    t = (c @ w @ c).swapaxes(-1, -2) / ctx.order ** 2        # [gamma, delta]
-    t = c @ (t * kernel._wphi)                               # [mu, delta]
-    out = np.zeros(w.shape, complex)
-    out[..., ctx.index_table[:, None], ctx.index_table[ctx.xor_grid]] = t
-    return out
+    t = (c @ w @ c).swapaxes(-1, -2) / q ** 2                # [gamma, delta]
+    return from_monomials(ctx, t * kernel._wphi)
 
 
 # ----------------------------------------------------------------------

@@ -116,6 +116,24 @@ def build_X(ctx: FieldContext, beta) -> np.ndarray:
     return _monomials(ctx, 0, beta)
 
 
+def monomial_traces(ctx: FieldContext, op: np.ndarray) -> np.ndarray:
+    """Table t[gamma, delta] = sum_mu chi(gamma mu) <mu + delta| op |mu>
+    = Tr[op Z_gamma X_delta]; a (..., q, q) stack of operators gives a
+    stack of tables."""
+    t = op[..., ctx.index_table[ctx.xor_grid], ctx.index_table]  # [delta, mu]
+    return (t @ ctx.char_matrix_c).swapaxes(-1, -2)
+
+
+def from_monomials(ctx: FieldContext, coeffs: np.ndarray) -> np.ndarray:
+    """The operator sum_(gamma, delta) coeffs[gamma, delta] Z_gamma X_delta,
+    or a (..., q, q) stack of them for a stack of tables."""
+    t = ctx.char_matrix_c @ coeffs                           # [mu, delta]
+    out = np.zeros(t.shape, complex)
+    # Z_gamma X_delta |mu + delta> = chi(gamma mu) |mu>
+    out[..., ctx.index_table[:, None], ctx.index_table[ctx.xor_grid]] = t
+    return out
+
+
 # ----------------------------------------------------------------------
 # phase conventions
 # ----------------------------------------------------------------------
@@ -294,10 +312,8 @@ def displacement_overlaps(ctx: FieldContext, conv: PhaseConvention,
                           ket: np.ndarray) -> np.ndarray:
     """Table M[gamma, delta] = <ket| D(gamma, delta) |ket> for all points."""
     require_operator_n(ctx)
-    amp = np.asarray(ket, dtype=complex)[ctx.index_table]      # field order
-    u = amp[ctx.xor_grid] * np.conj(amp)[None, :]              # u[d, mu]
-    corr = ctx.char_matrix_c @ u.T                             # sum_mu chi(g mu) u[d, mu]
-    return conv.value_table(ctx) * corr
+    ket = np.asarray(ket, dtype=complex)
+    return conv.value_table(ctx) * monomial_traces(ctx, ket[:, None] * ket.conj())
 
 
 @dataclass

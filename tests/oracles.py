@@ -20,7 +20,10 @@ here rather than in the package:
 * schoolbook carry-less multiplication, and the product table built from
   it one bit of b at a time, the oracles of the field tables; trial
   division in GF(2)[x], which pins that every tabled modulus is
-  irreducible; and the canonical self-dual basis of each tabled field;
+  irreducible; and the depth-first search for the first self-dual basis,
+  which pins ``gf2n.SELFDUAL_BASES``;
+* the fiducial overlaps <ket| D(gamma, delta) |ket> summed from the
+  amplitudes in field order, the oracle of ``pauli.displacement_overlaps``;
 * the field, pauli and mub suites' checks over every input at small n:
   the product's associativity and distributivity over all q^3 triples,
   unitarity and Z_a X_b = chi(ab) X_b Z_a over all 4^n dense pairs, and
@@ -116,11 +119,33 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
-#: the canonical self-dual bases of the tabled moduli
-SELFDUAL_BASES = {1: (1,), 2: (2, 3), 3: (3, 5, 7), 4: (8, 11, 13, 15),
-                  5: (3, 5, 12, 17, 26), 6: (32, 35, 49, 55, 59, 63),
-                  7: (3, 65, 71, 97, 109, 117, 125),
-                  8: (32, 35, 48, 54, 58, 121, 176, 247)}
+def first_selfdual_basis(ctx: FieldContext) -> tuple[int, ...]:
+    """The first ascending tuple of elements with Gram matrix I, found by
+    depth-first search in increasing element order; the oracle of
+    ``gf2n.SELFDUAL_BASES``.  Requiring the tuple to be ascending loses
+    nothing, since a self-dual set stays self-dual under reordering."""
+    n = ctx.n
+    tr, mul = ctx.trace_table, ctx.mul_table
+    elems = np.arange(ctx.order)
+    diag_ok = tr[mul[elems, elems]] == 1
+    basis: list[int] = []
+
+    def extend(lo: int) -> bool:
+        if len(basis) == n:
+            return True
+        ok = diag_ok.copy()
+        ok[:lo] = False
+        for th in basis:
+            ok &= tr[mul[th]] == 0
+        for x in np.flatnonzero(ok):
+            basis.append(int(x))
+            if extend(int(x) + 1):
+                return True
+            basis.pop()
+        return False
+
+    extend(1)
+    return tuple(basis)
 
 
 def field_axioms_by_triples(ctx: FieldContext) -> dict:
@@ -132,6 +157,15 @@ def field_axioms_by_triples(ctx: FieldContext) -> dict:
                 mt[mt[a][:, :, None], a[None, None, :]], mt[a[:, None, None], mt[a][None, :, :]]),
             "multiplication distributes over xor": np.array_equal(
                 mt[:, ctx.xor_grid], mt[:, :, None] ^ mt[:, None, :])}
+
+
+def displacement_overlaps_in_field_order(ctx: FieldContext, conv, ket) -> np.ndarray:
+    """``pauli.displacement_overlaps`` from the amplitudes in field order:
+    u[d, mu] = <mu + d|ket> <ket|mu>, then phi[g, d] sum_mu chi(g mu) u[d, mu]
+    as the product C u^T with C = chi(xy)."""
+    amp = np.asarray(ket, dtype=complex)[ctx.index_table]
+    u = amp[ctx.xor_grid] * np.conj(amp)[None, :]
+    return conv.value_table(ctx) * (ctx.char_matrix_c @ u.T)
 
 
 def pauli_relations_by_pairs(ctx: FieldContext) -> dict:

@@ -19,11 +19,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
-from oracles import SELFDUAL_BASES
-
-from dpsmap import (IRREDUCIBLE_POLYS, ConfigurationError, build_kernel,
-                    convention_from_name, field_context, forward_map,
-                    ghz_state)
+from dpsmap import (IRREDUCIBLE_POLYS, SELFDUAL_BASES, ConfigurationError,
+                    build_kernel, convention_from_name, field_context,
+                    forward_map, ghz_state)
 from dpsmap import cli, serialize
 from dpsmap._version import __version__
 from dpsmap.cli import RunConfig, build_state, main, parse_complex

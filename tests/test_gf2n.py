@@ -3,11 +3,11 @@ import json
 
 import numpy as np
 import pytest
-from oracles import (SELFDUAL_BASES, clmul, is_irreducible, mul_table_by_bits,
-                     poly_degree, poly_mod)
+from oracles import (clmul, first_selfdual_basis, is_irreducible,
+                     mul_table_by_bits, poly_degree, poly_mod)
 
 from dpsmap import ConfigurationError, FieldContext, field_context
-from dpsmap.gf2n import IRREDUCIBLE_POLYS
+from dpsmap.gf2n import IRREDUCIBLE_POLYS, SELFDUAL_BASES
 
 
 # ---------------------------------------------------------
@@ -245,7 +245,11 @@ def test_lazy_q_by_q_tables_match_their_formulas(n):
 # ---------------------------------------------------------
 
 def test_selfdual_basis_frozen():
+    """Each tabled basis is the first ascending self-dual tuple of its field,
+    and the context of its n carries it."""
+    assert list(SELFDUAL_BASES) == list(range(1, 9))
     for n, basis in SELFDUAL_BASES.items():
+        assert first_selfdual_basis(field_context(n)) == basis
         assert field_context(n).selfdual_basis == basis
 
 

@@ -205,6 +205,21 @@ def test_forward_rejects_wrong_shape():
         forward_map(kern, np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("shape", ((3, 3), (2, 4, 3), (4,)))
+def test_forward_map_names_the_operator_shape(shape):
+    kern = build_kernel(field_context(2), 0.0, TOMO)
+    with pytest.raises(ConfigurationError, match=r"4x4 operators for n = 2, got shape"):
+        forward_map(kern, np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("shape", ((3, 3), (2, 4, 3), (4, 8)))
+def test_inverse_map_names_the_grid_shape(shape):
+    kern = build_kernel(field_context(2), 0.0, TOMO)
+    psf = dataclasses.replace(forward_map(kern, np.eye(4)), grid=np.zeros(shape))
+    with pytest.raises(ConfigurationError, match=r"4x4 grids for n = 2, got shape"):
+        inverse_map(kern, psf)
+
+
 # ---------------------------------------------------------
 # overlap relation and trace convolution
 # ---------------------------------------------------------
@@ -636,6 +651,22 @@ def test_wstate_symbol_is_real_for_hermitian_convention():
 # ---------------------------------------------------------
 # stacks against the one-at-a-time code
 # ---------------------------------------------------------
+
+@pytest.mark.parametrize("s", (-1.0, 0.0, 1.0))
+def test_only_at_builds_the_origin_kernel(s):
+    """Building a kernel set and mapping with it leave the origin table
+    unbuilt; ``at`` builds it once and reuses it."""
+    ctx = field_context(3)
+    rng = np.random.default_rng(5)
+    op = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    kern, dual = build_kernel(ctx, s, TOMO), build_kernel(ctx, -s, TOMO)
+    inverse_map(dual, forward_map(kern, op))
+    assert "_origin" not in vars(kern) and "_origin" not in vars(dual)
+    kern.at(1, 2)
+    origin = vars(kern)["_origin"]
+    kern.at(np.arange(8), 3)
+    assert vars(kern)["_origin"] is origin
+
 
 def _at_oracle(kernel, alpha, beta):
     """KernelSet.at as it was before it took index arrays."""

@@ -3,7 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from oracles import collective_spin, su2_group_element
+from oracles import (collective_spin, displacement_overlaps_in_field_order,
+                     su2_group_element)
 
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FactorizedPhase,
                     FieldContext, GraphPhase, PlainPhase, SqrtPhase,
@@ -11,6 +12,7 @@ from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FactorizedPhase,
                     displacement, displacement_overlaps, field_context,
                     ghz_state, logical_state, permutation_matrix,
                     permutation_op, spin_coherent, symmetrize, w_state)
+from dpsmap.pauli import from_monomials, monomial_traces
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -402,6 +404,44 @@ def test_displacement_overlaps_match_direct():
         for d in range(ctx.order):
             direct = np.vdot(ket, displacement(ctx, c, g, d) @ ket)
             assert abs(ov[g, d] - direct) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_displacement_overlaps_are_bitwise_the_field_order_sum(n):
+    ctx = field_context(n)
+    rng = np.random.default_rng(60 + n)
+    ket = rng.normal(size=ctx.order) + 1j * rng.normal(size=ctx.order)
+    kets = (spin_coherent(ctx, DEFAULT_FIDUCIAL_ZETA), ghz_state(ctx),
+            ket / np.linalg.norm(ket))
+    for name in conventions_at(n):
+        for i, ket in enumerate(kets):
+            want = displacement_overlaps_in_field_order(ctx, conv(name), ket)
+            assert _same_bits(displacement_overlaps(ctx, conv(name), ket), want), (name, i)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_monomial_traces_invert_from_monomials(n):
+    """Tr[Z_g X_d Z_g' X_d'] is q chi(g d) at (g', d') = (g, d) and 0
+    otherwise, for one coefficient table and for a stack of them."""
+    ctx = field_context(n)
+    q = ctx.order
+    rng = np.random.default_rng(100 + n)
+    for shape in ((q, q), (2, 3, q, q)):
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = monomial_traces(ctx, from_monomials(ctx, coeffs))
+        assert got.shape == shape
+        assert np.max(np.abs(got - q * ctx.char_matrix * coeffs)) < 1e-12 * q * q
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_from_monomials_is_the_dense_sum(n):
+    ctx = field_context(n)
+    q = ctx.order
+    coeffs = np.random.default_rng(110 + n).normal(size=(2, q, q, 2)) @ [1, 1j]
+    z, x = build_Z(ctx, np.arange(q)), build_X(ctx, np.arange(q))
+    for table, got in zip(coeffs, from_monomials(ctx, coeffs)):
+        want = sum(table[g, d] * (z[g] @ x[d]) for g in range(q) for d in range(q))
+        assert np.max(np.abs(got - want)) < 1e-12 * q * q
 
 
 def test_fiducial_check_default_ok_equatorial_not():

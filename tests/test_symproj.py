@@ -3,11 +3,11 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import (REFERENCE_IDS, SELFDUAL_BASES, dense, fit_constant, pair_counts,
-                     r_factor, reference_symbol, su2_group_element, valid_triples)
+from oracles import (REFERENCE_IDS, dense, fit_constant, pair_counts, r_factor,
+                     reference_symbol, su2_group_element, valid_triples)
 
-from dpsmap import (DEFAULT_FIDUCIAL_ZETA, ConfigurationError, build_kernel,
-                    check_kernel_invariance, convention_from_name,
+from dpsmap import (DEFAULT_FIDUCIAL_ZETA, SELFDUAL_BASES, ConfigurationError,
+                    build_kernel, check_kernel_invariance, convention_from_name,
                     convolution_prefactor, displacement, field_context,
                     find_theorem_witness, forward_map, ghz_state,
                     permutation_op, project, search_invariant_phases,
