@@ -16,9 +16,9 @@ so ``--zeta -0.5,0.2`` works.
 Exit codes: 0 success (also for ``--help`` and ``--version``), 1
 verification/comparison failure, 2 bad usage, configuration or input file,
 reported as one ``error:`` line on stderr.  A JSON file mirroring RunConfig
-can seed any run via ``--config`` (explicit flags win).  ``map`` takes
-n <= 5, and n = 5 only at s = 0; ``--mode`` only narrows that rule: dense
-to n <= 4, lazy to s = 0.
+can give the defaults of any run via ``--config`` (explicit flags win).
+``map`` takes n <= 5, and n = 5 only at s = 0; ``--mode`` only narrows that
+rule: dense to n <= 4, lazy to s = 0.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def cmd_mub(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
-    report = suites.run_suite(cfg.suite, cfg.n, cfg.seed)
+    report = suites.run_suite(cfg.suite, cfg.n)
     report["version"] = __version__
     report["config"] = cfg.as_dict()
     text = serialize._dumps(report)
@@ -348,7 +348,7 @@ def build_parser() -> dict[str, Command]:
         "mub": Command(cmd_mub, "dump a MUB family as JSON",
                        {**common, "scheme": Flag(MUB_SCHEMES, "rotation scheme")}),
         "verify": Command(cmd_verify, "run a verification suite", {
-            **common, "seed": Flag(int, "RNG seed"),
+            **common, "seed": Flag(int, "no effect: no suite draws samples"),
             "suite": Flag(suites.SUITE_NAMES, "suite to run")}),
         "diff": Command(cmd_diff, "compare two exported symbol files",
                         {"tol": Flag(float, "largest deviation that still matches",

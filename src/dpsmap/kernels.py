@@ -53,8 +53,10 @@ class PhaseSpaceFunction(SymbolMeta):
 
     grid: np.ndarray
 
-    def total(self) -> complex:
-        return complex(self.grid.sum())
+    def total(self) -> complex | np.ndarray:
+        """The sum over the grid; one sum per grid of a stack."""
+        total = self.grid.sum(axis=(-2, -1))
+        return complex(total) if total.ndim == 0 else total
 
 
 class KernelSet:

@@ -5,13 +5,18 @@ Each suite returns a JSON-serializable report::
     {"suite": name, "n": n, "passed": bool, "checks": [
         {"name": ..., "passed": ..., "detail": ...}, ...]}
 
-The field, pauli and mub suites draw nothing.  Field and pauli check every
-input through the generators 2^i (the product is bilinear, and Z, X represent
-(GF(2^n), +)), mub through X-covariance.  The tomographic suite checks every
-line and every kernel through the q + 1 pencil heads and the origin kernel
-(each line state is an X_nu or Z_nu shift of its head, and the kernels are
-covariant); its Born check and the other suites check seeded samples.  A
-check of one measured number passes below its tolerance, so a NaN fails it.
+No suite draws samples.  Field and pauli check every input through the
+generators 2^i (the product is bilinear, and Z, X represent (GF(2^n), +)),
+mub through X-covariance.  The tomographic suite checks every line and every
+kernel through the q + 1 pencil heads and the origin kernel (each line state
+is an X_nu or Z_nu shift of its head, and the kernels are covariant); the
+s = 0 kernels being orthogonal, the delta lines give the Born rule for every
+operator (Gibbons, Hoffman and Wootters, PRA 70, 062101 (2004)), and the Born
+check runs on GHZ, W and the probe P = sum Z_g X_d.  The kernel suite checks
+covariance on a fixed set that is not complete, and the round trip on P
+alone: for covariant kernels inverse(forward) scales each coefficient of
+Z_g X_d by its own number, and P's are all 1.  A check of one measured
+number passes below its tolerance, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 
 from . import gf2n, kernels, mubrot, pauli, symproj
 from .errors import ConfigurationError
-from .sampling import Sampler
 
 TOL = 1e-10
 
@@ -60,6 +64,14 @@ def _dagger(ops):
     return ops.conj().swapaxes(-1, -2)
 
 
+def _probe(ctx):
+    """P = sum of every Z_g X_d = q |0><0| times the all-ones matrix: in basis
+    order row 0 is q and every other row is 0."""
+    probe = np.zeros((ctx.order, ctx.order), dtype=complex)
+    probe[0] = ctx.order
+    return probe
+
+
 def _report(suite, n, checks):
     return {"suite": suite, "n": n, "passed": all(c["passed"] for c in checks),
             "checks": checks}
@@ -67,7 +79,7 @@ def _report(suite, n, checks):
 
 # ----------------------------------------------------------------------
 
-def field_suite(n: int, seed: int = 0) -> dict:
+def field_suite(n: int) -> dict:
     ctx = gf2n.field_context(n)
     q = ctx.order
     checks = []
@@ -109,7 +121,7 @@ CONVENTION_NAMES = ("tomographic-p1", "perminv-sqrt", "perminv-f0",
                     "perminv-f1", "graph-plus", "plain")
 
 
-def pauli_suite(n: int, seed: int = 0) -> dict:
+def pauli_suite(n: int) -> dict:
     ctx = gf2n.field_context(n)
     q = ctx.order
     checks = []
@@ -161,7 +173,7 @@ def pauli_suite(n: int, seed: int = 0) -> dict:
 
 # ----------------------------------------------------------------------
 
-def mub_suite(n: int, seed: int = 0) -> dict:
+def mub_suite(n: int) -> dict:
     ctx = gf2n.field_context(n)
     q = ctx.order
     checks = []
@@ -202,12 +214,18 @@ def mub_suite(n: int, seed: int = 0) -> dict:
 
 # ----------------------------------------------------------------------
 
-def kernel_suite(n: int, seed: int = 0) -> dict:
+def kernel_suite(n: int) -> dict:
     ctx = gf2n.field_context(n)
-    rng = Sampler(seed)
     q = ctx.order
     checks = []
     fid = pauli.spin_coherent(ctx, pauli.DEFAULT_FIDUCIAL_ZETA)
+    # the points (a, b) of both axes, then the generator pairs (2^i, 2^j)
+    gens = 1 << np.arange(n)
+    gs, ds = gens[np.indices((n, n)).reshape(2, -1)]
+    axis = np.arange(q)
+    pa = np.concatenate([axis, 0 * axis[1:], gs])
+    pb = np.concatenate([0 * axis, axis[1:], ds])
+    probe = _probe(ctx)
 
     for name in ("tomographic-p1", "perminv-f0"):
         conv = pauli.convention_from_name(name)
@@ -218,55 +236,58 @@ def kernel_suite(n: int, seed: int = 0) -> dict:
                                 k0.hermiticity_residual(), "s=0, all points"))
 
         cov_dev = 0.0
-        ka, la, a, b = rng.integers(0, q, (50, 4)).T
-        for part in _chunks(ctx, 50):
-            dm = pauli.displacement(ctx, conv, ka[part], la[part])
-            lhs = dm @ k0.at(a[part], b[part]) @ _dagger(dm)
-            moved = k0.at(a[part] ^ ka[part], b[part] ^ la[part])
-            cov_dev = max(cov_dev, _dev(lhs, moved))
-        checks.append(_measured(f"{name}: covariance", cov_dev, "50 random tuples"))
+        origin = k0.at(0, 0)
+        for part in _chunks(ctx, len(pa)):
+            dm = pauli.displacement(ctx, conv, pa[part], pb[part])
+            cov_dev = max(cov_dev, _dev(dm @ origin @ _dagger(dm), k0.at(pa[part], pb[part])))
+        checks.append(_measured(f"{name}: covariance", cov_dev,
+                                f"s=0, both axes and the generator pairs (2^i, 2^j), "
+                                f"{len(pa)} points; not complete"))
 
         km = kernels.build_kernel(ctx, -1, conv, fid)
         kp = kernels.build_kernel(ctx, +1, conv, fid)
         checks.append(_measured(f"{name}: s=-1 kernels are coherent-state projectors",
                                 km.coherent_projector_residual(), "exhaustive"))
 
-        rt_dev = 0.0
-        for fwd, dual in ((k0, k0), (km, kp), (kp, km)):
-            for part in _chunks(ctx, 6):
-                ops = rng.hermitian(q, part.stop - part.start)
-                back = kernels.inverse_map(dual, kernels.forward_map(fwd, ops))
-                rt_dev = max(rt_dev, _dev(back, ops))
+        # inverse(forward) scales each coefficient of Z_g X_d by its own number,
+        # and the probe's coefficients are all 1
+        rt_dev = max(_dev(kernels.inverse_map(dual, kernels.forward_map(fwd, probe)), probe)
+                     for fwd, dual in ((k0, k0), (km, kp), (kp, km))) / q
         checks.append(_measured(f"{name}: inverse(forward) = identity", rt_dev,
-                                "max dev {:.2e}, s in {{-1,0,1}}"))
+                                "P = sum Z_g X_d, max dev / q {:.2e}, s in {{-1,0,1}}"))
 
         pref, rep = kernels.convolution_prefactor(kp, km)
         checks.append(_measured(f"{name}: overlap diagonal", rep.max_offdiag,
                                 f"fitted constant {rep.constant.real:.6g}"))
-        f, g = rng.hermitian(q, 2)
-        tc = kernels.trace_convolution(kernels.forward_map(kp, f),
-                                       kernels.forward_map(km, g), pref)
+        tc = kernels.trace_convolution(kernels.forward_map(kp, probe),
+                                       kernels.forward_map(km, _dagger(probe)), pref)
         checks.append(_measured(f"{name}: trace convolution matches Tr(fg)",
-                                abs(tc - np.trace(f @ g)), "dev {:.2e}", 1e-8))
+                                abs(tc - q ** 3) / q ** 3,
+                                "f = P, g = P^dagger, dev / Tr(fg) {:.2e}"))
     return _report("kernel", n, checks)
 
 
 # ----------------------------------------------------------------------
 
-def tomographic_suite(n: int, seed: int = 0) -> dict:
+def tomographic_suite(n: int) -> dict:
     ctx = gf2n.field_context(n)
-    rng = Sampler(seed)
     q = ctx.order
     checks = []
     conv = pauli.convention_from_name("tomographic-p1")
     k0 = kernels.build_kernel(ctx, 0, conv)
     family = mubrot.mub_family(ctx, "p1")
 
-    psi = np.array([rng.pure(q) for _ in range(10)])
-    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    # an orthogonal kernel basis whose line sums are the line projectors (the
+    # delta-line check below) gives every operator's Born probabilities
+    rep = kernels.overlap_check(k0, k0)
+    checks.append(_check("kernels orthogonal", rep.constant == q and rep.max_offdiag == 0,
+                         f"Tr[Delta(p) Delta(p')] = {rep.constant.real:g} delta(p, p'), "
+                         f"largest off-diagonal {rep.max_offdiag:.2e}"))
+    psi = np.array([pauli.ghz_state(ctx), pauli.w_state(ctx)])
+    ops = np.concatenate([psi[:, :, None] * psi.conj()[:, None, :], _probe(ctx)[None]])
     checks.append(_measured("line sums = Born probabilities",
-                            _dev(kernels.tomographic_check(k0, rho, family), 0),
-                            "10 random pure states, all lines, max dev {:.2e}"))
+                            _dev(kernels.tomographic_check(k0, ops, family), 0),
+                            "GHZ, W and P = sum Z_g X_d, all lines, max dev {:.2e}"))
 
     # row xi q + nu holds X_nu times its pencil's head, row q^2 + nu holds Z_nu times
     # |0~>, and the kernels are covariant, so the heads' symbols settle every line's
@@ -292,9 +313,8 @@ def tomographic_suite(n: int, seed: int = 0) -> dict:
 
 # ----------------------------------------------------------------------
 
-def symmetric_suite(n: int, seed: int = 0) -> dict:
+def symmetric_suite(n: int) -> dict:
     ctx = gf2n.field_context(n)
-    rng = Sampler(seed)
     q = ctx.order
     checks = []
     conv = pauli.convention_from_name("perminv-f0")
@@ -311,11 +331,13 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
     order, bounds = ctx.orbit_runs
     sizes = np.diff(bounds)
     count = len(sizes)
-    dep_ok, dense_dev, cols = True, 0.0, []
+    dep_ok, dense_dev, mass_dev, cols = True, 0.0, 0.0, []
     for part in _chunks(ctx, count):
         w = symproj.orbit_sum_symbols(k0, part)
         dep_ok &= symproj.symbol_depends_only_on_h(ctx, w)[0]
-        cols.append(symproj.project(ctx, w).values)
+        proj = symproj.project(ctx, w)
+        cols.append(proj.values)
+        mass_dev = max(mass_dev, _dev(proj.total(), w.total()))
         if n <= 3:
             g, d = np.divmod(order[bounds[part]], q)
             ops = pauli.symmetrize(ctx, pauli.build_Z(ctx, g) @ pauli.build_X(ctx, d))
@@ -338,18 +360,14 @@ def symmetric_suite(n: int, seed: int = 0) -> dict:
     full = count * gram_dev < q and count == math.comb(n + 3, 3)
     checks.append(_check("projection is lossless", full,
                          f"rank {count} = C(n+3, 3)" if full else "full rank not certified"))
-
-    psi = rng.pure(q)
-    w = kernels.forward_map(k0, np.outer(psi, psi.conj()))
-    proj = symproj.project(ctx, w)
-    checks.append(_measured("projection preserves total mass",
-                            abs(proj.total() - w.total()), "dev {:.2e}", 1e-12))
+    checks.append(_measured("projection preserves total mass", mass_dev,
+                            f"all {count} orbit sums, max dev {{:.2e}}", 1e-12))
     return _report("symmetric", n, checks)
 
 
 # ----------------------------------------------------------------------
 
-def theorem_suite(n: int, seed: int = 0) -> dict:
+def theorem_suite(n: int) -> dict:
     ctx = gf2n.field_context(n)
     checks = []
     if n >= 4:
@@ -388,13 +406,13 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, n: int, seed: int = 0) -> dict:
+def run_suite(name: str, n: int) -> dict:
     """Run one named suite, or all applicable ones under ``name="all"``."""
     if name == "all":
         reports = []
         for suite_name, (fn, lo, hi) in _SUITES.items():
             if lo <= n <= hi:
-                reports.append(fn(n, seed))
+                reports.append(fn(n))
             else:
                 reports.append({"suite": suite_name, "n": n, "passed": True,
                                 "skipped": f"suite supports n in {lo}..{hi}",
@@ -408,4 +426,4 @@ def run_suite(name: str, n: int, seed: int = 0) -> dict:
     fn, lo, hi = _SUITES[name]
     if not lo <= n <= hi:
         raise ConfigurationError(f"suite {name!r} supports n in {lo}..{hi}, got {n}")
-    return fn(n, seed)
+    return fn(n)

@@ -55,8 +55,10 @@ class ProjectedFunction(SymbolMeta):
         keys = map(tuple, field_context(self.n).orbit_weights.tolist())
         return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
-    def total(self) -> complex:
-        return complex(sum(self.values.tolist()))
+    def total(self) -> complex | np.ndarray:
+        """The sum over the orbits; one sum per symbol of a stack."""
+        total = self.values.sum(axis=0)
+        return complex(total) if total.ndim == 0 else total
 
 
 def project(ctx: FieldContext, psf: PhaseSpaceFunction) -> ProjectedFunction:

@@ -56,10 +56,9 @@ def test_criterion_01_field_suite():
         ok &= report["passed"]
         details = {c["name"]: c["detail"] for c in report["checks"]}
         # complete at every n: the axioms on the n^3 basis triples and the
-        # linear columns, nothing drawn from the seed
+        # linear columns, nothing sampled
         ok &= details["multiplication associative"] == f"the {n ** 3} basis triples"
         ok &= not any("sampled" in detail for detail in details.values())
-        ok &= run_suite("field", n, seed=1) == report
     _verdict(1, "field axioms, trace identities, self-dual Gram", ok,
              "n=1..8 complete through the basis")
 
@@ -190,11 +189,10 @@ def test_criterion_05_mub_suite():
     for n in range(1, 6):
         report = run_suite("mub", n)
         suite_ok &= report["passed"]
-        # complete at every n through X-covariance, nothing drawn from the seed
+        # complete at every n through X-covariance, nothing sampled
         details = {c["name"]: c["detail"] for c in report["checks"]}
         suite_ok &= "full family pairwise unbiased" in details
         suite_ok &= not any("random" in detail for detail in details.values())
-        suite_ok &= run_suite("mub", n, seed=1) == report
     ok = recurrence_ok and worst < TOL and unbiased_dev < TOL and suite_ok
     _verdict(5, "rotation recurrence (exact), V^2 and commutation, "
                 "full-family unbiasedness", ok,

@@ -472,6 +472,16 @@ def test_verify_all_with_outfile(tmp_path, monkeypatch):
     assert record["passed"] is True
 
 
+def test_verify_reports_do_not_depend_on_the_seed(capsys):
+    """No suite draws samples: ``--seed`` lands in the embedded config only."""
+    reports = []
+    for seed in ("0", "7"):
+        assert run("verify", "--suite", "all", "--n", "3", "--seed", seed) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        assert reports[-1]["config"].pop("seed") == int(seed)
+    assert reports[0] == reports[1]
+
+
 def test_verify_out_of_range_suite(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("verify", "--n", "6", "--suite", "kernel") == 2

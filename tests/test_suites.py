@@ -1,4 +1,6 @@
 # tests/test_suites.py
+import json
+
 import numpy as np
 import pytest
 from oracles import (field_axioms_by_triples, mub_relations_by_pairs,
@@ -6,12 +8,11 @@ from oracles import (field_axioms_by_triples, mub_relations_by_pairs,
 
 from dpsmap import (SUITE_NAMES, ConfigurationError, KernelSet, ProjectedFunction,
                     kernels, mubrot, pauli, run_suite, symproj)
-from dpsmap.sampling import Sampler
 
 
 def test_every_named_suite_passes_at_n2():
     for name in SUITE_NAMES:
-        report = run_suite(name, 2, seed=0)
+        report = run_suite(name, 2)
         assert report["passed"], report
         assert report["suite"] == name
         assert report["n"] == 2
@@ -47,8 +48,8 @@ def test_unknown_suite_rejected():
 
 
 def test_reports_are_deterministic():
-    a = run_suite("pauli", 2, seed=5)
-    b = run_suite("pauli", 2, seed=5)
+    a = run_suite("pauli", 2)
+    b = run_suite("pauli", 2)
     assert a == b
 
 
@@ -130,18 +131,18 @@ def test_pauli_suite_catches_nan_in_the_last_chunk_only(monkeypatch):
         return dm
 
     monkeypatch.setattr(pauli, "displacement", nan_at_last_pair)
-    report = run_suite("pauli", 5, seed=0)
+    report = run_suite("pauli", 5)
     disp = [c for c in report["checks"] if ": displacements unitary" in c["name"]]
     assert len(disp) == 6 and not any(c["passed"] for c in disp)
 
 
 def test_kernel_suite_catches_a_broken_tuple_in_the_last_chunk_only(monkeypatch):
     from dpsmap import pauli
-    rng = Sampler(0)
-    # the covariance tuples (ka, la, a, b) of the first convention
-    shifts = [tuple(rng.integers(0, 32, (4,)).tolist()[:2]) for _ in range(50)]
-    fault = shifts[-1]
-    _last_chunk_only(shifts, fault)
+    # the covariance points at n = 5: both axes, then the generator pairs
+    axis = [(a, 0) for a in range(32)] + [(0, b) for b in range(1, 32)]
+    points = axis + [(1 << i, 1 << j) for i in range(5) for j in range(5)]
+    fault = points[-1]
+    _last_chunk_only(points, fault)
     displacement = pauli.displacement
 
     def bent_at_last_shift(ctx, conv, g, d):
@@ -150,7 +151,7 @@ def test_kernel_suite_catches_a_broken_tuple_in_the_last_chunk_only(monkeypatch)
         return dm
 
     monkeypatch.setattr(pauli, "displacement", bent_at_last_shift)
-    report = run_suite("kernel", 5, seed=0)
+    report = run_suite("kernel", 5)
     assert not _check_named(report, "tomographic-p1: covariance")["passed"]
     assert not report["passed"]
 
@@ -336,13 +337,17 @@ def test_only_the_product_check_sees_a_wrong_non_generator(monkeypatch, n):
     assert failed == ["Z_a = Z_(a-t) Z_t and X_a = X_(a-t) X_t"]
 
 
-# the suites that draw nothing, mub included
+# the suites that read no seed, mub included; `--seed` is accepted and ignored
 @pytest.mark.parametrize("suite, hi", [("field", 8), ("pauli", 5), ("mub", 5)])
-def test_field_and_pauli_reports_do_not_depend_on_the_seed(suite, hi):
+def test_field_and_pauli_reports_do_not_depend_on_the_seed(capsys, suite, hi):
+    from dpsmap import cli
     for n in range(1, hi + 1):
-        report = run_suite(suite, n, seed=0)
-        assert report["passed"]
-        assert all(run_suite(suite, n, seed=seed) == report for seed in range(1, 10))
+        reports = []
+        for seed in ("0", "7"):
+            assert cli.main(["verify", "--suite", suite, "--n", str(n), "--seed", seed]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            assert reports[-1]["config"].pop("seed") == int(seed)
+        assert reports[0] == reports[1]
 
 
 # the mub suite checks every slope and every nu through X-covariance; the
@@ -455,74 +460,17 @@ def test_only_the_born_check_reads_a_row_off_the_heads(monkeypatch, n):
     assert failed == ["line sums = Born probabilities"]
 
 
-# the suites' seeded generator
-
-def test_generator_first_draws_are_pinned():
-    """Drawn from ``random.Random(7)``: any drift across platforms or
-    Python versions fails here."""
-    rng = Sampler(7)
-    assert rng.integers(0, 32, (2, 3)).tolist() == [[30, 12, 1], [26, 3, 18]]
-    with pytest.raises(ValueError, match="power of two"):
-        rng.integers(1, 32, (3,))
-    assert rng.integers(0, 4) == 3
-    assert rng.complex((2,)).tolist() == [complex(*map(float.fromhex, pair)) for pair in (
-        ("-0x1.242628cdf8630p-1", "-0x1.4f2ab6490fca0p-3"),
-        ("-0x1.a7fd7297d99acp-1", "-0x1.098fa36fb8780p-1"))]
-
-
-def test_generator_draws_stay_in_range():
-    rng = Sampler(0)
-    for lo, hi in ((0, 2), (0, 16), (3, 4), (1, 2)):
-        x = rng.integers(lo, hi, (400, 2))
-        assert x.dtype == np.int64 and x.shape == (400, 2)
-        assert set(x.ravel().tolist()) == set(range(lo, hi))
-    for lo, hi in ((1, 8), (0, 3), (2, 2), (4, 0)):
-        with pytest.raises(ValueError, match="power of two"):
-            rng.integers(lo, hi, (400, 2))
-    z = rng.complex((300, 4))
-    assert z.shape == (300, 4)
-    for part in (z.real, z.imag):
-        assert -1 <= part.min() and part.max() < 1
-        # every part is a multiple of 2^-51: exact on every platform
-        assert np.array_equal(np.ldexp(part, 51), np.round(np.ldexp(part, 51)))
-
-
 def _bits(z):
     return np.ascontiguousarray(z).view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_stacked_draws_are_bitwise_the_single_draws(seed):
-    one, stacked = Sampler(seed), Sampler(seed)
-    psi, a = stacked.complex_draws(5, (4,), (4, 4))
-    herm = stacked.hermitian(4, 3)
-    tail = stacked.integers(0, 16, (3,))
-    assert psi.shape == (5, 4) and a.shape == (5, 4, 4) and herm.shape == (3, 4, 4)
-    for i in range(5):
-        assert _bits(one.complex((4,))) == _bits(psi[i])
-        assert _bits(one.complex((4, 4))) == _bits(a[i])
-    for i in range(3):
-        h = one.complex((4, 4))
-        assert _bits(h + h.conj().T) == _bits(herm[i])
-    assert one.integers(0, 16, (3,)).tolist() == tail.tolist()
-
-
-@pytest.mark.parametrize("q", [2, 8, 32])
-def test_one_integer_draw_is_the_per_item_draws(q):
-    """An integer stack drawn in one call, as the kernel suite draws its
-    covariance tuples, is the words the per-item draws read."""
-    for shape, item in (((50, 4), (4,)), ((6,), ())):
-        one, stacked = Sampler(q), Sampler(q)
-        per_item = np.array([one.integers(0, q, item) for _ in range(shape[0])])
-        assert np.array_equal(stacked.integers(0, q, shape), per_item)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_every_suite_passes_for_seeds_0_to_9(n):
-    for seed in range(10):
-        report = run_suite("all", n, seed=seed)
-        assert report["passed"], (seed, [c for r in report["suites"]
-                                         for c in r["checks"] if not c["passed"]])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_suite_passes_at_every_n(n):
+    """``all`` runs each suite whose range holds n; the ranges cover 1..8."""
+    report = run_suite("all", n)
+    assert report["passed"], [c for r in report["suites"] for c in r["checks"]
+                              if not c["passed"]]
+    assert any("skipped" not in r for r in report["suites"])
 
 
 def test_symmetric_suite_orbit_check_fails_on_a_nan_symbol(monkeypatch):
@@ -560,17 +508,19 @@ def test_only_the_dense_cross_check_sees_conjugated_orbit_symbols(monkeypatch, n
 
 
 def test_kernel_round_trip_catches_nan_in_the_last_chunk_only(monkeypatch):
+    """The probe runs once per kernel pair, (k0, k0), (km, kp), (kp, km): a
+    NaN from the last pair only must count."""
     from dpsmap import kernels
     inverse_map = kernels.inverse_map
 
-    def nan_in_a_short_stack(kernel, psf):
+    def nan_in_the_last_pair(kernel, psf):
         out = inverse_map(kernel, psf)
-        if len(out) < 4:                    # the second of the two chunks of 6
-            out[-1, 0, 0] = np.nan
+        if kernel.s == -1:
+            out[..., 0, 0] = np.nan
         return out
 
-    monkeypatch.setattr(kernels, "inverse_map", nan_in_a_short_stack)
-    report = run_suite("kernel", 5, seed=0)
+    monkeypatch.setattr(kernels, "inverse_map", nan_in_the_last_pair)
+    report = run_suite("kernel", 5)
     for name in ("tomographic-p1", "perminv-f0"):
         assert not _check_named(report, f"{name}: inverse(forward)")["passed"]
 
@@ -729,3 +679,65 @@ def test_theorem_suite_fails_when_no_invariant_phase_solves_the_recurrences(
     assert report["checks"] == [{"name": name, "passed": False, "detail": (
         f"0 of {assignments} invariant hermitian phases satisfy every line "
         f"recurrence; closed-form p=1 among them: False")}]
+
+
+# the fixed and derived checks of the kernel, tomographic and symmetric
+# suites: each fails its corruption at every n
+
+def _bent_coefficient(monkeypatch, s):
+    """Make ``build_kernel`` at ``s`` return a kernel whose last coefficient
+    of Z_g X_d is off by a factor 1 + 1e-6."""
+    build_kernel = kernels.build_kernel
+
+    def bent(ctx, s_, *args):
+        kernel = build_kernel(ctx, s_, *args)
+        if s_ == s:
+            kernel._wphi = kernel._wphi.copy()
+            kernel._wphi[-1, -1] *= 1 + 1e-6
+        return kernel
+
+    monkeypatch.setattr(kernels, "build_kernel", bent)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_covariance_fails_a_wrong_index_at_one_axis_point(monkeypatch, n):
+    q = 1 << n
+    at = KernelSet.at
+
+    def wrong_index(self, a, b):
+        a, b = np.broadcast_arrays(a, b)
+        # the last point of the b axis is given the kernel of its neighbour
+        return at(self, a, np.where((a == 0) & (b == q - 1), q - 2, b))
+
+    monkeypatch.setattr(KernelSet, "at", wrong_index)
+    report = run_suite("kernel", n)
+    for name in ("tomographic-p1", "perminv-f0"):
+        assert not _check_named(report, f"{name}: covariance")["passed"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_round_trip_and_convolution_fail_a_bent_coefficient_of_km(monkeypatch, n):
+    _bent_coefficient(monkeypatch, -1)
+    report = run_suite("kernel", n)
+    for name in ("tomographic-p1", "perminv-f0"):
+        assert not _check_named(report, f"{name}: inverse(forward)")["passed"]
+        assert not _check_named(report, f"{name}: trace convolution")["passed"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orthogonality_fails_a_bent_coefficient_of_the_s0_kernel(monkeypatch, n):
+    _bent_coefficient(monkeypatch, 0)
+    report = run_suite("tomographic", n)
+    assert not _check_named(report, "kernels orthogonal")["passed"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mass_check_fails_a_point_dropped_from_the_orbit_runs(monkeypatch, n):
+    ctx = _own_field(monkeypatch, n)
+    index, weights, order, bounds = ctx._orbits
+    # the last point of the largest orbit; at n = 1 every orbit is one point
+    last = bounds[1 + int(np.argmax(np.diff(bounds)))]
+    ctx._orbits = (index, weights, np.delete(order, last - 1),
+                   [b - (b >= last) for b in bounds])
+    report = run_suite("symmetric", n)
+    assert not _check_named(report, "projection preserves total mass")["passed"]
