@@ -39,8 +39,8 @@ from .pauli import (DEFAULT_FIDUCIAL_ZETA, FactorizedPhase, FiducialReport,
                     GraphPhase, PhaseConvention, PlainPhase, SqrtPhase,
                     TomographicPhase, build_X, build_Z, check_fiducial,
                     convention_from_name, displacement, displacement_overlaps,
-                    ghz_state, logical_state, permutation_matrix,
-                    permutation_op, spin_coherent, symmetrize, w_state)
+                    ghz_state, logical_state, permutation_op,
+                    spin_coherent, symmetrize, w_state)
 from .symproj import (InvarianceReport, PhaseSearchReport, ProjectedFunction,
                       TheoremWitness, check_kernel_invariance,
                       find_theorem_witness, project, search_invariant_phases,
@@ -59,8 +59,7 @@ __all__ = [
     "PhaseConvention", "PlainPhase", "SqrtPhase", "TomographicPhase",
     "build_X", "build_Z", "check_fiducial", "convention_from_name",
     "displacement", "displacement_overlaps", "ghz_state", "logical_state",
-    "permutation_matrix", "permutation_op", "spin_coherent", "symmetrize",
-    "w_state",
+    "permutation_op", "spin_coherent", "symmetrize", "w_state",
     "InvarianceReport", "PhaseSearchReport", "ProjectedFunction",
     "TheoremWitness", "check_kernel_invariance", "find_theorem_witness",
     "project", "search_invariant_phases", "symbol_depends_only_on_h",

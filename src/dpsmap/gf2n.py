@@ -9,7 +9,8 @@ tr(theta_i * theta_j) = delta_ij, the first such tuple in increasing
 element order; the field verify suite checks its Gram matrix.  In that
 basis the expansion coefficients of an element double as qubit labels,
 the trace of a product becomes the mod-2 dot product of coordinate
-strings, and swapping two qubits becomes a linear map on the field.
+strings, and swapping two qubits becomes a linear map on the field, tabled
+by ``FieldContext.transposition``.
 """
 
 from __future__ import annotations
@@ -249,20 +250,15 @@ class FieldContext:
         """Position of |x> in the 2^n-dimensional amplitude vector."""
         return int(self.index_table[x])
 
-    def transpose_coords(self, x: int, i: int, j: int) -> int:
-        """Swap self-dual coordinates i and j (1-based qubit labels).
-
-        Equals x + eps * tr(x * eps) with eps = theta_i + theta_j.
-        """
-        eps = self.transposition_element(i, j)
-        if self.trace(self.mul(x, eps)):
-            return x ^ eps
-        return x
-
-    def transposition_element(self, i: int, j: int) -> int:
+    def transposition(self, i: int, j: int) -> np.ndarray:
+        """Where swapping qubits i and j (1-based) sends each element: the
+        table x -> x + eps tr(x eps), eps = theta_i + theta_j, which swaps
+        self-dual coordinates i and j."""
         if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
             raise ValueError(f"need distinct qubit labels in 1..{self.n}")
-        return self.selfdual_basis[i - 1] ^ self.selfdual_basis[j - 1]
+        eps = self.selfdual_basis[i - 1] ^ self.selfdual_basis[j - 1]
+        x = np.arange(self.order)
+        return x ^ eps * self.trace_table[self.mul_table[x, eps]]
 
     def gram_matrix(self) -> np.ndarray:
         theta = np.array(self.selfdual_basis, dtype=np.int64)

@@ -347,30 +347,14 @@ def check_fiducial(ctx: FieldContext, conv: PhaseConvention,
 MAX_SYMMETRIZE_N = 5
 
 
-def permutation_matrix(ctx: FieldContext, perm) -> np.ndarray:
-    """Unitary relabelling qubits: output slot i holds former slot perm[i-1]."""
-    require_operator_n(ctx)
-    n, q = ctx.n, ctx.order
-    perm = tuple(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must rearrange 1..{n}, got {perm}")
-    src = np.arange(q)
-    dst = np.zeros(q, dtype=np.int64)
-    for out_slot, in_slot in enumerate(perm, start=1):
-        bit = (src >> (n - in_slot)) & 1
-        dst |= bit << (n - out_slot)
-    mat = np.zeros((q, q), dtype=complex)
-    mat[dst, src] = 1.0
-    return mat
-
-
 def permutation_op(ctx: FieldContext, i: int, j: int) -> np.ndarray:
-    """Transposition of qubits i and j (1-based)."""
-    if i == j or not (1 <= i <= ctx.n and 1 <= j <= ctx.n):
-        raise ValueError(f"need distinct qubit labels in 1..{ctx.n}")
-    perm = list(range(1, ctx.n + 1))
-    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return permutation_matrix(ctx, perm)
+    """Transposition of qubits i and j (1-based): |x> -> |T x>, with T the
+    field table ``ctx.transposition(i, j)``."""
+    perm = ctx.transposition(i, j)
+    require_operator_n(ctx)
+    mat = np.zeros((ctx.order, ctx.order), dtype=complex)
+    mat[ctx.index_table[perm], ctx.index_table] = 1
+    return mat
 
 
 def symmetrize(ctx: FieldContext, op: np.ndarray) -> np.ndarray:

@@ -377,11 +377,6 @@ def theorem_suite(n: int) -> dict:
             f"(p,q,r,s)=({wit.p},{wit.q},{wit.r},{wit.s}) "
             f"alpha={wit.alpha} beta={wit.beta} xi={wit.xi} "
             f"chi: {wit.chi_original} -> {wit.chi_transposed}"))
-        restored = [ctx.transpose_coords(
-            ctx.transpose_coords(x, wit.r, wit.s), wit.r, wit.s)
-            for x in range(ctx.order)]
-        checks.append(_check("transposition is an involution",
-                             restored == list(range(ctx.order)), ""))
     else:
         report = symproj.search_invariant_phases(ctx)
         detail = (f"{report.hits} of {report.assignments} invariant hermitian "

@@ -161,12 +161,9 @@ def check_kernel_invariance(kernel: KernelSet) -> InvarianceReport:
     """
     ctx = kernel.ctx
     pairs = list(itertools.combinations(range(1, ctx.n + 1), 2))
-    weights = 1 << np.arange(ctx.n - 1, -1, -1)     # coordinates -> basis index
     worst, witness = 0.0, None
     for i, j in pairs:
-        slots = np.arange(ctx.n)
-        slots[[i - 1, j - 1]] = j - 1, i - 1
-        perm = ctx.element_of_index[ctx.coords_table[:, slots] @ weights]
+        perm = ctx.transposition(i, j)
         swapped = np.ix_(perm, perm)
         dev = coefficient_residual(ctx, kernel._wphi[swapped] - kernel._wphi)
         dev = np.inf if np.isnan(dev) else dev      # a NaN counts as infinitely far
@@ -253,16 +250,16 @@ def theorem_witness(ctx: FieldContext, p: int, q: int, r: int, s: int) -> Theore
     for idx in (p, q, r, s):
         if not 1 <= idx <= ctx.n:
             raise ConfigurationError(f"basis index {idx} out of range 1..{ctx.n}")
-    th = ctx.selfdual_basis
+    th, perm = ctx.selfdual_basis, ctx.transposition(r, s)
     alpha = ctx.mul(th[p - 1], th[p - 1])
-    if ctx.trace(ctx.mul(th[r - 1], alpha)) != ctx.trace(ctx.mul(th[s - 1], alpha)):
+    if perm[alpha] != alpha:
         raise ConfigurationError(
             f"trace condition fails for (p,r,s)=({p},{r},{s}); pick other indices")
     beta = th[p - 1] ^ th[q - 1]
-    epsilon = ctx.transposition_element(r, s)
+    epsilon = th[r - 1] ^ th[s - 1]
     xi = ctx.inv(epsilon)
     factors = [alpha, beta, ctx.mul(beta, xi), ctx.mul(alpha, xi)]
-    swapped = [ctx.transpose_coords(x, r, s) for x in factors]
+    swapped = perm[factors].tolist()
     return TheoremWitness(
         n=ctx.n, p=p, q=q, r=r, s=s, alpha=alpha, beta=beta, xi=xi,
         epsilon=epsilon,

@@ -24,6 +24,10 @@ here rather than in the package:
   which pins ``gf2n.SELFDUAL_BASES``;
 * the fiducial overlaps <ket| D(gamma, delta) |ket> summed from the
   amplitudes in field order, the oracle of ``pauli.displacement_overlaps``;
+* the swap of two self-dual coordinates through ``to_coords`` and
+  ``from_coords``, the oracle of ``FieldContext.transposition``, and the
+  qubit permutation matrix built by shifting index bits, the oracle of
+  ``pauli.permutation_op`` and ``pauli.symmetrize``;
 * the field, pauli and mub suites' checks over every input at small n:
   the product's associativity and distributivity over all q^3 triples,
   unitarity and Z_a X_b = chi(ab) X_b Z_a over all 4^n dense pairs, and
@@ -166,6 +170,33 @@ def displacement_overlaps_in_field_order(ctx: FieldContext, conv, ket) -> np.nda
     amp = np.asarray(ket, dtype=complex)[ctx.index_table]
     u = amp[ctx.xor_grid] * np.conj(amp)[None, :]
     return conv.value_table(ctx) * (ctx.char_matrix_c @ u.T)
+
+
+def swap_coords(ctx: FieldContext, x: int, i: int, j: int) -> int:
+    """x with its self-dual coordinates i and j (1-based) swapped, through
+    ``to_coords`` and ``from_coords``: the oracle of
+    ``FieldContext.transposition``."""
+    c = list(ctx.to_coords(x))
+    c[i - 1], c[j - 1] = c[j - 1], c[i - 1]
+    return ctx.from_coords(c)
+
+
+def permutation_matrix(ctx: FieldContext, perm) -> np.ndarray:
+    """Unitary relabelling qubits: output slot i holds former slot perm[i-1],
+    built by shifting the bits of each basis index."""
+    require_operator_n(ctx)
+    n, q = ctx.n, ctx.order
+    perm = tuple(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"perm must rearrange 1..{n}, got {perm}")
+    src = np.arange(q)
+    dst = np.zeros(q, dtype=np.int64)
+    for out_slot, in_slot in enumerate(perm, start=1):
+        bit = (src >> (n - in_slot)) & 1
+        dst |= bit << (n - out_slot)
+    mat = np.zeros((q, q), dtype=complex)
+    mat[dst, src] = 1.0
+    return mat
 
 
 def pauli_relations_by_pairs(ctx: FieldContext) -> dict:

@@ -1,10 +1,11 @@
 # tests/test_gf2n.py
+import itertools
 import json
 
 import numpy as np
 import pytest
 from oracles import (clmul, first_selfdual_basis, is_irreducible,
-                     mul_table_by_bits, poly_degree, poly_mod)
+                     mul_table_by_bits, poly_degree, poly_mod, swap_coords)
 
 from dpsmap import ConfigurationError, FieldContext, field_context
 from dpsmap.gf2n import IRREDUCIBLE_POLYS, SELFDUAL_BASES
@@ -309,33 +310,38 @@ def test_index_follows_coords_msb_first():
 # ---------------------------------------------------------
 
 def test_transpose_coords_swaps_two_slots():
+    """FieldContext.transposition(i, j) swaps self-dual coordinates i and j,
+    for every ordered pair and every element."""
+    for n in range(1, 9):
+        ctx = field_context(n)
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            table = ctx.transposition(i, j)
+            assert table.shape == (ctx.order,)
+            assert table.tolist() == [swap_coords(ctx, x, i, j) for x in range(ctx.order)]
+
+
+def test_transpose_coords_is_involution():
+    for n in range(2, 9):
+        ctx = field_context(n)
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            table = ctx.transposition(i, j)
+            assert table[table].tolist() == list(range(ctx.order))
+
+
+def test_transposition_element_construction():
+    """The swap acts as x + eps*tr(x*eps) with eps the sum of the two thetas;
+    bad labels raise."""
     for n in (2, 3, 4):
         ctx = field_context(n)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                for x in range(ctx.order):
-                    c = list(ctx.to_coords(x))
-                    c[i - 1], c[j - 1] = c[j - 1], c[i - 1]
-                    assert ctx.transpose_coords(x, i, j) == ctx.from_coords(c)
-
-
-def test_transpose_coords_is_involution():
-    ctx = field_context(4)
-    for x in range(ctx.order):
-        y = ctx.transpose_coords(x, 2, 4)
-        assert ctx.transpose_coords(y, 2, 4) == x
-
-
-def test_transposition_element_construction():
-    """The swap acts as x + eps*tr(x*eps) with eps the sum of the two thetas."""
-    ctx = field_context(3)
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            eps = ctx.transposition_element(i, j)
-            assert eps == ctx.selfdual_basis[i - 1] ^ ctx.selfdual_basis[j - 1]
-            for x in range(ctx.order):
-                expected = x ^ (eps if ctx.trace(ctx.mul(x, eps)) else 0)
-                assert ctx.transpose_coords(x, i, j) == expected
+                eps = ctx.selfdual_basis[i - 1] ^ ctx.selfdual_basis[j - 1]
+                expected = [x ^ (eps if ctx.trace(ctx.mul(x, eps)) else 0)
+                            for x in range(ctx.order)]
+                assert ctx.transposition(i, j).tolist() == expected
+        for i, j in ((1, 1), (0, 1), (1, n + 1), (n + 1, n + 1)):
+            with pytest.raises(ValueError, match=f"need distinct qubit labels in 1..{n}"):
+                ctx.transposition(i, j)
 
 
 # ---------------------------------------------------------

@@ -178,7 +178,6 @@ _NOT_ON_A_CLI_PATH = {
     "pauli.PhaseConvention.__repr__": "debugging aid; no output prints a convention",
     "pauli.PhaseConvention._exponent_table": "abstract; every convention overrides it",
     "pauli.permutation_op": "traced by bench/tracing.py, which looks it up",
-    "pauli.permutation_matrix": "what permutation_op builds its matrix with",
     "symproj.ProjectedFunction.entries": "read by bench/checks.py, which looks a "
                                          "projection's values up by orbit label",
 }

@@ -4,14 +4,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 from oracles import (collective_spin, displacement_overlaps_in_field_order,
-                     su2_group_element)
+                     permutation_matrix, su2_group_element, swap_coords)
 
 from dpsmap import (ConfigurationError, DEFAULT_FIDUCIAL_ZETA, FactorizedPhase,
                     FieldContext, GraphPhase, PlainPhase, SqrtPhase,
                     build_X, build_Z, check_fiducial, convention_from_name,
                     displacement, displacement_overlaps, field_context,
-                    ghz_state, logical_state, permutation_matrix,
-                    permutation_op, spin_coherent, symmetrize, w_state)
+                    ghz_state, logical_state, permutation_op,
+                    spin_coherent, symmetrize, w_state)
 from dpsmap.pauli import from_monomials, monomial_traces
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -273,7 +273,7 @@ def table_transposition_deviation(ctx, c):
     worst = 0.0
     for i in range(1, ctx.n + 1):
         for j in range(i + 1, ctx.n + 1):
-            perm = np.array([ctx.transpose_coords(x, i, j) for x in range(ctx.order)])
+            perm = np.array([swap_coords(ctx, x, i, j) for x in range(ctx.order)])
             worst = max(worst, float(np.max(np.abs(tab[perm][:, perm] - tab))))
     return worst
 
@@ -490,6 +490,20 @@ def test_permutation_op_is_transposition():
     P = permutation_op(ctx, 1, 3)
     assert np.allclose(P @ P, np.eye(8))
     assert np.allclose(P, P.conj().T)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_permutation_op_is_bitwise_the_permutation_matrix(n):
+    """The field-table transposition gives, bit for bit, the matrix that
+    shifts index bits, for every pair of qubits."""
+    ctx = field_context(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            perm = list(range(1, n + 1))
+            perm[i - 1], perm[j - 1] = j, i
+            got, want = permutation_op(ctx, i, j), permutation_matrix(ctx, perm)
+            assert got.dtype == want.dtype == np.complex128
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (i, j)
 
 
 def test_symmetrize_projects_and_fixes():

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 from oracles import (REFERENCE_IDS, dense, fit_constant, pair_counts, r_factor,
-                     reference_symbol, su2_group_element, valid_triples)
+                     reference_symbol, su2_group_element, swap_coords,
+                     valid_triples)
 
 from dpsmap import (DEFAULT_FIDUCIAL_ZETA, SELFDUAL_BASES, ConfigurationError,
                     build_kernel, check_kernel_invariance, convention_from_name,
@@ -430,7 +431,7 @@ def point_deviation(kernel, i, j, a, b):
     ctx = kernel.ctx
     pmat = permutation_op(ctx, i, j)
     lhs = pmat @ kernel.at(a, b) @ pmat
-    rhs = kernel.at(ctx.transpose_coords(a, i, j), ctx.transpose_coords(b, i, j))
+    rhs = kernel.at(swap_coords(ctx, a, i, j), swap_coords(ctx, b, i, j))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -452,14 +453,14 @@ def test_table_invariance_matches_operator_oracle(n, name, s):
         assert abs(point_deviation(kern, *rep.witness) - worst) < 1e-12
 
 
-def invariance_by_transpose_coords(kernel, tol=1e-12):
+def invariance_by_swap_coords(kernel, tol=1e-12):
     """check_kernel_invariance with each permutation built from q scalar
-    transpose_coords calls."""
+    swap_coords calls."""
     ctx = kernel.ctx
     pairs = list(itertools.combinations(range(1, ctx.n + 1), 2))
     worst, witness = 0.0, None
     for i, j in pairs:
-        perm = [ctx.transpose_coords(x, i, j) for x in range(ctx.order)]
+        perm = [swap_coords(ctx, x, i, j) for x in range(ctx.order)]
         dev = coefficient_residual(ctx, kernel._wphi[np.ix_(perm, perm)] - kernel._wphi)
         if dev > worst:
             worst = dev
@@ -470,12 +471,12 @@ def invariance_by_transpose_coords(kernel, tol=1e-12):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_invariance_permutations_from_the_coordinate_table(n):
-    """Same report, bit for bit, as with the scalar transpose_coords loop."""
+    """Same report, bit for bit, as with the scalar swap_coords loop."""
     ctx = field_context(n)
     for name in ALL_CONVENTIONS:
         for s in (-1.0, 0.0, 1.0):
             kern = build_kernel(ctx, s, convention_from_name(name))
-            rep, oracle = check_kernel_invariance(kern), invariance_by_transpose_coords(kern)
+            rep, oracle = check_kernel_invariance(kern), invariance_by_swap_coords(kern)
             assert repr(rep) == repr(oracle)
             assert rep.max_deviation == oracle.max_deviation
 
@@ -492,7 +493,7 @@ def test_transposition_maps_displacements(name):
             pmat = permutation_op(ctx, i, j)
             for g in range(ctx.order):
                 for d in range(ctx.order):
-                    tg, td = ctx.transpose_coords(g, i, j), ctx.transpose_coords(d, i, j)
+                    tg, td = swap_coords(ctx, g, i, j), swap_coords(ctx, d, i, j)
                     ratio = phis[g, d] / phis[tg, td]
                     moved = pmat @ displacement(ctx, conv, g, d) @ pmat
                     assert np.max(np.abs(moved - ratio * displacement(ctx, conv, tg, td))) < 1e-12
